@@ -24,7 +24,7 @@ from .errors import AirCompError
 from .experiments import ChannelMode, ExperimentPlan
 from .numerics import Rng
 
-_VALIDATE_STREAM = experiments.stream_id(5)
+_VALIDATE_STREAM = experiments.stream_id(experiments._STREAM_VALIDATE)
 
 ORTHONORMAL_TOLERANCE = 1e-10
 
@@ -58,6 +58,8 @@ def _print_validation(report: coding.ValidationReport) -> None:
 def cmd_construct(args) -> int:
     if args.l < 1 or args.l_tilde < args.l:
         return _fail(f"need --l-tilde >= --l >= 1, got ({args.l_tilde}, {args.l})")
+    if args.samples < 1:
+        return _fail("--samples must be at least 1")
     rng = Rng(args.seed)
     enc = coding.construct_random_orthonormal(args.l_tilde, args.l, rng)
     report = coding.validate(
@@ -82,6 +84,8 @@ def cmd_construct(args) -> int:
 
 
 def cmd_check(args) -> int:
+    if args.samples < 1:
+        return _fail("--samples must be at least 1")
     try:
         enc = coding.load_matrix(args.matrix)
     except (OSError, ValueError, AirCompError) as exc:
@@ -237,6 +241,8 @@ def _ks_two_sample_critical(n: int) -> float:
 def cmd_dist_test(args) -> int:
     if min(args.ks_trials, args.chernoff_trials, args.oracle_n) < 1000:
         return _fail("all sample sizes must be at least 1000")
+    if args.threads < 1:
+        return _fail("--threads must be at least 1")
     checks = []
 
     config = SystemConfig(master_seed=args.seed)
@@ -309,11 +315,13 @@ def cmd_dist_test(args) -> int:
 def cmd_figures(args) -> int:
     if args.threads < 1:
         return _fail("--threads must be at least 1")
+    if args.trials is not None and args.trials < 1:
+        return _fail("--trials must be at least 1")
     os.makedirs(args.out_dir, exist_ok=True)
     config = SystemConfig(master_seed=args.seed)
 
     if args.which == 2:
-        trials = args.trials or 2000
+        trials = 2000 if args.trials is None else args.trials
         base = ExperimentPlan(
             config=config,
             trials=trials,
@@ -329,7 +337,7 @@ def cmd_figures(args) -> int:
         )
         path = os.path.join(args.out_dir, "fig3_rate_regions.csv")
     else:
-        trials = args.trials or 500
+        trials = 500 if args.trials is None else args.trials
         snr15 = replace(config, p_x=config.n0 * db_to_linear(15.0))
         base = ExperimentPlan(
             config=snr15,

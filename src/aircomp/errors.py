@@ -9,10 +9,6 @@ class RankDeficient(AirCompError):
     """A matrix that must have full column rank does not."""
 
 
-# The linear-algebra kernels raise the same condition under this name.
-RankDeficientInput = RankDeficient
-
-
 class NotHermitian(AirCompError):
     """Eigenvalue routine got a matrix that is not Hermitian."""
 

@@ -10,7 +10,7 @@ left empty.
 from __future__ import annotations
 
 import csv
-import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -41,8 +41,6 @@ CSV_HEADER = [
     "bound",
 ]
 
-SWEEPABLE_PARAMETERS = {"snr_db", "rate", "l_tilde", "epsilon", "eta"}
-
 # Purpose tags for flat Philox streams under one master seed.
 _STREAM_TRIAL = 1
 _STREAM_CHANNEL = 2
@@ -72,7 +70,6 @@ class ExperimentPlan:
     construction: Construction = Construction.RANDOM_ORTHONORMAL
     trials: int = 1000
     channel_mode: ChannelMode = ChannelMode.RICIAN_PER_TRIAL
-    sweep: list[tuple[str, list[float]]] | None = None
     output_path: str | None = None
     matrix_path: str | None = None
 
@@ -81,12 +78,6 @@ class ExperimentPlan:
         self.channel_mode = ChannelMode(self.channel_mode)
         if self.trials < 1:
             raise ValueError("need at least one trial")
-        for name, _values in self.sweep or []:
-            if name not in SWEEPABLE_PARAMETERS:
-                raise ValueError(
-                    f"unknown sweep parameter {name!r}; expected one of "
-                    f"{sorted(SWEEPABLE_PARAMETERS)}"
-                )
 
     def to_json(self) -> dict:
         return {
@@ -94,7 +85,6 @@ class ExperimentPlan:
             "construction": self.construction.value,
             "trials": self.trials,
             "channel_mode": self.channel_mode.value,
-            "sweep": self.sweep,
             "output_path": self.output_path,
             "matrix_path": self.matrix_path,
         }
@@ -168,8 +158,13 @@ def fixed_channel_for(plan: ExperimentPlan) -> ChannelRealization | None:
     return None
 
 
-def _run_chunk(args):
-    enc, config, mode, fixed, start, stop = args
+def _run_range(enc, config, fixed, start, stop):
+    """Trials ``start..stop-1`` at the maximal power scaling.
+
+    The one per-trial loop behind run_trials and the oracle test. The
+    channel is ``fixed`` for every trial, or redrawn per trial from the
+    channel stream when ``fixed`` is None.
+    """
     n = stop - start
     samples = np.empty(n)
     min_gains = np.empty(n)
@@ -177,7 +172,7 @@ def _run_chunk(args):
     ch = fixed
     p = None if ch is None else channel.max_power_scaling(ch, config)
     for j, i in enumerate(range(start, stop)):
-        if mode is ChannelMode.RICIAN_PER_TRIAL:
+        if fixed is None:
             ch = channel.sample_rician(
                 config, Rng(config.master_seed, stream_id(_STREAM_CHANNEL, i))
             )
@@ -195,7 +190,8 @@ def run_trials(plan: ExperimentPlan, workers: int = 1) -> TrialSet:
 
     The channel is held fixed across trials in the fixed modes and redrawn
     per trial otherwise; the power scaling is recomputed whenever the
-    channel changes. Results are identical for any worker count.
+    channel changes. At most ``os.cpu_count()`` worker processes start, and
+    results are identical for any worker count.
     """
     enc = build_encoding(plan)
     fixed = fixed_channel_for(plan)
@@ -203,17 +199,17 @@ def run_trials(plan: ExperimentPlan, workers: int = 1) -> TrialSet:
 
     if workers < 1:
         raise ValueError("need at least one worker")
-    bounds = np.linspace(0, plan.trials, num=min(workers, plan.trials) + 1, dtype=int)
-    chunks = [
-        (enc, config, plan.channel_mode, fixed, int(a), int(b))
-        for a, b in zip(bounds[:-1], bounds[1:])
-        if b > a
-    ]
-    if len(chunks) == 1:
-        parts = [_run_chunk(chunks[0])]
+    workers = min(workers, os.cpu_count() or 1, plan.trials)
+    if workers == 1:
+        parts = [_run_range(enc, config, fixed, 0, plan.trials)]
     else:
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            parts = list(pool.map(_run_chunk, chunks))
+        bounds = np.linspace(0, plan.trials, num=workers + 1, dtype=int).tolist()
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            futures = [
+                pool.submit(_run_range, enc, config, fixed, a, b)
+                for a, b in zip(bounds[:-1], bounds[1:])
+            ]
+            parts = [f.result() for f in futures]
 
     samples = np.concatenate([p[0] for p in parts])
     min_gains = np.concatenate([p[1] for p in parts])
@@ -278,9 +274,27 @@ def _blank_row() -> dict:
     return {key: None for key in CSV_HEADER}
 
 
-def _mean_gamma_opt(rate: float, config: SystemConfig, min_gains) -> float:
-    # Law of total expectation: average the per-realization expected MSE.
-    return float(rate * config.p_w / config.rho_x * np.mean(1.0 / min_gains))
+def _sweep_row(plan: ExperimentPlan, workers: int, **fields) -> dict:
+    """Run ``plan`` and fill one sweep row with its moments and theory.
+
+    The theory variance is only filled in the fixed-channel modes, where
+    the Gamma law conditions on one realization.
+    """
+    ts = run_trials(plan, workers=workers)
+    theory = theory_for_trials(ts, build_encoding(plan))
+    row = _blank_row()
+    row.update(
+        fields,
+        l=plan.config.l,
+        l_tilde=plan.config.l_tilde,
+        trials=plan.trials,
+        mean_mse=float(np.mean(ts.samples)),
+        var_mse=float(np.var(ts.samples, ddof=1)),
+        theory_mean=theory.mean,
+    )
+    if plan.channel_mode is not ChannelMode.RICIAN_PER_TRIAL:
+        row["theory_var"] = theory.variance
+    return row
 
 
 def _integral_blocklength(l: float, rate: float) -> int:
@@ -309,42 +323,25 @@ def sweep_mse_vs_snr(
     for snr_db in snr_db_values:
         schemes = [("proposed", float(r)) for r in rates] + [("uncoded", 1.0)]
         for scheme, rate in schemes:
-            l_tilde = _integral_blocklength(base.config.l, rate)
             config = replace(
                 base.config,
-                l_tilde=l_tilde,
+                l_tilde=_integral_blocklength(base.config.l, rate),
                 p_x=base.config.n0 * channel.db_to_linear(snr_db),
             )
             construction = (
                 Construction.IDENTITY if scheme == "uncoded" else base.construction
             )
-            plan = replace(
-                base, config=config, construction=construction, sweep=None
-            )
-            ts = run_trials(plan, workers=workers)
-            row = _blank_row()
-            row.update(
-                experiment="mse_vs_snr",
-                snr_db=float(snr_db),
-                rate=rate,
-                l=config.l,
-                l_tilde=l_tilde,
-                scheme=scheme,
-                trials=plan.trials,
-                mean_mse=float(np.mean(ts.samples)),
-                var_mse=float(np.var(ts.samples, ddof=1)),
-                theory_mean=_mean_gamma_opt(rate, config, ts.channel_min_gains),
-            )
-            if plan.channel_mode is not ChannelMode.RICIAN_PER_TRIAL:
-                theory = analysis.optimal_mse_gamma(
-                    config.l,
-                    l_tilde,
-                    config.p_w,
-                    config.rho_x,
-                    float(ts.channel_min_gains[0]),
+            plan = replace(base, config=config, construction=construction)
+            rows.append(
+                _sweep_row(
+                    plan,
+                    workers,
+                    experiment="mse_vs_snr",
+                    snr_db=float(snr_db),
+                    rate=rate,
+                    scheme=scheme,
                 )
-                row["theory_var"] = theory.variance
-            rows.append(row)
+            )
     return rows
 
 
@@ -403,30 +400,16 @@ def sweep_blocklength(
                 f"non-integer source length {l}"
             )
         config = replace(base.config, l=int(round(l)), l_tilde=int(l_tilde))
-        plan = replace(base, config=config, sweep=None)
-        ts = run_trials(plan, workers=workers)
-        theory = analysis.optimal_mse_gamma(
-            config.l,
-            config.l_tilde,
-            config.p_w,
-            config.rho_x,
-            float(ts.channel_min_gains[0]),
+        rows.append(
+            _sweep_row(
+                replace(base, config=config),
+                workers,
+                experiment="blocklength",
+                snr_db=config.snr_db,
+                rate=rate,
+                scheme="proposed",
+            )
         )
-        row = _blank_row()
-        row.update(
-            experiment="blocklength",
-            snr_db=config.snr_db,
-            rate=rate,
-            l=config.l,
-            l_tilde=config.l_tilde,
-            scheme="proposed",
-            trials=plan.trials,
-            mean_mse=float(np.mean(ts.samples)),
-            var_mse=float(np.var(ts.samples, ddof=1)),
-            theory_mean=theory.mean,
-            theory_var=theory.variance,
-        )
-        rows.append(row)
     return rows
 
 
@@ -458,16 +441,12 @@ def oracle_equivalence_test(
     """
     if n < 1000:
         raise ValueError("need at least 1000 samples per side")
-    p = channel.max_power_scaling(channel_realization, config)
-    pipeline = np.empty(n)
-    for i in range(n):
-        trial_rng = rng.derive(stream_id(_STREAM_TRIAL, i))
-        pipeline[i] = channel.run_round(
-            enc, config, channel_realization, p, trial_rng
-        ).distortion
+    # The trial streams of rng's master seed, as run_trials would key them.
+    seeded = replace(config, master_seed=rng.master_seed)
+    pipeline, _, _ = _run_range(enc, seeded, channel_realization, 0, n)
 
     spectrum = coding.gram_spectrum(enc)
-    rho = p / config.n0
+    rho = channel.max_power_scaling(channel_realization, config) / config.n0
     oracle_rng = rng.derive(stream_id(_STREAM_ORACLE))
     oracle = np.fromiter(
         (analysis.sample_general_mse(spectrum, rho, oracle_rng) for _ in range(n)),

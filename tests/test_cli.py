@@ -41,6 +41,15 @@ class TestConstruct:
         )
         assert code == 2
 
+    def test_zero_samples_is_usage_error(self, tmp_path, capsys):
+        code = run_cli(
+            "construct", "--l", "32", "--l-tilde", "64", "--samples", "0",
+            "--out", str(tmp_path / "x.json"),
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: --samples")
+        assert not (tmp_path / "x.json").exists()
+
     def test_strict_passes_for_random_construction(self, tmp_path):
         code = run_cli(
             "construct", "--l", "3", "--l-tilde", "6", "--seed", "0",
@@ -67,6 +76,12 @@ class TestCheck:
 
     def test_missing_file_is_usage_error(self, tmp_path):
         assert run_cli("check", "--matrix", str(tmp_path / "nope.json")) == 2
+
+    def test_zero_samples_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "phi.json"
+        coding.save_matrix(coding.construct_identity(2), path)
+        assert run_cli("check", "--matrix", str(path), "--samples", "0") == 2
+        assert capsys.readouterr().err.startswith("error: --samples")
 
 
 class TestTheory:
@@ -200,6 +215,10 @@ class TestDistTest:
     def test_tiny_sizes_rejected(self):
         assert run_cli("dist-test", "--ks-trials", "10") == 2
 
+    def test_zero_threads_is_usage_error(self, capsys):
+        assert run_cli("dist-test", "--threads", "0") == 2
+        assert capsys.readouterr().err.startswith("error: --threads")
+
 
 class TestFigures:
     def test_rate_region_table(self, tmp_path, capsys):
@@ -226,6 +245,16 @@ class TestFigures:
         assert code == 0
         lines = (tmp_path / "fig4_blocklength.csv").read_text().splitlines()
         assert len(lines) == 1 + 4
+
+    @pytest.mark.parametrize("trials", ["0", "-5"])
+    def test_nonpositive_trials_is_usage_error(self, tmp_path, capsys, trials):
+        code = run_cli(
+            "figures", "--which", "4", "--out-dir", str(tmp_path / "fig"),
+            "--trials", trials,
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: --trials")
+        assert not (tmp_path / "fig").exists()
 
     def test_unknown_figure_is_usage_error(self, tmp_path):
         assert run_cli("figures", "--which", "9", "--out-dir", str(tmp_path)) == 2

@@ -1,11 +1,12 @@
 import io
 import math
+import os
 
 import numpy as np
 import pytest
 import scipy.stats
 
-from aircomp import analysis, coding
+from aircomp import analysis, coding, experiments
 from aircomp.channel import SystemConfig, all_ones_channel, max_power_scaling, run_round
 from aircomp.coding import Construction, construct_random_orthonormal
 from aircomp.errors import EmptySample, InvalidShape, NonIntegralBlocklength
@@ -43,18 +44,6 @@ class TestExperimentPlan:
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):
             ExperimentPlan(config=SystemConfig(), trials=0)
-
-    def test_rejects_unknown_sweep_parameter(self):
-        with pytest.raises(ValueError):
-            ExperimentPlan(
-                config=SystemConfig(), sweep=[("bandwidth", [1.0])]
-            )
-
-    def test_accepts_known_sweep_parameters(self):
-        plan = ExperimentPlan(
-            config=SystemConfig(), sweep=[("snr_db", [0.0, 10.0]), ("rate", [0.5])]
-        )
-        assert plan.sweep[0][0] == "snr_db"
 
     def test_coerces_enum_values(self):
         plan = ExperimentPlan(
@@ -145,6 +134,17 @@ class TestRunTrials:
         parallel = run_trials(plan, workers=3)
         assert np.array_equal(serial.samples, parallel.samples)
         assert np.array_equal(serial.p_used, parallel.p_used)
+
+    def test_workers_capped_at_cpu_count(self, monkeypatch):
+        class NoPool:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", NoPool)
+        plan = fixed_plan(trials=20, seed=14)
+        wide = run_trials(plan, workers=64)
+        assert np.array_equal(wide.samples, run_trials(plan, workers=1).samples)
 
     def test_fixed_from_seed_holds_channel(self):
         cfg = SystemConfig(master_seed=15)

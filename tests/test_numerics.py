@@ -7,7 +7,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aircomp.errors import EmptySample, NotHermitian, RankDeficientInput
+from aircomp.errors import EmptySample, NotHermitian, RankDeficient
 from aircomp.numerics import (
     Rng,
     hermitian_eigenvalues,
@@ -69,11 +69,11 @@ class TestQrOrthonormal:
         assert np.allclose(q @ (q.conj().T @ a), a, atol=1e-10)
 
     def test_rank_deficient_rejected(self):
-        with pytest.raises(RankDeficientInput):
+        with pytest.raises(RankDeficient):
             qr_orthonormal([[1.0, 1.0], [1.0, 1.0]])
 
     def test_wide_matrix_rejected(self):
-        with pytest.raises(RankDeficientInput):
+        with pytest.raises(RankDeficient):
             qr_orthonormal([[1.0, 0.0]])
 
     @settings(max_examples=30, deadline=None)
@@ -135,7 +135,7 @@ class TestPseudoInverse:
         assert np.max(np.abs(pseudo_inverse(m) @ m - np.eye(3))) < 1e-8
 
     def test_rank_deficient_rejected(self):
-        with pytest.raises(RankDeficientInput):
+        with pytest.raises(RankDeficient):
             pseudo_inverse([[1.0, 1.0], [1.0, 1.0]])
 
 
@@ -212,6 +212,26 @@ class TestRegularizedLowerGamma:
                 assert regularized_lower_gamma(shape, x) == pytest.approx(
                     scipy.special.gammainc(shape, x), abs=1e-10
                 )
+
+    @pytest.mark.parametrize(
+        "shape, expected", [(5000.0, 0.50188), (50000.0, 0.50059)]
+    )
+    def test_large_shape_near_mode(self, shape, expected):
+        # the series needs O(sqrt(shape)) terms at x = shape
+        value = regularized_lower_gamma(shape, shape)
+        assert value == pytest.approx(scipy.special.gammainc(shape, shape), abs=1e-9)
+        assert value == pytest.approx(expected, abs=1e-5)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shape=st.floats(1.0, 1e5),
+        offset=st.floats(-5.0, 5.0),
+    )
+    def test_property_matches_scipy_near_mode(self, shape, offset):
+        x = max(0.0, shape + offset * math.sqrt(shape))
+        assert regularized_lower_gamma(shape, x) == pytest.approx(
+            scipy.special.gammainc(shape, x), abs=1e-9
+        )
 
     def test_limits(self):
         assert regularized_lower_gamma(5.0, 1e4) == pytest.approx(1.0, abs=1e-12)
