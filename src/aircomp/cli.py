@@ -2,8 +2,10 @@
 
 Subcommands: construct, check, theory, regions, simulate, dist-test,
 figures. Exit codes: 0 success, 1 validation/assertion failure, 2 usage
-error. All numeric output is locale-independent with 12 significant
-digits, and identical flags plus seeds reproduce identical bytes.
+error, which for every subcommand also covers input files that cannot be
+read or parsed and outputs that cannot be written. All numeric output is
+locale-independent with 12 significant digits, and identical flags plus
+seeds reproduce identical bytes.
 """
 
 from __future__ import annotations
@@ -86,10 +88,7 @@ def cmd_construct(args) -> int:
 def cmd_check(args) -> int:
     if args.samples < 1:
         return _fail("--samples must be at least 1")
-    try:
-        enc = coding.load_matrix(args.matrix)
-    except (OSError, ValueError, AirCompError) as exc:
-        return _fail(str(exc))
+    enc = coding.load_matrix(args.matrix)
     report = coding.validate(
         enc,
         max_exhaustive_subsets=args.max_exhaustive,
@@ -115,6 +114,7 @@ def cmd_theory(args) -> int:
         return _fail(f"need --l-tilde >= --l >= 1, got ({args.l_tilde}, {args.l})")
     if args.p_w <= 0 or args.n0 <= 0 or args.min_gain <= 0:
         return _fail("--p-w, --n0 and --min-gain must be positive")
+    enc = None if args.matrix is None else coding.load_matrix(args.matrix)
     rho_x = db_to_linear(args.snr_db)
     rate = args.l / args.l_tilde
     params = analysis.optimal_mse_gamma(
@@ -127,11 +127,7 @@ def cmd_theory(args) -> int:
     print(f"gamma_scale: {_fmt(params.scale)}")
     print(f"gamma_mean: {_fmt(params.mean)}")
     print(f"gamma_variance: {_fmt(params.variance)}")
-    if args.matrix is not None:
-        try:
-            enc = coding.load_matrix(args.matrix)
-        except (OSError, ValueError, AirCompError) as exc:
-            return _fail(str(exc))
+    if enc is not None:
         rho_star = rho_x * args.min_gain / (enc.rate * args.p_w)
         spectrum = coding.gram_spectrum(enc)
         print("spectrum: " + " ".join(_fmt(x) for x in spectrum))
@@ -173,27 +169,19 @@ def cmd_simulate(args) -> int:
         return _fail("--trials must be at least 1")
     if args.threads < 1:
         return _fail("--threads must be at least 1")
-    try:
-        config = (
-            SystemConfig.from_json(args.config)
-            if args.config
-            else SystemConfig()
-        )
-        if args.seed is not None:
-            config = replace(config, master_seed=args.seed)
-        plan = ExperimentPlan(
-            config=config,
-            construction=Construction(args.construction),
-            trials=args.trials,
-            channel_mode=ChannelMode(args.mode),
-            output_path=args.out,
-            matrix_path=args.matrix,
-        )
-        enc = experiments.build_encoding(plan)
-        ts = experiments.run_trials(plan, workers=args.threads)
-    except (OSError, ValueError, AirCompError) as exc:
-        return _fail(str(exc))
-    theory = experiments.theory_for_trials(ts, enc)
+    config = SystemConfig.from_json(args.config) if args.config else SystemConfig()
+    if args.seed is not None:
+        config = replace(config, master_seed=args.seed)
+    plan = ExperimentPlan(
+        config=config,
+        construction=Construction(args.construction),
+        trials=args.trials,
+        channel_mode=ChannelMode(args.mode),
+        output_path=args.out,
+        matrix_path=args.matrix,
+    )
+    ts = experiments.run_trials(plan, workers=args.threads)
+    theory = experiments.theory_for_trials(ts)
     report = experiments.summarize(ts, theory, eta=args.eta)
     ratio = report.mean / report.theory_mean
 
@@ -251,9 +239,8 @@ def cmd_dist_test(args) -> int:
         trials=args.ks_trials,
         channel_mode=ChannelMode.FIXED_UNIT_MIN_GAIN,
     )
-    enc = experiments.build_encoding(base)
     ts = experiments.run_trials(base, workers=args.threads)
-    theory = experiments.theory_for_trials(ts, enc)
+    theory = experiments.theory_for_trials(ts)
     report = experiments.summarize(ts, theory)
     checks.append(
         (
@@ -275,7 +262,7 @@ def cmd_dist_test(args) -> int:
         )
 
     ortho_stat = experiments.oracle_equivalence_test(
-        enc,
+        ts.enc,
         config,
         all_ones_channel(config.k_users),
         args.oracle_n,
@@ -447,8 +434,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; the one place that turns errors into exit 2."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, ValueError, AirCompError) as exc:
+        return _fail(str(exc))
 
 
 if __name__ == "__main__":

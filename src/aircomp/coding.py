@@ -84,7 +84,6 @@ class EncodingMatrix:
     l_tilde: int
     l: int
     construction: Construction
-    validation: ValidationReport | None = None
 
     def __post_init__(self):
         if self.l < 1 or self.l_tilde < self.l:

@@ -92,9 +92,10 @@ class ExperimentPlan:
 
 @dataclass(eq=False)
 class TrialSet:
-    """Realized distortions plus per-trial channel metadata."""
+    """Realized distortions, the matrix they ran with, and channel metadata."""
 
     plan: ExperimentPlan
+    enc: EncodingMatrix
     samples: np.ndarray
     channel_min_gains: np.ndarray
     p_used: np.ndarray
@@ -215,7 +216,11 @@ def run_trials(plan: ExperimentPlan, workers: int = 1) -> TrialSet:
     min_gains = np.concatenate([p[1] for p in parts])
     p_used = np.concatenate([p[2] for p in parts])
     return TrialSet(
-        plan=plan, samples=samples, channel_min_gains=min_gains, p_used=p_used
+        plan=plan,
+        enc=enc,
+        samples=samples,
+        channel_min_gains=min_gains,
+        p_used=p_used,
     )
 
 
@@ -256,7 +261,7 @@ def summarize(
     )
 
 
-def theory_for_trials(ts: TrialSet, enc: EncodingMatrix) -> GammaParams:
+def theory_for_trials(ts: TrialSet) -> GammaParams:
     """Mean-matched Gamma law for a trial set.
 
     Exact (shape l, scale p_w / (l_tilde * rho_x * min_gain)) when the
@@ -264,6 +269,7 @@ def theory_for_trials(ts: TrialSet, enc: EncodingMatrix) -> GammaParams:
     matches the spectrum formula averaged over the realized power scalings,
     and the Gamma shape is only a proxy.
     """
+    enc = ts.enc
     spectrum = coding.gram_spectrum(enc)
     inverse_trace = float(np.sum(1.0 / spectrum) / enc.l)
     mean = inverse_trace * ts.plan.config.n0 * float(np.mean(1.0 / ts.p_used))
@@ -278,10 +284,11 @@ def _sweep_row(plan: ExperimentPlan, workers: int, **fields) -> dict:
     """Run ``plan`` and fill one sweep row with its moments and theory.
 
     The theory variance is only filled in the fixed-channel modes, where
-    the Gamma law conditions on one realization.
+    the Gamma law conditions on one realization, and the sample variance
+    only when there are at least two trials.
     """
     ts = run_trials(plan, workers=workers)
-    theory = theory_for_trials(ts, build_encoding(plan))
+    theory = theory_for_trials(ts)
     row = _blank_row()
     row.update(
         fields,
@@ -289,9 +296,10 @@ def _sweep_row(plan: ExperimentPlan, workers: int, **fields) -> dict:
         l_tilde=plan.config.l_tilde,
         trials=plan.trials,
         mean_mse=float(np.mean(ts.samples)),
-        var_mse=float(np.var(ts.samples, ddof=1)),
         theory_mean=theory.mean,
     )
+    if plan.trials > 1:
+        row["var_mse"] = float(np.var(ts.samples, ddof=1))
     if plan.channel_mode is not ChannelMode.RICIAN_PER_TRIAL:
         row["theory_var"] = theory.variance
     return row

@@ -111,12 +111,6 @@ def pseudo_inverse(m) -> np.ndarray:
     return np.linalg.solve(mh @ m, mh)
 
 
-def min_singular_value(m) -> float:
-    """Smallest singular value of a matrix (0 for rank-deficient input)."""
-    m = _as_matrix(m)
-    return float(np.linalg.svd(m, compute_uv=False)[-1])
-
-
 def sample_complex_gaussian(rng: Rng, n: int, variance: float) -> np.ndarray:
     """n i.i.d. circularly symmetric complex Gaussian draws CN(0, variance).
 

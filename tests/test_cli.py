@@ -1,9 +1,10 @@
+import csv
 import json
 
 import numpy as np
 import pytest
 
-from aircomp import coding
+from aircomp import coding, experiments
 from aircomp.cli import main
 
 
@@ -12,6 +13,19 @@ def run_cli(*args):
         return main(list(args))
     except SystemExit as exc:
         return exc.code
+
+
+def count_calls(monkeypatch, module, name):
+    """Patch ``module.name`` to record each call; returns the call list."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 class TestConstruct:
@@ -49,6 +63,14 @@ class TestConstruct:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: --samples")
         assert not (tmp_path / "x.json").exists()
+
+    def test_unwritable_out_is_usage_error(self, tmp_path, capsys):
+        code = run_cli(
+            "construct", "--l", "2", "--l-tilde", "4",
+            "--out", str(tmp_path / "missing" / "x.json"),
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_strict_passes_for_random_construction(self, tmp_path):
         code = run_cli(
@@ -107,6 +129,19 @@ class TestTheory:
         assert "spectrum: 0.5 1.5" in out
         # rho* = 1 at 0 dB and rate 1, so expected MSE is 4/3
         assert "expected_mse: 1.33333333333" in out
+
+    @pytest.mark.parametrize("content", [None, "{not json", '{"rows": 2}'])
+    def test_bad_matrix_is_usage_error_before_output(
+        self, tmp_path, capsys, content
+    ):
+        path = tmp_path / "phi.json"
+        if content is not None:
+            path.write_text(content)
+        code = run_cli("theory", "--matrix", str(path))
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
 
 
 class TestRegions:
@@ -171,6 +206,24 @@ class TestSimulate:
         assert lines[0] == "trial,distortion,min_gain,p_used"
         assert len(lines) == 51
 
+    def test_custom_matrix_is_loaded_once(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "phi.json"
+        run_cli("construct", "--l", "5", "--l-tilde", "10", "--out", str(path))
+        loads = count_calls(monkeypatch, coding, "load_matrix")
+        code = run_cli(
+            "simulate", "--construction", "custom", "--matrix", str(path),
+            "--mode", "fixed-unit", "--trials", "5",
+        )
+        assert code == 0
+        assert len(loads) == 1
+
+    def test_unwritable_out_is_usage_error(self, tmp_path, capsys):
+        code = run_cli(
+            "simulate", "--trials", "5", "--out", str(tmp_path / "missing" / "p"),
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_artifacts_are_deterministic(self, tmp_path, capsys):
         prefixes = [str(tmp_path / "a"), str(tmp_path / "b")]
         for prefix in prefixes:
@@ -212,6 +265,16 @@ class TestDistTest:
         assert "gamma-law-ks" in out
         assert "oracle-ks-skewed" in out
 
+    def test_builds_each_matrix_once(self, capsys, monkeypatch):
+        builds = count_calls(monkeypatch, experiments, "build_encoding")
+        run_cli(
+            "dist-test", "--ks-trials", "1000", "--chernoff-trials", "1000",
+            "--oracle-n", "1000",
+        )
+        # the KS trials and the Chernoff trials; the skewed oracle matrix
+        # is built directly
+        assert len(builds) == 2
+
     def test_tiny_sizes_rejected(self):
         assert run_cli("dist-test", "--ks-trials", "10") == 2
 
@@ -245,6 +308,34 @@ class TestFigures:
         assert code == 0
         lines = (tmp_path / "fig4_blocklength.csv").read_text().splitlines()
         assert len(lines) == 1 + 4
+
+    def test_blocklength_builds_one_matrix_per_row(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        builds = count_calls(monkeypatch, experiments, "build_encoding")
+        run_cli(
+            "figures", "--which", "4", "--out-dir", str(tmp_path), "--trials", "2",
+        )
+        assert len(builds) == 4
+
+    @pytest.mark.parametrize(
+        "which, name", [("2", "fig2_mse_vs_snr.csv"), ("4", "fig4_blocklength.csv")]
+    )
+    def test_one_trial_leaves_var_mse_empty(self, tmp_path, capsys, which, name):
+        code = run_cli(
+            "figures", "--which", which, "--out-dir", str(tmp_path), "--trials", "1",
+        )
+        assert code == 0
+        with open(tmp_path / name, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows and all(row["var_mse"] == "" for row in rows)
+
+    def test_out_dir_that_is_a_file_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "taken"
+        path.write_text("")
+        code = run_cli("figures", "--which", "3", "--out-dir", str(path))
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     @pytest.mark.parametrize("trials", ["0", "-5"])
     def test_nonpositive_trials_is_usage_error(self, tmp_path, capsys, trials):

@@ -171,8 +171,10 @@ class TestSummarize:
     def test_moments_of_synthetic_gamma_samples(self):
         theory = analysis.GammaParams(shape=5.0, scale=0.01)
         samples = Rng(17).gen.gamma(5.0, 0.01, size=30_000)
+        plan = fixed_plan(trials=30_000)
         ts = TrialSet(
-            plan=fixed_plan(trials=30_000),
+            plan=plan,
+            enc=build_encoding(plan),
             samples=samples,
             channel_min_gains=np.ones(samples.size),
             p_used=np.full(samples.size, 20.0),
@@ -187,7 +189,7 @@ class TestSummarize:
     def test_full_pipeline_gamma_fit(self):
         plan = fixed_plan(trials=10_000, seed=18)
         ts = run_trials(plan)
-        theory = theory_for_trials(ts, build_encoding(plan))
+        theory = theory_for_trials(ts)
         report = summarize(ts, theory)
         assert report.ks_statistic < 0.0163
 
@@ -203,8 +205,10 @@ class TestSummarize:
     def test_exceedance_frequency(self):
         theory = analysis.GammaParams(shape=1.0, scale=1.0)
         samples = np.array([0.5, 1.5, 2.5, 3.5])
+        plan = fixed_plan(trials=4)
         ts = TrialSet(
-            plan=fixed_plan(trials=4),
+            plan=plan,
+            enc=build_encoding(plan),
             samples=samples,
             channel_min_gains=np.ones(4),
             p_used=np.ones(4),
@@ -214,8 +218,10 @@ class TestSummarize:
         assert report.exceedance_freq == pytest.approx(0.5)
 
     def test_single_sample_is_degenerate(self):
+        plan = fixed_plan(trials=1)
         ts = TrialSet(
-            plan=fixed_plan(trials=1),
+            plan=plan,
+            enc=build_encoding(plan),
             samples=np.array([0.05]),
             channel_min_gains=np.ones(1),
             p_used=np.ones(1),
@@ -225,8 +231,10 @@ class TestSummarize:
         assert report.degenerate
 
     def test_empty_rejected(self):
+        plan = fixed_plan(trials=1)
         ts = TrialSet(
-            plan=fixed_plan(trials=1),
+            plan=plan,
+            enc=build_encoding(plan),
             samples=np.array([]),
             channel_min_gains=np.array([]),
             p_used=np.array([]),
@@ -239,7 +247,7 @@ class TestTheoryForTrials:
     def test_matches_closed_form_in_fixed_mode(self):
         plan = fixed_plan(trials=10, seed=20)
         ts = run_trials(plan)
-        theory = theory_for_trials(ts, build_encoding(plan))
+        theory = theory_for_trials(ts)
         expected = analysis.optimal_mse_gamma(5, 10, 1.0, 10.0, 1.0)
         assert theory.shape == expected.shape
         assert theory.scale == pytest.approx(expected.scale, rel=1e-12)

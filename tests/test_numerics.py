@@ -12,7 +12,6 @@ from aircomp.numerics import (
     Rng,
     hermitian_eigenvalues,
     ks_distance,
-    min_singular_value,
     pseudo_inverse,
     qr_orthonormal,
     regularized_lower_gamma,
@@ -137,26 +136,6 @@ class TestPseudoInverse:
     def test_rank_deficient_rejected(self):
         with pytest.raises(RankDeficient):
             pseudo_inverse([[1.0, 1.0], [1.0, 1.0]])
-
-
-class TestMinSingularValue:
-    def test_identity(self):
-        assert min_singular_value(np.eye(4)) == pytest.approx(1.0)
-
-    def test_rank_one(self):
-        assert min_singular_value([[1.0, 1.0], [1.0, 1.0]]) == pytest.approx(
-            0.0, abs=1e-12
-        )
-
-    def test_diagonal(self):
-        assert min_singular_value([[3.0, 0.0], [0.0, 4.0]]) == pytest.approx(3.0)
-
-    def test_matches_gram_eigenvalue(self):
-        m = random_complex(Rng(9), 5, 3)
-        smallest_gram = hermitian_eigenvalues(m.conj().T @ m)[0]
-        assert min_singular_value(m) == pytest.approx(
-            math.sqrt(smallest_gram), rel=1e-8
-        )
 
 
 class TestSampleComplexGaussian:
