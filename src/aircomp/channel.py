@@ -159,7 +159,7 @@ class ChannelRealization:
         coeffs = np.asarray(self.coefficients, dtype=np.complex128)
         if coeffs.ndim != 1 or coeffs.size < 1:
             raise ShapeMismatch("coefficients must be a nonempty vector")
-        recomputed = float(np.min(np.abs(coeffs) ** 2))
+        recomputed = float((np.abs(coeffs) ** 2).min())
         if recomputed != self.min_gain:
             raise ValueError("stored min_gain does not match coefficients")
         if self.min_gain <= 0:
@@ -171,13 +171,14 @@ class ChannelRealization:
         return self.coefficients.size
 
     @classmethod
-    def from_coefficients(cls, coefficients, redraws: int = 0) -> "ChannelRealization":
+    def from_coefficients(
+        cls, coefficients, redraws: int = 0, gains=None
+    ) -> "ChannelRealization":
+        """Build a realization; `gains`, if given, must be |coefficients|^2."""
         coeffs = np.asarray(coefficients, dtype=np.complex128)
-        return cls(
-            coefficients=coeffs,
-            min_gain=float(np.min(np.abs(coeffs) ** 2)),
-            redraws=redraws,
-        )
+        if gains is None:
+            gains = np.abs(coeffs) ** 2
+        return cls(coefficients=coeffs, min_gain=float(gains.min()), redraws=redraws)
 
 
 def all_ones_channel(k_users: int) -> ChannelRealization:
@@ -209,7 +210,8 @@ def sample_rician(config: SystemConfig, rng: Rng) -> ChannelRealization:
     coeffs = los + sample_complex_gaussian(rng, config.k_users, scatter_variance)
     redraws = 0
     rounds = 0
-    below = np.abs(coeffs) ** 2 < config.min_gain_floor
+    gains = np.abs(coeffs) ** 2
+    below = gains < config.min_gain_floor
     while below.any():
         rounds += 1
         if rounds > _REDRAW_LIMIT:
@@ -220,8 +222,9 @@ def sample_rician(config: SystemConfig, rng: Rng) -> ChannelRealization:
         n_bad = int(below.sum())
         redraws += n_bad
         coeffs[below] = los + sample_complex_gaussian(rng, n_bad, scatter_variance)
-        below = np.abs(coeffs) ** 2 < config.min_gain_floor
-    return ChannelRealization.from_coefficients(coeffs, redraws=redraws)
+        gains = np.abs(coeffs) ** 2
+        below = gains < config.min_gain_floor
+    return ChannelRealization.from_coefficients(coeffs, redraws=redraws, gains=gains)
 
 
 def sample_sources(config: SystemConfig, rng: Rng) -> np.ndarray:
@@ -333,7 +336,7 @@ def run_round(
     y = superpose(signals, channel, config.n0, rng)
     true_sum = sources.sum(axis=0)
     estimate = decode_sum(enc, y, p)
-    distortion = float(np.sum(np.abs(estimate - true_sum) ** 2) / config.l)
+    distortion = float((np.abs(estimate - true_sum) ** 2).sum() / config.l)
     return TransmissionOutcome(
         true_sum=true_sum,
         estimate=estimate,

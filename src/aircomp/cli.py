@@ -180,6 +180,11 @@ def cmd_simulate(args) -> int:
         output_path=args.out,
         matrix_path=args.matrix,
     )
+    if args.out:
+        # Fail before the run, not after it, when an output cannot be written.
+        # Append mode checks writability without emptying an earlier result.
+        for suffix in (".trials.csv", ".report.json"):
+            open(args.out + suffix, "a", encoding="utf-8").close()
     ts = experiments.run_trials(plan, workers=args.threads)
     theory = experiments.theory_for_trials(ts)
     report = experiments.summarize(ts, theory, eta=args.eta)

@@ -469,6 +469,10 @@ def oracle_equivalence_test(
 # ---------------------------------------------------------------------------
 
 
+# One precision for every float written to a CSV.
+_format_float = "{:.12g}".format
+
+
 def _format_field(value) -> str:
     if value is None:
         return ""
@@ -476,7 +480,7 @@ def _format_field(value) -> str:
         return value
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    return f"{float(value):.12g}"
+    return _format_float(float(value))
 
 
 def write_rows(rows, fh) -> None:
@@ -496,15 +500,13 @@ def write_csv(rows, path) -> None:
 
 def write_trials_csv(ts: TrialSet, path) -> None:
     """Per-trial samples: trial, distortion, min_gain, p_used."""
+    columns = zip(
+        ts.samples.tolist(), ts.channel_min_gains.tolist(), ts.p_used.tolist()
+    )
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["trial", "distortion", "min_gain", "p_used"])
-        for i in range(ts.samples.size):
-            writer.writerow(
-                [
-                    str(i),
-                    _format_field(ts.samples[i]),
-                    _format_field(ts.channel_min_gains[i]),
-                    _format_field(ts.p_used[i]),
-                ]
-            )
+        writer.writerows(
+            (i, _format_float(d), _format_float(g), _format_float(p))
+            for i, (d, g, p) in enumerate(columns)
+        )

@@ -9,6 +9,7 @@ numpy arrays; callers own the domain semantics of rows and columns.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable, Sequence
 
@@ -27,14 +28,45 @@ _HERMITIAN_TOLERANCE = 1e-10
 _U64 = (1 << 64) - 1
 
 
+class _PhiloxKey:
+    """A fixed 128-bit Philox key in the role of numpy's seed sequence.
+
+    ``Philox(key=...)`` first builds an OS-entropy ``SeedSequence`` only to
+    discard it; passing this object as the seed skips that draw and gives
+    the same state (counter 0, the given key). Philox asks it for two
+    uint64 words.
+    """
+
+    __slots__ = ("key",)
+
+    def __init__(self, key: np.ndarray):
+        self.key = key
+
+    def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+        return self.key
+
+
+@functools.cache
+def _philox_key_type() -> type:
+    """``_PhiloxKey``, registered as a numpy ``ISeedSequence`` on first use.
+
+    Registering lazily keeps ``numpy.random`` out of this module's import,
+    so commands that never draw do not load it.
+    """
+    np.random.bit_generator.ISeedSequence.register(_PhiloxKey)
+    return _PhiloxKey
+
+
 class Rng:
     """Counter-based random stream keyed by ``(master_seed, stream)``.
 
-    Wraps numpy's Philox bit generator (philox4x64-10). Distinct
-    ``(master_seed, stream)`` keys give statistically independent streams,
-    so per-trial generators derive directly from the trial index and the
-    draw sequence never depends on execution order. Identical keys replay
-    identical sequences on every platform.
+    Wraps numpy's Philox bit generator (philox4x64-10) with key
+    ``(master_seed mod 2^64, stream mod 2^64)`` and counter 0. The key goes
+    to Philox directly; no OS entropy is read. Distinct keys give
+    statistically independent streams, so per-trial generators derive
+    directly from the trial index and the draw sequence never depends on
+    execution order. Identical keys replay identical sequences on every
+    platform.
     """
 
     algorithm = "philox4x64-10"
@@ -45,7 +77,8 @@ class Rng:
         key = np.array(
             [self.master_seed & _U64, self.stream & _U64], dtype=np.uint64
         )
-        self.gen = np.random.Generator(np.random.Philox(key=key))
+        seed = _philox_key_type()(key)
+        self.gen = np.random.Generator(np.random.Philox(seed))
 
     def derive(self, stream: int) -> "Rng":
         """Fresh independent stream under the same master seed."""
@@ -123,7 +156,11 @@ def sample_complex_gaussian(rng: Rng, n: int, variance: float) -> np.ndarray:
     if variance <= 0:
         raise ValueError("variance must be positive")
     z = rng.gen.standard_normal((2, n))
-    return math.sqrt(variance / 2.0) * (z[0] + 1j * z[1])
+    z *= math.sqrt(variance / 2.0)
+    out = np.empty(n, dtype=np.complex128)
+    out.real = z[0]
+    out.imag = z[1]
+    return out
 
 
 def regularized_lower_gamma(shape: float, x: float) -> float:

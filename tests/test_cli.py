@@ -217,12 +217,34 @@ class TestSimulate:
         assert code == 0
         assert len(loads) == 1
 
-    def test_unwritable_out_is_usage_error(self, tmp_path, capsys):
+    def test_unwritable_out_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        runs = count_calls(monkeypatch, experiments, "run_trials")
         code = run_cli(
-            "simulate", "--trials", "5", "--out", str(tmp_path / "missing" / "p"),
+            "simulate", "--trials", "3", "--out", str(tmp_path / "missing" / "p"),
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: ")
+        # reported before any trial runs or any summary line is printed
+        assert captured.out == ""
+        assert runs == []
+
+    def test_failed_run_keeps_earlier_outputs(self, tmp_path, capsys):
+        prefix = str(tmp_path / "run")
+        assert run_cli("simulate", "--trials", "3", "--out", prefix) == 0
+        before = {
+            suffix: (tmp_path / f"run{suffix}").read_bytes()
+            for suffix in (".trials.csv", ".report.json")
+        }
+        # the matrix file is only read inside the run, after the output check
+        code = run_cli(
+            "simulate", "--trials", "3", "--out", prefix,
+            "--construction", "custom", "--matrix", str(tmp_path / "absent.json"),
         )
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
+        for suffix, data in before.items():
+            assert (tmp_path / f"run{suffix}").read_bytes() == data
 
     def test_artifacts_are_deterministic(self, tmp_path, capsys):
         prefixes = [str(tmp_path / "a"), str(tmp_path / "b")]

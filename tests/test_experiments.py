@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from aircomp import analysis, coding, experiments
+from aircomp import analysis, channel, coding, experiments
 from aircomp.channel import SystemConfig, all_ones_channel, max_power_scaling, run_round
 from aircomp.coding import Construction, construct_random_orthonormal
 from aircomp.errors import EmptySample, InvalidShape, NonIntegralBlocklength
@@ -165,6 +165,67 @@ class TestRunTrials:
         # power scaling tracks the per-trial channel
         expected_p = cfg.p_x * ts.channel_min_gains / (cfg.rate * cfg.p_w)
         assert np.allclose(ts.p_used, expected_p, rtol=1e-12)
+
+
+def count_trial_loop_calls(monkeypatch):
+    """Count engine calls made by run_trials' trial loop.
+
+    Calls made while ``build_encoding`` or ``fixed_channel_for`` runs are
+    one-off setup and are left out, so the counts are the per-trial call
+    structure: the one the benchmark's trace self-check expects.
+    """
+    counts = dict.fromkeys(
+        ("Rng", "run_round", "encode_and_precode", "sample_rician"), 0
+    )
+    in_setup = []
+
+    def patch(owner, name, key=None, setup=False):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            if key is not None and not in_setup:
+                counts[key] += 1
+            if not setup:
+                return original(*args, **kwargs)
+            in_setup.append(name)
+            try:
+                return original(*args, **kwargs)
+            finally:
+                in_setup.pop()
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    patch(Rng, "__init__", key="Rng")
+    for name in ("run_round", "encode_and_precode", "sample_rician"):
+        patch(channel, name, key=name)
+    for name in ("build_encoding", "fixed_channel_for"):
+        patch(experiments, name, setup=True)
+    return counts
+
+
+class TestTrialLoopCallStructure:
+    TRIALS = 7
+
+    @pytest.mark.parametrize(
+        "mode, rng_per_trial, rician_per_trial",
+        [
+            (ChannelMode.RICIAN_PER_TRIAL, 2, 1),
+            (ChannelMode.FIXED_UNIT_MIN_GAIN, 1, 0),
+            (ChannelMode.FIXED_FROM_SEED, 1, 0),
+        ],
+    )
+    def test_calls_per_trial(self, monkeypatch, mode, rng_per_trial, rician_per_trial):
+        cfg = SystemConfig(master_seed=17)
+        plan = ExperimentPlan(config=cfg, trials=self.TRIALS, channel_mode=mode)
+        counts = count_trial_loop_calls(monkeypatch)
+        run_trials(plan, workers=1)
+        t = self.TRIALS
+        assert counts == {
+            "Rng": rng_per_trial * t,
+            "run_round": t,
+            "encode_and_precode": cfg.k_users * t,
+            "sample_rician": rician_per_trial * t,
+        }
 
 
 class TestSummarize:

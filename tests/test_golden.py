@@ -10,11 +10,24 @@ them (run this file with ``-s`` to print the current digests).
 import contextlib
 import hashlib
 import io
+import json
 import os
 
 import pytest
 
 from aircomp.cli import main
+
+# Input files written into the scratch directory before the calls run.
+INPUTS = {
+    # l = 1 makes every encode a 3x1 matrix-vector product, where
+    # ``phi @ w`` (numpy's own loop) and ``phi.dot(w)`` (BLAS) round
+    # differently in the last bits; report.json prints full precision.
+    "l1.json": json.dumps({
+        "k_users": 10, "l": 1, "l_tilde": 3, "p_w": 1.0, "n0": 1.0,
+        "snr_db": 10.0, "rician_kappa_db": 5.0, "min_gain_floor": 1e-6,
+        "master_seed": 8,
+    }),
+}
 
 CALLS = [
     ("construct", ["construct", "--l", "5", "--l-tilde", "10", "--seed", "3",
@@ -29,6 +42,9 @@ CALLS = [
     ("simulate-rician", ["simulate", "--mode", "rician-per-trial", "--trials", "40",
                          "--seed", "2", "--eta", "1", "--out", "ri"],
      ["ri.trials.csv", "ri.report.json"]),
+    ("simulate-rician-l1", ["simulate", "--config", "l1.json", "--mode",
+                            "rician-per-trial", "--trials", "40", "--out", "l1"],
+     ["l1.trials.csv", "l1.report.json"]),
     ("simulate-fixed-from-seed", ["simulate", "--mode", "fixed-from-seed",
                                   "--trials", "40", "--seed", "3", "--out", "fs"],
      ["fs.trials.csv", "fs.report.json"]),
@@ -79,6 +95,10 @@ GOLDEN = {
     'simulate-fixed-unit:stdout': '5374de12adbded4f62dfbd7b518bc6427995847a0db1ec217c70a48bf9aca187',
     'simulate-repetition:exit': '0',
     'simulate-repetition:stdout': 'eaa25d404eae012da7620069fbc044871a57898af42573a6e57c13aac9dfcd9f',
+    'simulate-rician-l1:exit': '0',
+    'simulate-rician-l1:l1.report.json': '3dc4186d46e2cbcfa9256258f7d4c80c33b5f2bcadcbb84b1a4db17baa6fac25',
+    'simulate-rician-l1:l1.trials.csv': 'd10f3a7d1117c30163f0442b496ed2f405c0c5dab6c0406914b49843e5c98358',
+    'simulate-rician-l1:stdout': 'ce39478868bb1397a23e84ec78bd1256fbad7d96d67dc42e6fd9481fd0de71de',
     'simulate-rician:exit': '0',
     'simulate-rician:ri.report.json': '0b02317a91e3365adb1c1012e1c5922eb988b5a1477000804a2a58b6dc7a20c3',
     'simulate-rician:ri.trials.csv': 'e784cd507c91501fc897babab2395bab6898a662f1240bd75806ba2f267ae7fb',
@@ -98,6 +118,9 @@ def digests(tmp_path_factory):
     here = os.getcwd()
     os.chdir(workdir)
     try:
+        for name, text in INPUTS.items():
+            with open(name, "w", encoding="utf-8") as fh:
+                fh.write(text)
         got = {}
         for label, argv, files in CALLS:
             out = io.StringIO()

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -17,6 +18,12 @@ from aircomp.numerics import (
     regularized_lower_gamma,
     sample_complex_gaussian,
 )
+
+U64 = (1 << 64) - 1
+
+# Purpose-tagged stream keys as the trial harness builds them:
+# (purpose << 48) + index.
+TAGGED_STREAMS = [0, 1, (1 << 48) + 7, (2 << 48) + 12345, (5 << 48)]
 
 
 def random_complex(rng, rows, cols):
@@ -43,6 +50,26 @@ class TestRng:
 
     def test_algorithm_identifier(self):
         assert Rng.algorithm == "philox4x64-10"
+
+    @pytest.mark.parametrize("seed", [0, -1, 2**64 - 1])
+    @pytest.mark.parametrize("stream", TAGGED_STREAMS)
+    def test_draws_equal_philox_keyed_directly(self, seed, stream):
+        key = np.array([seed & U64, stream & U64], dtype=np.uint64)
+        twin = np.random.Generator(np.random.Philox(key=key))
+        gen = Rng(seed, stream).gen
+        assert np.array_equal(
+            gen.standard_normal(64).view(np.uint64),
+            twin.standard_normal(64).view(np.uint64),
+        )
+        assert np.array_equal(
+            gen.bit_generator.random_raw(8), twin.bit_generator.random_raw(8)
+        )
+
+    def test_pickled_stream_resumes(self):
+        gen = Rng(3, 4).gen
+        gen.standard_normal(5)
+        clone = pickle.loads(pickle.dumps(gen))
+        assert np.array_equal(clone.standard_normal(8), gen.standard_normal(8))
 
 
 class TestQrOrthonormal:
@@ -158,6 +185,15 @@ class TestSampleComplexGaussian:
         z = sample_complex_gaussian(Rng(13), 1, 1.0)
         assert z.shape == (1,)
         assert np.isfinite(z).all()
+
+    @pytest.mark.parametrize("n", [1, 10, 4096])
+    @pytest.mark.parametrize("variance", [1.0, 0.3, 7.5])
+    def test_bitwise_equal_to_scaled_sum_of_parts(self, n, variance):
+        z = Rng(14, 2).gen.standard_normal((2, n))
+        expected = math.sqrt(variance / 2.0) * (z[0] + 1j * z[1])
+        got = sample_complex_gaussian(Rng(14, 2), n, variance)
+        assert got.dtype == np.complex128 and got.shape == (n,)
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
     def test_determinism(self):
         a = sample_complex_gaussian(Rng(14), 64, 0.5)
