@@ -33,7 +33,6 @@ from .coding import (
     construct_identity,
     construct_random_orthonormal,
     construct_repetition,
-    effective_noise_covariance,
     gram_spectrum,
     load_matrix,
     save_matrix,

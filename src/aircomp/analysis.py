@@ -59,16 +59,6 @@ class RegionReport:
     eta: float | None = None
     l_min: int | None = None
 
-    def to_json(self) -> dict:
-        return {
-            "criterion": self.criterion.value,
-            "epsilon": self.epsilon,
-            "r_max": self.r_max,
-            "delta": self.delta,
-            "eta": self.eta,
-            "l_min": self.l_min,
-        }
-
 
 def _require_positive(**values) -> None:
     for name, value in values.items():

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -134,56 +134,40 @@ class SystemConfig:
         )
 
     def to_json(self) -> dict:
-        return {
-            "k_users": self.k_users,
-            "l": self.l,
-            "l_tilde": self.l_tilde,
-            "p_w": self.p_w,
-            "n0": self.n0,
-            "snr_db": self.snr_db,
-            "rician_kappa_db": self.rician_kappa_db,
-            "min_gain_floor": self.min_gain_floor,
-            "master_seed": self.master_seed,
-        }
+        """The CONFIG_KEYS that from_json reads, in that order."""
+        return {key: getattr(self, key) for key in CONFIG_KEYS}
 
 
 @dataclass(eq=False, frozen=True)
 class ChannelRealization:
-    """Per-user complex channel coefficients and their minimum power gain."""
+    """Per-user complex channel coefficients and their minimum power gain.
+
+    ``min_gain`` = min_k |h_k|^2 is computed from the coefficients, which
+    must all have positive gain.
+    """
 
     coefficients: np.ndarray
-    min_gain: float
     redraws: int = 0
+    min_gain: float = field(init=False)
 
     def __post_init__(self):
         coeffs = np.asarray(self.coefficients, dtype=np.complex128)
         if coeffs.ndim != 1 or coeffs.size < 1:
             raise ShapeMismatch("coefficients must be a nonempty vector")
-        recomputed = float((np.abs(coeffs) ** 2).min())
-        if recomputed != self.min_gain:
-            raise ValueError("stored min_gain does not match coefficients")
-        if self.min_gain <= 0:
+        min_gain = float((np.abs(coeffs) ** 2).min())
+        if min_gain <= 0:
             raise ZeroChannel("all channel gains must be positive")
         object.__setattr__(self, "coefficients", coeffs)
+        object.__setattr__(self, "min_gain", min_gain)
 
     @property
     def k_users(self) -> int:
         return self.coefficients.size
 
-    @classmethod
-    def from_coefficients(
-        cls, coefficients, redraws: int = 0, gains=None
-    ) -> "ChannelRealization":
-        """Build a realization; `gains`, if given, must be |coefficients|^2."""
-        coeffs = np.asarray(coefficients, dtype=np.complex128)
-        if gains is None:
-            gains = np.abs(coeffs) ** 2
-        return cls(coefficients=coeffs, min_gain=float(gains.min()), redraws=redraws)
-
 
 def all_ones_channel(k_users: int) -> ChannelRealization:
     """Deterministic channel with every coefficient 1 (min gain exactly 1)."""
-    return ChannelRealization.from_coefficients(np.ones(k_users, dtype=np.complex128))
+    return ChannelRealization(np.ones(k_users, dtype=np.complex128))
 
 
 @dataclass(eq=False, frozen=True)
@@ -193,7 +177,6 @@ class TransmissionOutcome:
     true_sum: np.ndarray
     estimate: np.ndarray
     distortion: float
-    power_used: float
 
 
 def sample_rician(config: SystemConfig, rng: Rng) -> ChannelRealization:
@@ -210,8 +193,7 @@ def sample_rician(config: SystemConfig, rng: Rng) -> ChannelRealization:
     coeffs = los + sample_complex_gaussian(rng, config.k_users, scatter_variance)
     redraws = 0
     rounds = 0
-    gains = np.abs(coeffs) ** 2
-    below = gains < config.min_gain_floor
+    below = np.abs(coeffs) ** 2 < config.min_gain_floor
     while below.any():
         rounds += 1
         if rounds > _REDRAW_LIMIT:
@@ -222,9 +204,8 @@ def sample_rician(config: SystemConfig, rng: Rng) -> ChannelRealization:
         n_bad = int(below.sum())
         redraws += n_bad
         coeffs[below] = los + sample_complex_gaussian(rng, n_bad, scatter_variance)
-        gains = np.abs(coeffs) ** 2
-        below = gains < config.min_gain_floor
-    return ChannelRealization.from_coefficients(coeffs, redraws=redraws, gains=gains)
+        below = np.abs(coeffs) ** 2 < config.min_gain_floor
+    return ChannelRealization(coeffs, redraws=redraws)
 
 
 def sample_sources(config: SystemConfig, rng: Rng) -> np.ndarray:
@@ -239,8 +220,6 @@ def max_power_scaling(channel: ChannelRealization, config: SystemConfig) -> floa
     P* = p_x * min_gain / (R * p_w); at this value the weakest-channel user
     transmits at exactly p_x per complex dimension, everyone else below.
     """
-    if channel.min_gain <= 0:
-        raise ZeroChannel("channel minimum gain must be positive")
     return config.p_x * channel.min_gain / (config.rate * config.p_w)
 
 
@@ -341,5 +320,4 @@ def run_round(
         true_sum=true_sum,
         estimate=estimate,
         distortion=distortion,
-        power_used=p,
     )

@@ -15,7 +15,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -112,9 +112,14 @@ def cmd_check(args) -> int:
 def cmd_theory(args) -> int:
     if args.l < 1 or args.l_tilde < args.l:
         return _fail(f"need --l-tilde >= --l >= 1, got ({args.l_tilde}, {args.l})")
-    if args.p_w <= 0 or args.n0 <= 0 or args.min_gain <= 0:
-        return _fail("--p-w, --n0 and --min-gain must be positive")
+    if args.p_w <= 0 or args.min_gain <= 0:
+        return _fail("--p-w and --min-gain must be positive")
     enc = None if args.matrix is None else coding.load_matrix(args.matrix)
+    if enc is not None and (enc.l_tilde, enc.l) != (args.l_tilde, args.l):
+        return _fail(
+            f"matrix file shape ({enc.l_tilde}, {enc.l}) does not match "
+            f"--l-tilde/--l ({args.l_tilde}, {args.l})"
+        )
     rho_x = db_to_linear(args.snr_db)
     rate = args.l / args.l_tilde
     params = analysis.optimal_mse_gamma(
@@ -186,8 +191,7 @@ def cmd_simulate(args) -> int:
         for suffix in (".trials.csv", ".report.json"):
             open(args.out + suffix, "a", encoding="utf-8").close()
     ts = experiments.run_trials(plan, workers=args.threads)
-    theory = experiments.theory_for_trials(ts)
-    report = experiments.summarize(ts, theory, eta=args.eta)
+    report = experiments.summarize(ts, eta=args.eta)
     ratio = report.mean / report.theory_mean
 
     print(f"trials: {ts.samples.size}")
@@ -203,7 +207,7 @@ def cmd_simulate(args) -> int:
 
     if args.out:
         experiments.write_trials_csv(ts, args.out + ".trials.csv")
-        blob = {"plan": plan.to_json(), "report": report.to_json()}
+        blob = {"plan": plan.to_json(), "report": asdict(report)}
         with open(args.out + ".report.json", "w", encoding="utf-8") as fh:
             json.dump(blob, fh, indent=2)
             fh.write("\n")
@@ -245,8 +249,7 @@ def cmd_dist_test(args) -> int:
         channel_mode=ChannelMode.FIXED_UNIT_MIN_GAIN,
     )
     ts = experiments.run_trials(base, workers=args.threads)
-    theory = experiments.theory_for_trials(ts)
-    report = experiments.summarize(ts, theory)
+    report = experiments.summarize(ts)
     checks.append(
         (
             "gamma-law-ks",
@@ -259,7 +262,7 @@ def cmd_dist_test(args) -> int:
     chern_plan = replace(base, trials=args.chernoff_trials)
     ts_big = experiments.run_trials(chern_plan, workers=args.threads)
     for eta in (0.5, 1.0, 2.0):
-        freq = float(np.mean(ts_big.samples >= (1.0 + eta) * theory.mean))
+        freq = float(np.mean(ts_big.samples >= (1.0 + eta) * report.theory_mean))
         bound = analysis.chernoff_tail(config.l, eta)
         slack = 3.0 * math.sqrt(max(freq * (1 - freq), 1e-12) / ts_big.samples.size)
         checks.append(
@@ -268,24 +271,22 @@ def cmd_dist_test(args) -> int:
 
     ortho_stat = experiments.oracle_equivalence_test(
         ts.enc,
-        config,
+        replace(config, master_seed=args.seed + 1),
         all_ones_channel(config.k_users),
         args.oracle_n,
-        Rng(args.seed + 1),
     )
     crit2 = _ks_two_sample_critical(args.oracle_n)
     checks.append(("oracle-ks-orthonormal", ortho_stat, crit2, ortho_stat < crit2))
 
-    skew = coding.from_array(np.diag([math.sqrt(0.5), math.sqrt(1.5)]))
+    skew = coding.EncodingMatrix(np.diag([math.sqrt(0.5), math.sqrt(1.5)]))
     skew_config = SystemConfig(
-        k_users=3, l=2, l_tilde=2, p_x=10.0, master_seed=args.seed
+        k_users=3, l=2, l_tilde=2, p_x=10.0, master_seed=args.seed + 2
     )
     skew_stat = experiments.oracle_equivalence_test(
         skew,
         skew_config,
         all_ones_channel(skew_config.k_users),
         args.oracle_n,
-        Rng(args.seed + 2),
     )
     checks.append(("oracle-ks-skewed", skew_stat, crit2, skew_stat < crit2))
 
@@ -383,7 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l", type=int, default=5)
     p.add_argument("--l-tilde", type=int, default=10)
     p.add_argument("--p-w", type=float, default=1.0)
-    p.add_argument("--n0", type=float, default=1.0)
     p.add_argument("--snr-db", type=float, default=10.0)
     p.add_argument("--min-gain", type=float, default=1.0)
     p.add_argument("--matrix", default=None)

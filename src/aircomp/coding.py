@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 
@@ -75,26 +75,24 @@ class ValidationReport:
 class EncodingMatrix:
     """Tall encoding matrix shared by every transmitter.
 
-    Rows are channel uses (l_tilde), columns are source dimensions (l).
-    Instances are treated as immutable once built; the decoder
-    (pseudo-inverse) and Gram matrix are cached lazily.
+    Rows are channel uses (l_tilde), columns are source dimensions (l);
+    both are read from ``phi``. Instances are treated as immutable once
+    built; the decoder (pseudo-inverse) and Gram matrix are cached lazily.
     """
 
     phi: np.ndarray
-    l_tilde: int
-    l: int
-    construction: Construction
+    construction: Construction = Construction.CUSTOM
+    l_tilde: int = field(init=False)
+    l: int = field(init=False)
 
     def __post_init__(self):
+        phi = np.asarray(self.phi, dtype=np.complex128)
+        if phi.ndim != 2:
+            raise InvalidShape("encoding matrix must be 2-D")
+        self.l_tilde, self.l = phi.shape
         if self.l < 1 or self.l_tilde < self.l:
             raise InvalidShape(
                 f"encoding shape needs l_tilde >= l >= 1, got "
-                f"({self.l_tilde}, {self.l})"
-            )
-        phi = np.asarray(self.phi, dtype=np.complex128)
-        if phi.shape != (self.l_tilde, self.l):
-            raise InvalidShape(
-                f"matrix shape {phi.shape} does not match "
                 f"({self.l_tilde}, {self.l})"
             )
         if not np.isfinite(phi).all():
@@ -127,24 +125,14 @@ def construct_random_orthonormal(l_tilde: int, l: int, rng: Rng) -> EncodingMatr
             f"need l_tilde >= l >= 1, got ({l_tilde}, {l})"
         )
     a = sample_complex_gaussian(rng, l_tilde * l, 1.0).reshape(l_tilde, l)
-    return EncodingMatrix(
-        phi=qr_orthonormal(a),
-        l_tilde=l_tilde,
-        l=l,
-        construction=Construction.RANDOM_ORTHONORMAL,
-    )
+    return EncodingMatrix(qr_orthonormal(a), Construction.RANDOM_ORTHONORMAL)
 
 
 def construct_identity(l: int) -> EncodingMatrix:
     """Uncoded baseline: phi = I_l, one channel use per source dimension."""
     if l < 1:
         raise InvalidShape("need l >= 1")
-    return EncodingMatrix(
-        phi=np.eye(l, dtype=np.complex128),
-        l_tilde=l,
-        l=l,
-        construction=Construction.IDENTITY,
-    )
+    return EncodingMatrix(np.eye(l, dtype=np.complex128), Construction.IDENTITY)
 
 
 def construct_repetition(l: int, m: int = 1) -> EncodingMatrix:
@@ -159,18 +147,7 @@ def construct_repetition(l: int, m: int = 1) -> EncodingMatrix:
     if m < 1:
         raise InvalidShape("need at least one repetition block")
     phi = np.tile(np.eye(l, dtype=np.complex128), (m, 1)) / math.sqrt(m)
-    return EncodingMatrix(
-        phi=phi, l_tilde=m * l, l=l, construction=Construction.REPETITION
-    )
-
-
-def from_array(phi, construction: Construction = Construction.CUSTOM) -> EncodingMatrix:
-    phi = np.asarray(phi, dtype=np.complex128)
-    if phi.ndim != 2:
-        raise InvalidShape("encoding matrix must be 2-D")
-    return EncodingMatrix(
-        phi=phi, l_tilde=phi.shape[0], l=phi.shape[1], construction=construction
-    )
+    return EncodingMatrix(phi, Construction.REPETITION)
 
 
 def validate(
@@ -256,34 +233,21 @@ def theoretical_mse_expectation(enc: EncodingMatrix, rho: float) -> float:
     return float(np.sum(1.0 / spectrum) / (enc.l * rho))
 
 
-def effective_noise_covariance(enc: EncodingMatrix, rho: float) -> np.ndarray:
-    """Covariance of the residual noise in the decoded sum: (phi^H phi)^-1 / rho."""
-    if rho <= 0:
-        raise ValueError("rho must be positive")
-    _full_rank_spectrum(enc)
-    inv = np.linalg.inv(enc.gram) / rho
-    return (inv + inv.conj().T) / 2.0
-
-
 # ---------------------------------------------------------------------------
 # Matrix file format: {"rows": int, "cols": int, "re": [...], "im": [...]}
 # with row-major entry order.
 # ---------------------------------------------------------------------------
 
 
-def matrix_to_json(phi: np.ndarray) -> dict:
-    phi = np.asarray(phi, dtype=np.complex128)
-    return {
-        "rows": int(phi.shape[0]),
-        "cols": int(phi.shape[1]),
-        "re": [float(v) for v in phi.real.ravel()],
-        "im": [float(v) for v in phi.imag.ravel()],
-    }
-
-
 def save_matrix(enc: EncodingMatrix, path) -> None:
+    blob = {
+        "rows": enc.l_tilde,
+        "cols": enc.l,
+        "re": enc.phi.real.ravel().tolist(),
+        "im": enc.phi.imag.ravel().tolist(),
+    }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(matrix_to_json(enc.phi), fh)
+        json.dump(blob, fh)
         fh.write("\n")
 
 
@@ -309,4 +273,4 @@ def load_matrix(path) -> EncodingMatrix:
     phi = np.asarray(re, dtype=float).reshape(rows, cols) + 1j * np.asarray(
         im, dtype=float
     ).reshape(rows, cols)
-    return from_array(phi, Construction.CUSTOM)
+    return EncodingMatrix(phi)

@@ -78,6 +78,11 @@ class ExperimentPlan:
         self.channel_mode = ChannelMode(self.channel_mode)
         if self.trials < 1:
             raise ValueError("need at least one trial")
+        if (self.matrix_path is None) == (self.construction is Construction.CUSTOM):
+            raise ValueError(
+                f"matrix_path must be set exactly when the construction is custom, "
+                f"got {self.construction.value} with matrix_path={self.matrix_path!r}"
+            )
 
     def to_json(self) -> dict:
         return {
@@ -111,17 +116,6 @@ class MseReport:
     exceedance_freq: float | None = None
     degenerate: bool = False
 
-    def to_json(self) -> dict:
-        return {
-            "mean": self.mean,
-            "variance": self.variance,
-            "theory_mean": self.theory_mean,
-            "theory_variance": self.theory_variance,
-            "ks_statistic": self.ks_statistic,
-            "exceedance_freq": self.exceedance_freq,
-            "degenerate": self.degenerate,
-        }
-
 
 def build_encoding(plan: ExperimentPlan) -> EncodingMatrix:
     """Materialize the plan's encoding matrix (seeded from the config)."""
@@ -139,8 +133,6 @@ def build_encoding(plan: ExperimentPlan) -> EncodingMatrix:
                 "repetition construction needs l_tilde to be a multiple of l"
             )
         return coding.construct_repetition(config.l, config.l_tilde // config.l)
-    if plan.matrix_path is None:
-        raise ValueError("custom construction needs matrix_path")
     enc = coding.load_matrix(plan.matrix_path)
     if enc.l != config.l or enc.l_tilde != config.l_tilde:
         raise ShapeMismatch(
@@ -224,10 +216,8 @@ def run_trials(plan: ExperimentPlan, workers: int = 1) -> TrialSet:
     )
 
 
-def summarize(
-    ts: TrialSet, theory: GammaParams, eta: float | None = None
-) -> MseReport:
-    """Empirical moments against the Gamma law, plus optional fit statistics.
+def summarize(ts: TrialSet, eta: float | None = None) -> MseReport:
+    """Empirical moments against ``theory_for_trials(ts)``, plus fit statistics.
 
     The one-sample KS statistic is only meaningful when the channel was
     held fixed (the Gamma law conditions on the realization), so it is
@@ -240,6 +230,7 @@ def summarize(
         raise EmptySample("summarize needs at least one sample")
     degenerate = samples.size == 1
     variance = 0.0 if degenerate else float(np.var(samples, ddof=1))
+    theory = theory_for_trials(ts)
 
     ks_statistic = None
     if ts.plan.channel_mode is not ChannelMode.RICIAN_PER_TRIAL:
@@ -336,10 +327,11 @@ def sweep_mse_vs_snr(
                 l_tilde=_integral_blocklength(base.config.l, rate),
                 p_x=base.config.n0 * channel.db_to_linear(snr_db),
             )
-            construction = (
-                Construction.IDENTITY if scheme == "uncoded" else base.construction
-            )
-            plan = replace(base, config=config, construction=construction)
+            plan = replace(base, config=config)
+            if scheme == "uncoded":
+                plan = replace(
+                    plan, construction=Construction.IDENTITY, matrix_path=None
+                )
             rows.append(
                 _sweep_row(
                     plan,
@@ -438,24 +430,21 @@ def oracle_equivalence_test(
     config: SystemConfig,
     channel_realization: ChannelRealization,
     n: int,
-    rng: Rng,
 ) -> float:
     """Full pipeline vs direct spectrum sampler, as a two-sample KS distance.
 
     Runs n transmissions at the maximal power scaling and draws n samples
     from the weighted-exponential law implied by the Gram spectrum; the two
-    independent streams derive from the same master seed with different
-    purpose tags.
+    independent streams are keyed by ``config.master_seed`` under different
+    purpose tags, the pipeline's exactly as run_trials keys its trials.
     """
     if n < 1000:
         raise ValueError("need at least 1000 samples per side")
-    # The trial streams of rng's master seed, as run_trials would key them.
-    seeded = replace(config, master_seed=rng.master_seed)
-    pipeline, _, _ = _run_range(enc, seeded, channel_realization, 0, n)
+    pipeline, _, _ = _run_range(enc, config, channel_realization, 0, n)
 
     spectrum = coding.gram_spectrum(enc)
     rho = channel.max_power_scaling(channel_realization, config) / config.n0
-    oracle_rng = rng.derive(stream_id(_STREAM_ORACLE))
+    oracle_rng = Rng(config.master_seed, stream_id(_STREAM_ORACLE))
     oracle = np.fromiter(
         (analysis.sample_general_mse(spectrum, rho, oracle_rng) for _ in range(n)),
         dtype=float,

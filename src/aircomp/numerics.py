@@ -80,10 +80,6 @@ class Rng:
         seed = _philox_key_type()(key)
         self.gen = np.random.Generator(np.random.Philox(seed))
 
-    def derive(self, stream: int) -> "Rng":
-        """Fresh independent stream under the same master seed."""
-        return Rng(self.master_seed, stream)
-
     def __repr__(self) -> str:
         return f"Rng(master_seed={self.master_seed}, stream={self.stream})"
 
@@ -167,9 +163,9 @@ def regularized_lower_gamma(shape: float, x: float) -> float:
     """Regularized lower incomplete gamma function P(shape, x).
 
     Series expansion for x < shape + 1, modified-Lentz continued fraction
-    for the upper tail otherwise. Absolute error stays below 1e-10 up to
-    shape 3e4 and below 1e-9 up to shape 1e5, where rounding in the
-    exp(shape log x - lgamma(shape)) prefactor dominates. Monotone
+    for the upper tail otherwise. Absolute error stays below 1e-14 for
+    shapes up to 1e5 (against scipy's gammainc within 5 standard
+    deviations of x = shape); the tests hold it to 1e-13. Monotone
     nondecreasing in x with P(shape, 0) = 0.
     """
     if shape <= 0:
@@ -187,7 +183,21 @@ def regularized_lower_gamma(shape: float, x: float) -> float:
 
 
 def _gamma_prefactor(shape: float, x: float) -> float:
-    return math.exp(shape * math.log(x) - x - math.lgamma(shape))
+    """x^shape e^-x / Gamma(shape), the factor both expansions share.
+
+    From shape 30 on, ``shape log x - x - lgamma(shape)`` would cancel
+    terms of size shape log(shape); with x = shape (1 + t) and Stirling's
+    series for lgamma (four terms, the next is below 5e-17 there) only
+    terms of size shape t^2 remain.
+    """
+    if shape < 30.0:
+        return math.exp(shape * math.log(x) - x - math.lgamma(shape))
+    t = (x - shape) / shape
+    r = 1.0 / (shape * shape)
+    tail = (1.0 / 12 - r * (1.0 / 360 - r * (1.0 / 1260 - r / 1680))) / shape
+    return math.exp(
+        shape * (math.log1p(t) - t) + 0.5 * math.log(shape / (2.0 * math.pi)) - tail
+    )
 
 
 def _lower_gamma_series(shape: float, x: float, max_iter: int) -> float:

@@ -107,11 +107,9 @@ def test_criterion_3_gamma_law(run_10db_half_rate):
 
 
 def test_criterion_4_oracle_equivalence():
-    enc = coding.from_array(np.diag([math.sqrt(0.5), math.sqrt(1.5)]))
+    enc = coding.EncodingMatrix(np.diag([math.sqrt(0.5), math.sqrt(1.5)]))
     config = SystemConfig(k_users=3, l=2, l_tilde=2, p_x=10.0, master_seed=SEED)
-    stat = oracle_equivalence_test(
-        enc, config, all_ones_channel(3), 10_000, Rng(SEED)
-    )
+    stat = oracle_equivalence_test(enc, config, all_ones_channel(3), 10_000)
     assert report(
         4,
         "pipeline vs spectrum-law sampler, spectrum {0.5, 1.5}",

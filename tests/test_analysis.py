@@ -237,9 +237,6 @@ class TestRegionReport:
         assert report.r_max == pytest.approx(0.31622776601683794)
         assert report.l_min == 6
         assert report.delta == 0.2 and report.eta == 1.0
-        blob = report.to_json()
-        assert blob["criterion"] == "epsilon_delta"
-        assert blob["l_min"] == 6
 
     def test_probabilistic_report_requires_parameters(self):
         with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ import pytest
 
 from aircomp import coding, experiments
 from aircomp.cli import main
+from aircomp.numerics import Rng
 
 
 def run_cli(*args):
@@ -118,7 +119,7 @@ class TestTheory:
     def test_matrix_spectrum_path(self, tmp_path, capsys):
         path = tmp_path / "skew.json"
         coding.save_matrix(
-            coding.from_array(np.diag([np.sqrt(0.5), np.sqrt(1.5)])), path
+            coding.EncodingMatrix(np.diag([np.sqrt(0.5), np.sqrt(1.5)])), path
         )
         code = run_cli(
             "theory", "--l", "2", "--l-tilde", "2", "--snr-db", "0",
@@ -129,6 +130,17 @@ class TestTheory:
         assert "spectrum: 0.5 1.5" in out
         # rho* = 1 at 0 dB and rate 1, so expected MSE is 4/3
         assert "expected_mse: 1.33333333333" in out
+
+    def test_matrix_shape_must_match_flags(self, tmp_path, capsys):
+        path = tmp_path / "phi.json"
+        coding.save_matrix(coding.construct_random_orthonormal(8, 4, Rng(1)), path)
+        code = run_cli(
+            "theory", "--l", "5", "--l-tilde", "10", "--matrix", str(path),
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: matrix file shape (8, 4)")
 
     @pytest.mark.parametrize("content", [None, "{not json", '{"rows": 2}'])
     def test_bad_matrix_is_usage_error_before_output(
@@ -245,6 +257,22 @@ class TestSimulate:
         assert capsys.readouterr().err.startswith("error: ")
         for suffix, data in before.items():
             assert (tmp_path / f"run{suffix}").read_bytes() == data
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--matrix", "phi.json"],  # a file that would never be read
+            ["--construction", "custom"],  # no file to read
+        ],
+    )
+    def test_matrix_and_construction_must_agree(self, tmp_path, capsys, flags):
+        prefix = tmp_path / "run"
+        code = run_cli("simulate", "--trials", "3", "--out", str(prefix), *flags)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
 
     def test_artifacts_are_deterministic(self, tmp_path, capsys):
         prefixes = [str(tmp_path / "a"), str(tmp_path / "b")]

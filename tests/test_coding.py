@@ -6,15 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aircomp import coding
 from aircomp.coding import (
     Construction,
+    EncodingMatrix,
     RankMode,
     construct_identity,
     construct_random_orthonormal,
     construct_repetition,
-    effective_noise_covariance,
-    from_array,
     gram_spectrum,
     load_matrix,
     save_matrix,
@@ -27,7 +25,7 @@ from aircomp.numerics import Rng, sample_complex_gaussian
 
 def skewed_two_by_two():
     """Custom matrix with Gram spectrum {0.5, 1.5} and trace 2."""
-    return from_array(np.diag([math.sqrt(0.5), math.sqrt(1.5)]))
+    return EncodingMatrix(np.diag([math.sqrt(0.5), math.sqrt(1.5)]))
 
 
 class TestRandomOrthonormal:
@@ -139,7 +137,7 @@ class TestValidate:
         assert sum(report.gram_spectrum) == pytest.approx(2.0, abs=1e-6)
 
     def test_power_violation_flagged(self):
-        enc = from_array(2.0 * np.eye(3))
+        enc = EncodingMatrix(2.0 * np.eye(3))
         report = validate(enc)
         assert not report.power_ok
         assert report.rank_ok
@@ -183,7 +181,7 @@ class TestTheoreticalMse:
         for seed in range(100):
             a = sample_complex_gaussian(Rng(seed, 123), 18, 1.0).reshape(6, 3)
             a *= math.sqrt(3.0 / np.trace(a.conj().T @ a).real)
-            enc = from_array(a)
+            enc = EncodingMatrix(a)
             assert theoretical_mse_expectation(enc, rho) >= (1 / rho) * (1 - 1e-12)
         ortho = construct_random_orthonormal(6, 3, Rng(10))
         assert theoretical_mse_expectation(ortho, rho) == pytest.approx(
@@ -191,7 +189,7 @@ class TestTheoreticalMse:
         )
 
     def test_rank_deficient_rejected(self):
-        enc = from_array(np.array([[1.0, 1.0], [1.0, 1.0]]))
+        enc = EncodingMatrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
         with pytest.raises(RankDeficient):
             theoretical_mse_expectation(enc, 1.0)
 
@@ -200,51 +198,20 @@ class TestTheoreticalMse:
             theoretical_mse_expectation(skewed_two_by_two(), 0.0)
 
 
-class TestEffectiveNoiseCovariance:
-    def test_orthonormal_is_scaled_identity(self):
-        enc = construct_random_orthonormal(10, 5, Rng(11))
-        cov = effective_noise_covariance(enc, 10.0)
-        assert np.allclose(cov, np.eye(5) / 10.0, atol=1e-12)
-
-    def test_inverse_snr_scaling(self):
-        enc = skewed_two_by_two()
-        assert np.allclose(
-            effective_noise_covariance(enc, 2.0),
-            effective_noise_covariance(enc, 1.0) / 2.0,
-        )
-
-    def test_trace_consistent_with_expected_mse(self):
-        enc = skewed_two_by_two()
-        rho = 3.0
-        trace = np.trace(effective_noise_covariance(enc, rho)).real
-        assert trace == pytest.approx(
-            enc.l * theoretical_mse_expectation(enc, rho), rel=1e-12
-        )
-        assert trace == pytest.approx(
-            np.sum(1.0 / (rho * gram_spectrum(enc))), rel=1e-12
-        )
-
-    def test_hermitian_positive_definite(self):
-        enc = construct_random_orthonormal(6, 3, Rng(12))
-        cov = effective_noise_covariance(enc, 5.0)
-        assert np.max(np.abs(cov - cov.conj().T)) < 1e-14
-        assert np.all(np.linalg.eigvalsh(cov) > 0)
-
-
 class TestEncodingMatrixType:
     def test_shape_invariant(self):
         with pytest.raises(InvalidShape):
-            from_array(np.ones((2, 3)))
+            EncodingMatrix(np.ones((2, 3)))
         with pytest.raises(InvalidShape):
-            coding.EncodingMatrix(
-                phi=np.eye(3), l_tilde=3, l=0, construction=Construction.CUSTOM
-            )
+            EncodingMatrix(np.zeros((3, 0)))
+        with pytest.raises(InvalidShape):
+            EncodingMatrix(np.ones(3))
 
     def test_nonfinite_rejected(self):
         bad = np.eye(2)
         bad[0, 0] = np.nan
         with pytest.raises(ValueError):
-            from_array(bad)
+            EncodingMatrix(bad)
 
     def test_rate(self):
         assert construct_random_orthonormal(10, 5, Rng(13)).rate == 0.5

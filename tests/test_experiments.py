@@ -1,6 +1,7 @@
 import io
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -54,6 +55,11 @@ class TestExperimentPlan:
         assert plan.construction is Construction.IDENTITY
         assert plan.channel_mode is ChannelMode.FIXED_UNIT_MIN_GAIN
 
+    def test_matrix_path_requires_custom(self):
+        # a matrix file the plan would never read is an error, not ignored
+        with pytest.raises(ValueError, match="custom"):
+            ExperimentPlan(config=SystemConfig(), matrix_path="phi.json")
+
 
 class TestBuildEncoding:
     def test_random_orthonormal_is_seeded_from_config(self):
@@ -89,11 +95,9 @@ class TestBuildEncoding:
         assert np.array_equal(loaded.phi, enc.phi)
 
     def test_custom_requires_path(self):
-        plan = ExperimentPlan(
-            config=SystemConfig(), construction=Construction.CUSTOM
-        )
-        with pytest.raises(ValueError):
-            build_encoding(plan)
+        # checked when the plan is made, before any output or trial
+        with pytest.raises(ValueError, match="matrix_path"):
+            ExperimentPlan(config=SystemConfig(), construction=Construction.CUSTOM)
 
 
 class TestRunTrials:
@@ -230,7 +234,7 @@ class TestTrialLoopCallStructure:
 
 class TestSummarize:
     def test_moments_of_synthetic_gamma_samples(self):
-        theory = analysis.GammaParams(shape=5.0, scale=0.01)
+        # n0 / p = 1 / 20 at an orthonormal 10x5 code: Gamma(5, 0.01)
         samples = Rng(17).gen.gamma(5.0, 0.01, size=30_000)
         plan = fixed_plan(trials=30_000)
         ts = TrialSet(
@@ -240,7 +244,7 @@ class TestSummarize:
             channel_min_gains=np.ones(samples.size),
             p_used=np.full(samples.size, 20.0),
         )
-        report = summarize(ts, theory)
+        report = summarize(ts)
         assert report.mean == pytest.approx(0.05, rel=0.02)
         assert report.variance == pytest.approx(5e-4, rel=0.05)
         assert report.theory_mean == pytest.approx(0.05)
@@ -250,8 +254,7 @@ class TestSummarize:
     def test_full_pipeline_gamma_fit(self):
         plan = fixed_plan(trials=10_000, seed=18)
         ts = run_trials(plan)
-        theory = theory_for_trials(ts)
-        report = summarize(ts, theory)
+        report = summarize(ts)
         assert report.ks_statistic < 0.0163
 
     def test_ks_omitted_in_fading_mode(self):
@@ -260,11 +263,10 @@ class TestSummarize:
             config=cfg, trials=100, channel_mode=ChannelMode.RICIAN_PER_TRIAL
         )
         ts = run_trials(plan)
-        report = summarize(ts, analysis.GammaParams(5.0, 0.01))
+        report = summarize(ts)
         assert report.ks_statistic is None
 
     def test_exceedance_frequency(self):
-        theory = analysis.GammaParams(shape=1.0, scale=1.0)
         samples = np.array([0.5, 1.5, 2.5, 3.5])
         plan = fixed_plan(trials=4)
         ts = TrialSet(
@@ -274,8 +276,8 @@ class TestSummarize:
             channel_min_gains=np.ones(4),
             p_used=np.ones(4),
         )
-        report = summarize(ts, theory, eta=1.0)
-        # threshold (1 + 1) * 1.0 = 2.0 -> two of four samples exceed
+        report = summarize(ts, eta=1.0)
+        # theory mean n0 / p = 1, threshold (1 + 1) * 1 = 2 -> two of four exceed
         assert report.exceedance_freq == pytest.approx(0.5)
 
     def test_single_sample_is_degenerate(self):
@@ -287,7 +289,7 @@ class TestSummarize:
             channel_min_gains=np.ones(1),
             p_used=np.ones(1),
         )
-        report = summarize(ts, analysis.GammaParams(5.0, 0.01))
+        report = summarize(ts)
         assert report.variance == 0.0
         assert report.degenerate
 
@@ -301,7 +303,7 @@ class TestSummarize:
             p_used=np.array([]),
         )
         with pytest.raises(EmptySample):
-            summarize(ts, analysis.GammaParams(5.0, 0.01))
+            summarize(ts)
 
 
 class TestTheoryForTrials:
@@ -335,6 +337,17 @@ class TestSweepMseVsSnr:
         uncoded = [r for r in rows if r["scheme"] == "uncoded"]
         assert len(uncoded) == 2
         assert all(r["l_tilde"] == r["l"] for r in uncoded)
+
+    def test_custom_base_keeps_identity_baseline(self, tmp_path):
+        path = tmp_path / "phi.json"
+        coding.save_matrix(construct_random_orthonormal(10, 5, Rng(6)), path)
+        base = replace(
+            fixed_plan(trials=3),
+            construction=Construction.CUSTOM,
+            matrix_path=str(path),
+        )
+        rows = sweep_mse_vs_snr(base, [10.0], [0.5])
+        assert [r["scheme"] for r in rows] == ["proposed", "uncoded"]
 
     def test_non_integral_blocklength_rejected(self):
         base = fixed_plan(trials=10)
@@ -431,24 +444,20 @@ class TestOracleEquivalence:
     def test_orthonormal_pipeline_matches_spectrum_law(self):
         cfg = SystemConfig(master_seed=26)
         enc = construct_random_orthonormal(10, 5, Rng(26, 3))
-        stat = oracle_equivalence_test(
-            enc, cfg, all_ones_channel(cfg.k_users), 2000, Rng(26)
-        )
+        stat = oracle_equivalence_test(enc, cfg, all_ones_channel(cfg.k_users), 2000)
         assert stat < 1.63 * math.sqrt(2.0 / 2000)
 
     def test_skewed_spectrum_matches_too(self):
         cfg = SystemConfig(k_users=3, l=2, l_tilde=2, p_x=10.0, master_seed=27)
-        enc = coding.from_array(np.diag([math.sqrt(0.5), math.sqrt(1.5)]))
-        stat = oracle_equivalence_test(
-            enc, cfg, all_ones_channel(3), 2000, Rng(27)
-        )
+        enc = coding.EncodingMatrix(np.diag([math.sqrt(0.5), math.sqrt(1.5)]))
+        stat = oracle_equivalence_test(enc, cfg, all_ones_channel(3), 2000)
         assert stat < 1.63 * math.sqrt(2.0 / 2000)
 
     def test_minimum_sample_size(self):
         cfg = SystemConfig(master_seed=28)
         enc = construct_random_orthonormal(10, 5, Rng(28))
         with pytest.raises(ValueError):
-            oracle_equivalence_test(enc, cfg, all_ones_channel(10), 10, Rng(28))
+            oracle_equivalence_test(enc, cfg, all_ones_channel(10), 10)
 
 
 class TestCsvOutput:

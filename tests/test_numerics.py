@@ -41,13 +41,6 @@ class TestRng:
         b = Rng(123, 1).gen.standard_normal(16)
         assert not np.array_equal(a, b)
 
-    def test_derive_rebases_on_master_seed(self):
-        child = Rng(9, 5).derive(17)
-        assert child.master_seed == 9
-        assert child.stream == 17
-        direct = Rng(9, 17).gen.standard_normal(4)
-        assert np.array_equal(child.gen.standard_normal(4), direct)
-
     def test_algorithm_identifier(self):
         assert Rng.algorithm == "philox4x64-10"
 
@@ -234,7 +227,7 @@ class TestRegularizedLowerGamma:
     def test_large_shape_near_mode(self, shape, expected):
         # the series needs O(sqrt(shape)) terms at x = shape
         value = regularized_lower_gamma(shape, shape)
-        assert value == pytest.approx(scipy.special.gammainc(shape, shape), abs=1e-9)
+        assert value == pytest.approx(scipy.special.gammainc(shape, shape), abs=1e-13)
         assert value == pytest.approx(expected, abs=1e-5)
 
     @settings(max_examples=60, deadline=None)
@@ -245,7 +238,7 @@ class TestRegularizedLowerGamma:
     def test_property_matches_scipy_near_mode(self, shape, offset):
         x = max(0.0, shape + offset * math.sqrt(shape))
         assert regularized_lower_gamma(shape, x) == pytest.approx(
-            scipy.special.gammainc(shape, x), abs=1e-9
+            scipy.special.gammainc(shape, x), abs=1e-13
         )
 
     def test_limits(self):
