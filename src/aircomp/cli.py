@@ -185,12 +185,14 @@ def cmd_simulate(args) -> int:
         output_path=args.out,
         matrix_path=args.matrix,
     )
+    # A matrix that cannot be built or loaded fails before any output exists.
+    enc = experiments.build_encoding(plan)
     if args.out:
         # Fail before the run, not after it, when an output cannot be written.
         # Append mode checks writability without emptying an earlier result.
         for suffix in (".trials.csv", ".report.json"):
             open(args.out + suffix, "a", encoding="utf-8").close()
-    ts = experiments.run_trials(plan, workers=args.threads)
+    ts = experiments.run_trials(plan, workers=args.threads, enc=enc)
     report = experiments.summarize(ts, eta=args.eta)
     ratio = report.mean / report.theory_mean
 

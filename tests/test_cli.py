@@ -248,7 +248,7 @@ class TestSimulate:
             suffix: (tmp_path / f"run{suffix}").read_bytes()
             for suffix in (".trials.csv", ".report.json")
         }
-        # the matrix file is only read inside the run, after the output check
+        # a run that fails leaves the outputs of the earlier run as they were
         code = run_cli(
             "simulate", "--trials", "3", "--out", prefix,
             "--construction", "custom", "--matrix", str(tmp_path / "absent.json"),
@@ -257,6 +257,50 @@ class TestSimulate:
         assert capsys.readouterr().err.startswith("error: ")
         for suffix, data in before.items():
             assert (tmp_path / f"run{suffix}").read_bytes() == data
+
+    def test_failure_after_output_check_keeps_earlier_outputs(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        prefix = str(tmp_path / "run")
+        assert run_cli("simulate", "--trials", "3", "--out", prefix) == 0
+        before = {
+            suffix: (tmp_path / f"run{suffix}").read_bytes()
+            for suffix in (".trials.csv", ".report.json")
+        }
+
+        def failing_run(*args, **kwargs):
+            raise ValueError("run failed")
+
+        monkeypatch.setattr(experiments, "run_trials", failing_run)
+        code = run_cli("simulate", "--trials", "3", "--out", prefix)
+        assert code == 2
+        assert capsys.readouterr().err == "error: run failed\n"
+        for suffix, data in before.items():
+            assert (tmp_path / f"run{suffix}").read_bytes() == data
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--construction", "custom", "--matrix", "absent.json"],
+            # 4x2 file against the default 10x5 config
+            ["--construction", "custom", "--matrix", "small.json"],
+            # identity needs l_tilde == l, and the default config is 10x5
+            ["--construction", "identity"],
+        ],
+    )
+    def test_bad_matrix_fails_before_outputs_exist(self, tmp_path, capsys, flags):
+        run_cli("construct", "--l", "2", "--l-tilde", "4",
+                "--out", str(tmp_path / "small.json"))
+        capsys.readouterr()
+        flags = [str(tmp_path / f) if f.endswith(".json") else f for f in flags]
+        code = run_cli("simulate", "--trials", "3", "--out", str(tmp_path / "run"),
+                       *flags)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
+        assert not (tmp_path / "run.trials.csv").exists()
+        assert not (tmp_path / "run.report.json").exists()
 
     @pytest.mark.parametrize(
         "flags",

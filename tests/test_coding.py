@@ -1,11 +1,15 @@
+import itertools
 import json
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aircomp import coding
 from aircomp.coding import (
     Construction,
     EncodingMatrix,
@@ -141,6 +145,82 @@ class TestValidate:
         report = validate(enc)
         assert not report.power_ok
         assert report.rank_ok
+
+
+def reference_rank_check(enc, max_exhaustive_subsets, sample_count, rng):
+    """(mode, count, worst ratio) from one SVD per row subset, in order."""
+    total = math.comb(enc.l_tilde, enc.l)
+    if total <= max(max_exhaustive_subsets, sample_count):
+        mode, count = RankMode.EXHAUSTIVE, total
+        subsets = itertools.combinations(range(enc.l_tilde), enc.l)
+    else:
+        mode, count = RankMode.SAMPLED, sample_count
+        subsets = [
+            tuple(sorted(rng.gen.choice(enc.l_tilde, size=enc.l, replace=False)))
+            for _ in range(sample_count)
+        ]
+    worst = math.inf
+    for rows in subsets:
+        sv = np.linalg.svd(enc.phi[list(rows), :], compute_uv=False)
+        worst = min(worst, float(sv[-1] / sv[0]) if sv[0] > 0 else 0.0)
+    return mode, count, worst
+
+
+def set_svd_batch(monkeypatch, enc, batch):
+    """Make validate stack ``batch`` subsets per SVD (None: the default)."""
+    if batch is not None:
+        size = batch * enc.phi.itemsize * enc.l * enc.l
+        monkeypatch.setattr(coding, "SVD_BATCH_BYTES", size)
+
+
+class TestValidateBatches:
+    @pytest.mark.parametrize("batch", [1, 7, None])
+    @pytest.mark.parametrize(
+        "enc, max_exhaustive, samples",
+        [
+            # 330 subsets, not a multiple of 7
+            (construct_random_orthonormal(11, 4, Rng(21)), 100_000, 1000),
+            # duplicate rows: rank-deficient subsets among full-rank ones
+            (construct_repetition(3, 2), 100_000, 1000),
+            # 100 of the 252 subsets sampled
+            (construct_random_orthonormal(10, 5, Rng(22)), 10, 100),
+        ],
+        ids=["exhaustive", "repetition", "sampled"],
+    )
+    def test_matches_one_subset_at_a_time(
+        self, monkeypatch, batch, enc, max_exhaustive, samples
+    ):
+        set_svd_batch(monkeypatch, enc, batch)
+        report = validate(enc, max_exhaustive, samples, rng=Rng(4, 99))
+        mode, count, worst = reference_rank_check(
+            enc, max_exhaustive, samples, Rng(4, 99)
+        )
+        assert report.rank_mode is mode
+        assert report.subsets_checked == count
+        assert report.worst_min_singular_ratio == worst
+
+    @pytest.mark.parametrize("batch", [1, None])
+    def test_zero_subset_has_ratio_zero_without_warning(self, monkeypatch, batch):
+        enc = EncodingMatrix(np.array([[1.0], [0.0]]))
+        set_svd_batch(monkeypatch, enc, batch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = validate(enc)
+        assert report.worst_min_singular_ratio == 0.0
+        assert not report.rank_ok
+        assert report.power_ok
+
+    def test_memory_stays_bounded(self):
+        # stacking all C(16, 8) = 12870 subsets at once would take ~13 MiB
+        enc = construct_random_orthonormal(16, 8, Rng(23))
+        tracemalloc.start()
+        try:
+            report = validate(enc)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.subsets_checked == 12870
+        assert peak < 4 * 2**20
 
 
 class TestGramSpectrum:

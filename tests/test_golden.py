@@ -33,6 +33,13 @@ CALLS = [
     ("construct", ["construct", "--l", "5", "--l-tilde", "10", "--seed", "3",
                    "--out", "phi.json"], ["phi.json"]),
     ("check", ["check", "--matrix", "phi.json", "--seed", "1"], []),
+    # C(16, 8) = 12870 row subsets: validation spans many SVD batches
+    ("construct-16x8", ["construct", "--l", "8", "--l-tilde", "16", "--seed", "3",
+                        "--out", "p16.json"], ["p16.json"]),
+    ("check-16x8", ["check", "--matrix", "p16.json", "--seed", "1"], []),
+    # 200 < C(10, 5) = 252 subsets, so this check samples
+    ("check-sampled", ["check", "--matrix", "phi.json", "--seed", "1",
+                       "--max-exhaustive", "10", "--samples", "200"], []),
     ("theory", ["theory", "--l", "5", "--l-tilde", "10", "--snr-db", "5",
                 "--matrix", "phi.json"], []),
     ("regions", ["regions", "--epsilon", "0.02", "--snr-db", "0", "15", "30"], []),
@@ -65,8 +72,15 @@ CALLS = [
 ]
 
 GOLDEN = {
+    'check-16x8:exit': '0',
+    'check-16x8:stdout': '20e7a22758896b8d5de5e31687dfa44cbc3fe33124d60f52a05a0ef4fc712ad0',
+    'check-sampled:exit': '0',
+    'check-sampled:stdout': '87cdfce49060ad9bc84d122b5d840181567bb628a263e83fdc44c6f665426ea0',
     'check:exit': '0',
     'check:stdout': 'd7ea908a7cb16b5736034a2a7cb86087215dc1063cd7ad0b317c22898c3d8157',
+    'construct-16x8:exit': '0',
+    'construct-16x8:p16.json': '78ca71d9d8cb5ea017320c4201870f0c05b979a74897f2405630a5eb9bf2150d',
+    'construct-16x8:stdout': '0e4873ff2df6d319b8fe7ff801338a55b1dd6ee6743371c93e8278678301fc39',
     'construct:exit': '0',
     'construct:phi.json': '8122f5987e66e786fc43d9dd28789ddc20a3cb7435940184dc49b4d62ccfa7ac',
     'construct:stdout': 'dc3f9ce4ae5cf830adcc9d0af98a7a6f16c9454485036e9d06de71ca3283dad5',
