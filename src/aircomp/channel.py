@@ -51,7 +51,10 @@ CONFIG_KEYS = (
 
 
 def db_to_linear(x_db: float) -> float:
-    return 10.0 ** (x_db / 10.0)
+    try:
+        return 10.0 ** (x_db / 10.0)
+    except OverflowError:
+        raise ValueError(f"{x_db} dB is beyond the float range") from None
 
 
 def linear_to_db(x: float) -> float:

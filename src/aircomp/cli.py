@@ -42,6 +42,17 @@ def _fail(message: str) -> int:
     return 2
 
 
+def _finite_float(text: str) -> float:
+    """argparse type for float flags: NaN and infinities slip past range checks."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # construct / check
 # ---------------------------------------------------------------------------
@@ -174,6 +185,10 @@ def cmd_simulate(args) -> int:
         return _fail("--trials must be at least 1")
     if args.threads < 1:
         return _fail("--threads must be at least 1")
+    if args.eta is not None and args.eta <= 0:
+        return _fail("--eta must be positive")
+    if args.assert_tolerance is not None and args.assert_tolerance < 0:
+        return _fail("--assert-tolerance must be non-negative")
     config = SystemConfig.from_json(args.config) if args.config else SystemConfig()
     if args.seed is not None:
         config = replace(config, master_seed=args.seed)
@@ -201,7 +216,8 @@ def cmd_simulate(args) -> int:
     print(f"theory_mean: {_fmt(report.theory_mean)}")
     print(f"mean_ratio: {_fmt(ratio)}")
     print(f"var_mse: {_fmt(report.variance)}")
-    print(f"theory_var: {_fmt(report.theory_variance)}")
+    if report.theory_variance is not None:
+        print(f"theory_var: {_fmt(report.theory_variance)}")
     if report.ks_statistic is not None:
         print(f"ks_statistic: {_fmt(report.ks_statistic)}")
     if report.exceedance_freq is not None:
@@ -385,19 +401,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("theory", help="closed-form distortion statistics")
     p.add_argument("--l", type=int, default=5)
     p.add_argument("--l-tilde", type=int, default=10)
-    p.add_argument("--p-w", type=float, default=1.0)
-    p.add_argument("--snr-db", type=float, default=10.0)
-    p.add_argument("--min-gain", type=float, default=1.0)
+    p.add_argument("--p-w", type=_finite_float, default=1.0)
+    p.add_argument("--snr-db", type=_finite_float, default=10.0)
+    p.add_argument("--min-gain", type=_finite_float, default=1.0)
     p.add_argument("--matrix", default=None)
     p.set_defaults(func=cmd_theory)
 
     p = sub.add_parser("regions", help="rate-region boundaries per criterion")
-    p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--delta", type=float, default=0.2)
-    p.add_argument("--eta", type=float, default=1.0)
-    p.add_argument("--snr-db", type=float, nargs="+", required=True)
-    p.add_argument("--p-w", type=float, default=1.0)
-    p.add_argument("--min-gain", type=float, default=1.0)
+    p.add_argument("--epsilon", type=_finite_float, required=True)
+    p.add_argument("--delta", type=_finite_float, default=0.2)
+    p.add_argument("--eta", type=_finite_float, default=1.0)
+    p.add_argument("--snr-db", type=_finite_float, nargs="+", required=True)
+    p.add_argument("--p-w", type=_finite_float, default=1.0)
+    p.add_argument("--min-gain", type=_finite_float, default=1.0)
     p.set_defaults(func=cmd_regions)
 
     p = sub.add_parser("simulate", help="run transmissions and summarize")
@@ -415,9 +431,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--matrix", default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--eta", type=float, default=None)
+    p.add_argument("--eta", type=_finite_float, default=None)
     p.add_argument("--out", default=None)
-    p.add_argument("--assert-tolerance", type=float, default=None)
+    p.add_argument("--assert-tolerance", type=_finite_float, default=None)
     p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_simulate)
 

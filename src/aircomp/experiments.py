@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -111,7 +110,7 @@ class MseReport:
     mean: float
     variance: float
     theory_mean: float
-    theory_variance: float
+    theory_variance: float | None
     ks_statistic: float | None = None
     exceedance_freq: float | None = None
     degenerate: bool = False
@@ -200,6 +199,10 @@ def run_trials(
     if workers == 1:
         parts = [_run_range(enc, config, fixed, 0, plan.trials)]
     else:
+        # Imported here so that single-worker runs, which never start a pool,
+        # skip multiprocessing and its dependencies (about 30 modules, 2 MiB).
+        from concurrent.futures import ProcessPoolExecutor
+
         bounds = np.linspace(0, plan.trials, num=workers + 1, dtype=int).tolist()
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [
@@ -223,11 +226,11 @@ def run_trials(
 def summarize(ts: TrialSet, eta: float | None = None) -> MseReport:
     """Empirical moments against ``theory_for_trials(ts)``, plus fit statistics.
 
-    The one-sample KS statistic is only meaningful when the channel was
-    held fixed (the Gamma law conditions on the realization), so it is
-    omitted in the per-trial fading mode. When ``eta`` is given, the report
-    carries the frequency of samples exceeding (1 + eta) times the theory
-    mean.
+    The Gamma variance and the one-sample KS statistic are only meaningful
+    when the channel was held fixed (the Gamma law conditions on the
+    realization), so both are omitted in the per-trial fading mode. When
+    ``eta`` is given, the report carries the frequency of samples exceeding
+    (1 + eta) times the theory mean.
     """
     samples = np.asarray(ts.samples, dtype=float)
     if samples.size == 0:
@@ -236,8 +239,9 @@ def summarize(ts: TrialSet, eta: float | None = None) -> MseReport:
     variance = 0.0 if degenerate else float(np.var(samples, ddof=1))
     theory = theory_for_trials(ts)
 
-    ks_statistic = None
+    theory_variance = ks_statistic = None
     if ts.plan.channel_mode is not ChannelMode.RICIAN_PER_TRIAL:
+        theory_variance = theory.variance
         ks_statistic = ks_distance(
             np.sort(samples), lambda x: analysis.gamma_cdf(theory, x)
         )
@@ -249,7 +253,7 @@ def summarize(ts: TrialSet, eta: float | None = None) -> MseReport:
         mean=float(np.mean(samples)),
         variance=variance,
         theory_mean=theory.mean,
-        theory_variance=theory.variance,
+        theory_variance=theory_variance,
         ks_statistic=ks_statistic,
         exceedance_freq=exceedance,
         degenerate=degenerate,

@@ -1,9 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import aircomp
 from aircomp import coding, experiments
 from aircomp.cli import main
 from aircomp.numerics import Rng
@@ -183,6 +187,61 @@ class TestRegions:
         ) == 2
 
 
+class TestImports:
+    def test_cli_import_skips_pool_and_numpy_random(self):
+        # A fresh interpreter: this test process has already loaded them.
+        # Single-worker runs never start a pool, and numpy.random is only
+        # needed once a stream is drawn from.
+        code = (
+            "import sys, aircomp, aircomp.cli; "
+            "print(' '.join(m for m in ('multiprocessing', "
+            "'concurrent.futures.process', 'numpy.random') if m in sys.modules))"
+        )
+        src = os.path.dirname(os.path.dirname(aircomp.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env, capture_output=True, text=True, timeout=60, check=True,
+        )
+        assert done.stdout.split() == []
+
+
+class TestBadFloatFlags:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--trials", "3", "--eta", "nan"],
+            ["simulate", "--trials", "3", "--eta", "inf"],
+            ["simulate", "--trials", "3", "--eta", "-2"],
+            ["simulate", "--trials", "3", "--eta", "0"],
+            ["simulate", "--trials", "3", "--assert-tolerance", "-1"],
+            ["simulate", "--trials", "3", "--assert-tolerance", "nan"],
+            ["regions", "--epsilon", "0.1", "--snr-db", "nan"],
+            ["regions", "--epsilon", "nan", "--snr-db", "10"],
+            ["regions", "--epsilon", "0.1", "--snr-db", "5000"],
+            ["theory", "--p-w", "nan"],
+            ["theory", "--snr-db", "inf"],
+            ["theory", "--snr-db", "5000"],
+        ],
+    )
+    def test_is_usage_error(self, argv, capsys):
+        code = run_cli(*argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "error: " in captured.err
+        assert captured.out == ""
+
+    def test_zero_tolerance_is_accepted(self, capsys):
+        # a sample mean never equals the theory mean exactly, so a zero
+        # tolerance passes the flag check (exit 2) and fails the run (exit 1)
+        code = run_cli(
+            "simulate", "--mode", "fixed-unit", "--trials", "10",
+            "--assert-tolerance", "0",
+        )
+        assert code == 1
+        assert "FAIL mean ratio" in capsys.readouterr().err
+
+
 class TestSimulate:
     def test_fixed_unit_reproduces_theory(self, capsys):
         code = run_cli(
@@ -317,6 +376,22 @@ class TestSimulate:
         assert captured.err.startswith("error: ")
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == []
+
+    def test_rician_mode_omits_conditional_variance(self, tmp_path, capsys):
+        # The Gamma variance conditions on one channel; per-trial fading
+        # mixes over channels, so no variance is reported as theory.
+        prefix = str(tmp_path / "run")
+        code = run_cli(
+            "simulate", "--mode", "rician-per-trial", "--trials", "20",
+            "--eta", "1", "--out", prefix,
+        )
+        keys = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()]
+        assert code == 0
+        assert "theory_var" not in keys
+        assert {"theory_mean", "exceedance_freq"} <= set(keys)
+        report = json.loads((tmp_path / "run.report.json").read_text())["report"]
+        assert report["theory_variance"] is None
+        assert report["theory_mean"] > 0
 
     def test_artifacts_are_deterministic(self, tmp_path, capsys):
         prefixes = [str(tmp_path / "a"), str(tmp_path / "b")]

@@ -1,3 +1,4 @@
+import concurrent.futures
 import io
 import math
 import os
@@ -145,7 +146,7 @@ class TestRunTrials:
                 raise AssertionError("a process pool was started")
 
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", NoPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
         plan = fixed_plan(trials=20, seed=14)
         wide = run_trials(plan, workers=64)
         assert np.array_equal(wide.samples, run_trials(plan, workers=1).samples)

@@ -110,13 +110,13 @@ GOLDEN = {
     'simulate-repetition:exit': '0',
     'simulate-repetition:stdout': 'eaa25d404eae012da7620069fbc044871a57898af42573a6e57c13aac9dfcd9f',
     'simulate-rician-l1:exit': '0',
-    'simulate-rician-l1:l1.report.json': '3dc4186d46e2cbcfa9256258f7d4c80c33b5f2bcadcbb84b1a4db17baa6fac25',
+    'simulate-rician-l1:l1.report.json': 'f4d02bb29b7c9afef2606c893a091d712ba89b69855beb5a0d30b50302332ecf',
     'simulate-rician-l1:l1.trials.csv': 'd10f3a7d1117c30163f0442b496ed2f405c0c5dab6c0406914b49843e5c98358',
-    'simulate-rician-l1:stdout': 'ce39478868bb1397a23e84ec78bd1256fbad7d96d67dc42e6fd9481fd0de71de',
+    'simulate-rician-l1:stdout': 'ebfeb7f19be7899e629b5e892bc40ed44a782865aa12ffa994ee67568bb83936',
     'simulate-rician:exit': '0',
-    'simulate-rician:ri.report.json': '0b02317a91e3365adb1c1012e1c5922eb988b5a1477000804a2a58b6dc7a20c3',
+    'simulate-rician:ri.report.json': 'b5ced79eaf6468353f8001827f602aa1439883d8b1ddc5d862081b788fd7505a',
     'simulate-rician:ri.trials.csv': 'e784cd507c91501fc897babab2395bab6898a662f1240bd75806ba2f267ae7fb',
-    'simulate-rician:stdout': 'abb3ee0918540d06fdb5db8cc7282a0618845e5579226d69409dac8da5a267d6',
+    'simulate-rician:stdout': 'a88f56d390f152fd916934677f53a38912bf4580a7a2183edb717eeedc0b1159',
     'theory:exit': '0',
     'theory:stdout': '6f1d3933c8f13fbf92b44fa26b04266d1d5526d911e3d60a82170f89b9a06dee',
 }
