@@ -3,7 +3,6 @@
 from .analysis import (
     Criterion,
     GammaParams,
-    RegionReport,
     chernoff_tail,
     epsilon_delta_rate_bound,
     epsilon_rate_bound,

@@ -48,18 +48,6 @@ class GammaParams:
         return self.shape * self.scale**2
 
 
-@dataclass(frozen=True)
-class RegionReport:
-    """Maximal admissible coding rate under one accuracy criterion."""
-
-    criterion: Criterion
-    epsilon: float
-    r_max: float
-    delta: float | None = None
-    eta: float | None = None
-    l_min: int | None = None
-
-
 def _require_positive(**values) -> None:
     for name, value in values.items():
         if value <= 0:
@@ -94,8 +82,8 @@ def epsilon_rate_bound(
     """Largest rate with expected distortion at most epsilon (capped at 1).
 
     The asymptotic criterion (realized distortion concentrating below
-    epsilon as the blocklength grows) yields the identical value; callers
-    tag which guarantee they certify via ``region_report``.
+    epsilon as the blocklength grows) yields the identical value; the rate
+    region sweep reports it once under each criterion.
     """
     _require_positive(epsilon=epsilon, rho_x=rho_x, min_gain=min_gain, p_w=p_w)
     return min(1.0, epsilon * rho_x * min_gain / p_w)
@@ -156,29 +144,3 @@ def sample_general_mse(spectrum, rho: float, rng: Rng) -> float:
     z = rng.gen.exponential(scale=1.0, size=lam.size)
     return float(np.sum(z / lam) / (rho * lam.size))
 
-
-def region_report(
-    criterion: Criterion,
-    epsilon: float,
-    rho_x: float,
-    min_gain: float,
-    p_w: float,
-    delta: float | None = None,
-    eta: float | None = None,
-) -> RegionReport:
-    """Evaluate one criterion's rate bound and package it for reporting."""
-    criterion = Criterion(criterion)
-    if criterion is Criterion.EPSILON_DELTA:
-        if delta is None or eta is None:
-            raise ValueError("the probabilistic criterion needs delta and eta")
-        r_max = epsilon_delta_rate_bound(epsilon, eta, rho_x, min_gain, p_w)
-        return RegionReport(
-            criterion=criterion,
-            epsilon=epsilon,
-            r_max=r_max,
-            delta=delta,
-            eta=eta,
-            l_min=min_source_length(delta, eta),
-        )
-    r_max = epsilon_rate_bound(epsilon, rho_x, min_gain, p_w)
-    return RegionReport(criterion=criterion, epsilon=epsilon, r_max=r_max)

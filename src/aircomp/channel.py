@@ -30,7 +30,7 @@ from .errors import (
     ShapeMismatch,
     ZeroChannel,
 )
-from .numerics import Rng, sample_complex_gaussian
+from .numerics import Rng, exact_int, sample_complex_gaussian
 
 DEFAULT_MIN_GAIN_FLOOR = 1e-6
 
@@ -86,11 +86,12 @@ class SystemConfig:
             raise ValueError("need at least one user")
         if self.l < 1 or self.l_tilde < self.l:
             raise ValueError("need l_tilde >= l >= 1")
-        for name in ("p_w", "n0", "p_x"):
+        for name in ("p_w", "n0", "p_x", "rician_kappa_db", "min_gain_floor"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        for name in ("p_w", "n0", "p_x", "min_gain_floor"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if self.min_gain_floor <= 0:
-            raise ValueError("min_gain_floor must be positive")
 
     @property
     def rate(self) -> float:
@@ -125,15 +126,15 @@ class SystemConfig:
             )
         n0 = float(blob["n0"])
         return cls(
-            k_users=int(blob["k_users"]),
-            l=int(blob["l"]),
-            l_tilde=int(blob["l_tilde"]),
+            k_users=exact_int(blob["k_users"], "k_users"),
+            l=exact_int(blob["l"], "l"),
+            l_tilde=exact_int(blob["l_tilde"], "l_tilde"),
             p_w=float(blob["p_w"]),
             n0=n0,
             p_x=n0 * db_to_linear(float(blob["snr_db"])),
             rician_kappa_db=float(blob["rician_kappa_db"]),
             min_gain_floor=float(blob["min_gain_floor"]),
-            master_seed=int(blob["master_seed"]),
+            master_seed=exact_int(blob["master_seed"], "master_seed"),
         )
 
     def to_json(self) -> dict:

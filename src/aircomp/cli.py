@@ -23,18 +23,12 @@ from . import analysis, coding, experiments
 from .channel import SystemConfig, all_ones_channel, db_to_linear
 from .coding import Construction
 from .errors import AirCompError
-from .experiments import ChannelMode, ExperimentPlan
+from .experiments import ChannelMode, ExperimentPlan, format_field
 from .numerics import Rng
 
 _VALIDATE_STREAM = experiments.stream_id(experiments._STREAM_VALIDATE)
 
 ORTHONORMAL_TOLERANCE = 1e-10
-
-
-def _fmt(x) -> str:
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return f"{float(x):.12g}"
 
 
 def _fail(message: str) -> int:
@@ -58,37 +52,43 @@ def _finite_float(text: str) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _print_validation(report: coding.ValidationReport) -> None:
-    print(f"power_ok: {str(report.power_ok).lower()}")
-    print(
-        f"rank_ok: {str(report.rank_ok).lower()} "
-        f"({report.rank_mode.value}, {report.subsets_checked} subsets, "
-        f"worst ratio {_fmt(report.worst_min_singular_ratio)})"
-    )
-    print("gram_spectrum: " + " ".join(_fmt(x) for x in report.gram_spectrum))
-
-
-def cmd_construct(args) -> int:
-    if args.l < 1 or args.l_tilde < args.l:
-        return _fail(f"need --l-tilde >= --l >= 1, got ({args.l_tilde}, {args.l})")
+def _validate(enc: coding.EncodingMatrix, args) -> coding.ValidationReport:
+    """Row-subset check under --seed, --max-exhaustive and --samples."""
     if args.samples < 1:
-        return _fail("--samples must be at least 1")
-    rng = Rng(args.seed)
-    enc = coding.construct_random_orthonormal(args.l_tilde, args.l, rng)
-    report = coding.validate(
+        raise ValueError("--samples must be at least 1")
+    return coding.validate(
         enc,
         max_exhaustive_subsets=args.max_exhaustive,
         sample_count=args.samples,
         rng=Rng(args.seed, _VALIDATE_STREAM),
     )
+
+
+def _print_shape(enc: coding.EncodingMatrix) -> None:
+    print(f"shape: {enc.l_tilde}x{enc.l}")
+    print(f"rate: {format_field(enc.rate)}")
+    print(f"trace: {format_field(float(np.trace(enc.gram).real))}")
+
+
+def _print_validation(report: coding.ValidationReport) -> None:
+    print(f"power_ok: {str(report.power_ok).lower()}")
+    print(
+        f"rank_ok: {str(report.rank_ok).lower()} "
+        f"({report.rank_mode.value}, {report.subsets_checked} subsets, "
+        f"worst ratio {format_field(report.worst_min_singular_ratio)})"
+    )
+    print("gram_spectrum: " + " ".join(map(format_field, report.gram_spectrum)))
+
+
+def cmd_construct(args) -> int:
+    enc = coding.construct_random_orthonormal(args.l_tilde, args.l, Rng(args.seed))
+    report = _validate(enc, args)
     gram_error = float(np.max(np.abs(enc.gram - np.eye(enc.l))))
     coding.save_matrix(enc, args.out)
 
-    print(f"shape: {enc.l_tilde}x{enc.l}")
-    print(f"rate: {_fmt(enc.rate)}")
-    print(f"trace: {_fmt(float(np.trace(enc.gram).real))}")
+    _print_shape(enc)
     verdict = "ok" if gram_error < ORTHONORMAL_TOLERANCE else "FAILED"
-    print(f"orthonormal: {verdict} (max deviation {_fmt(gram_error)})")
+    print(f"orthonormal: {verdict} (max deviation {format_field(gram_error)})")
     _print_validation(report)
     print(f"wrote {args.out}")
     if args.strict and not (report.ok and gram_error < ORTHONORMAL_TOLERANCE):
@@ -97,18 +97,9 @@ def cmd_construct(args) -> int:
 
 
 def cmd_check(args) -> int:
-    if args.samples < 1:
-        return _fail("--samples must be at least 1")
     enc = coding.load_matrix(args.matrix)
-    report = coding.validate(
-        enc,
-        max_exhaustive_subsets=args.max_exhaustive,
-        sample_count=args.samples,
-        rng=Rng(args.seed, _VALIDATE_STREAM),
-    )
-    print(f"shape: {enc.l_tilde}x{enc.l}")
-    print(f"rate: {_fmt(enc.rate)}")
-    print(f"trace: {_fmt(float(np.trace(enc.gram).real))}")
+    report = _validate(enc, args)
+    _print_shape(enc)
     _print_validation(report)
     if args.strict and not report.ok:
         return 1
@@ -121,10 +112,6 @@ def cmd_check(args) -> int:
 
 
 def cmd_theory(args) -> int:
-    if args.l < 1 or args.l_tilde < args.l:
-        return _fail(f"need --l-tilde >= --l >= 1, got ({args.l_tilde}, {args.l})")
-    if args.p_w <= 0 or args.min_gain <= 0:
-        return _fail("--p-w and --min-gain must be positive")
     enc = None if args.matrix is None else coding.load_matrix(args.matrix)
     if enc is not None and (enc.l_tilde, enc.l) != (args.l_tilde, args.l):
         return _fail(
@@ -132,44 +119,33 @@ def cmd_theory(args) -> int:
             f"--l-tilde/--l ({args.l_tilde}, {args.l})"
         )
     rho_x = db_to_linear(args.snr_db)
-    rate = args.l / args.l_tilde
+    # Every value is computed before the first line is printed, so a
+    # rejected input leaves stdout empty.
     params = analysis.optimal_mse_gamma(
         args.l, args.l_tilde, args.p_w, rho_x, args.min_gain
     )
-    print(f"rate: {_fmt(rate)}")
-    print(f"rho_x: {_fmt(rho_x)}")
-    print(f"gamma_opt: {_fmt(analysis.gamma_opt(rate, args.p_w, rho_x, args.min_gain))}")
-    print(f"gamma_shape: {_fmt(params.shape)}")
-    print(f"gamma_scale: {_fmt(params.scale)}")
-    print(f"gamma_mean: {_fmt(params.mean)}")
-    print(f"gamma_variance: {_fmt(params.variance)}")
+    rate = args.l / args.l_tilde
+    lines = {
+        "rate": rate,
+        "rho_x": rho_x,
+        "gamma_opt": analysis.gamma_opt(rate, args.p_w, rho_x, args.min_gain),
+        "gamma_shape": params.shape,
+        "gamma_scale": params.scale,
+        "gamma_mean": params.mean,
+        "gamma_variance": params.variance,
+    }
     if enc is not None:
         rho_star = rho_x * args.min_gain / (enc.rate * args.p_w)
-        spectrum = coding.gram_spectrum(enc)
-        print("spectrum: " + " ".join(_fmt(x) for x in spectrum))
-        print(
-            "expected_mse: "
-            + _fmt(coding.theoretical_mse_expectation(enc, rho_star))
-        )
+        lines["spectrum"] = " ".join(map(format_field, coding.gram_spectrum(enc)))
+        lines["expected_mse"] = coding.theoretical_mse_expectation(enc, rho_star)
+    for name, value in lines.items():
+        print(f"{name}: {format_field(value)}")
     return 0
 
 
 def cmd_regions(args) -> int:
-    if args.epsilon <= 0:
-        return _fail("--epsilon must be positive")
-    if not 0 < args.delta < 1:
-        return _fail("--delta must lie in (0, 1)")
-    if args.eta <= 0:
-        return _fail("--eta must be positive")
-    if args.p_w <= 0 or args.min_gain <= 0:
-        return _fail("--p-w and --min-gain must be positive")
     rows = experiments.sweep_rate_regions(
-        args.epsilon,
-        args.delta,
-        args.eta,
-        args.snr_db,
-        p_w=args.p_w,
-        min_gain=args.min_gain,
+        args.epsilon, args.delta, args.eta, args.snr_db, args.p_w, args.min_gain
     )
     experiments.write_rows(rows, sys.stdout)
     return 0
@@ -181,8 +157,6 @@ def cmd_regions(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    if args.trials < 1:
-        return _fail("--trials must be at least 1")
     if args.threads < 1:
         return _fail("--threads must be at least 1")
     if args.eta is not None and args.eta <= 0:
@@ -212,16 +186,16 @@ def cmd_simulate(args) -> int:
     ratio = report.mean / report.theory_mean
 
     print(f"trials: {ts.samples.size}")
-    print(f"mean_mse: {_fmt(report.mean)}")
-    print(f"theory_mean: {_fmt(report.theory_mean)}")
-    print(f"mean_ratio: {_fmt(ratio)}")
-    print(f"var_mse: {_fmt(report.variance)}")
+    print(f"mean_mse: {format_field(report.mean)}")
+    print(f"theory_mean: {format_field(report.theory_mean)}")
+    print(f"mean_ratio: {format_field(ratio)}")
+    print(f"var_mse: {format_field(report.variance)}")
     if report.theory_variance is not None:
-        print(f"theory_var: {_fmt(report.theory_variance)}")
+        print(f"theory_var: {format_field(report.theory_variance)}")
     if report.ks_statistic is not None:
-        print(f"ks_statistic: {_fmt(report.ks_statistic)}")
+        print(f"ks_statistic: {format_field(report.ks_statistic)}")
     if report.exceedance_freq is not None:
-        print(f"exceedance_freq: {_fmt(report.exceedance_freq)}")
+        print(f"exceedance_freq: {format_field(report.exceedance_freq)}")
 
     if args.out:
         experiments.write_trials_csv(ts, args.out + ".trials.csv")
@@ -233,7 +207,8 @@ def cmd_simulate(args) -> int:
 
     if args.assert_tolerance is not None and abs(ratio - 1.0) > args.assert_tolerance:
         print(
-            f"FAIL mean ratio {_fmt(ratio)} outside +-{_fmt(args.assert_tolerance)}",
+            f"FAIL mean ratio {format_field(ratio)} outside "
+            f"+-{format_field(args.assert_tolerance)}",
             file=sys.stderr,
         )
         return 1
@@ -283,9 +258,8 @@ def cmd_dist_test(args) -> int:
         freq = float(np.mean(ts_big.samples >= (1.0 + eta) * report.theory_mean))
         bound = analysis.chernoff_tail(config.l, eta)
         slack = 3.0 * math.sqrt(max(freq * (1 - freq), 1e-12) / ts_big.samples.size)
-        checks.append(
-            (f"chernoff-eta-{_fmt(eta)}", freq, bound + slack, freq <= bound + slack)
-        )
+        name = f"chernoff-eta-{format_field(eta)}"
+        checks.append((name, freq, bound + slack, freq <= bound + slack))
 
     ortho_stat = experiments.oracle_equivalence_test(
         ts.enc,
@@ -312,8 +286,8 @@ def cmd_dist_test(args) -> int:
     for name, stat, critical, ok in checks:
         all_ok &= ok
         print(
-            f"{'PASS' if ok else 'FAIL'} {name}: statistic={_fmt(stat)} "
-            f"critical={_fmt(critical)}"
+            f"{'PASS' if ok else 'FAIL'} {name}: statistic={format_field(stat)} "
+            f"critical={format_field(critical)}"
         )
     return 0 if all_ok else 1
 

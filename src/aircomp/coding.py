@@ -27,6 +27,7 @@ from .errors import InvalidShape, RankDeficient
 from .numerics import (
     RANK_TOLERANCE,
     Rng,
+    exact_int,
     hermitian_eigenvalues,
     pseudo_inverse,
     qr_orthonormal,
@@ -206,14 +207,13 @@ def validate(
         worst = min(worst, float(ratios.min()))
     rank_ok = worst > RANK_TOLERANCE
 
-    spectrum = hermitian_eigenvalues(enc.gram)
     return ValidationReport(
         power_ok=power_ok,
         rank_mode=mode,
         subsets_checked=count,
         rank_ok=rank_ok,
         worst_min_singular_ratio=worst,
-        gram_spectrum=[float(x) for x in spectrum],
+        gram_spectrum=gram_spectrum(enc).tolist(),
     )
 
 
@@ -273,7 +273,8 @@ def load_matrix(path) -> EncodingMatrix:
     with open(path, "r", encoding="utf-8") as fh:
         blob = json.load(fh)
     try:
-        rows, cols = int(blob["rows"]), int(blob["cols"])
+        rows = exact_int(blob["rows"], "rows")
+        cols = exact_int(blob["cols"], "cols")
         re, im = blob["re"], blob["im"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed matrix file {path}: {exc}") from exc

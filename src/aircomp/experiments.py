@@ -269,9 +269,8 @@ def theory_for_trials(ts: TrialSet) -> GammaParams:
     and the Gamma shape is only a proxy.
     """
     enc = ts.enc
-    spectrum = coding.gram_spectrum(enc)
-    inverse_trace = float(np.sum(1.0 / spectrum) / enc.l)
-    mean = inverse_trace * ts.plan.config.n0 * float(np.mean(1.0 / ts.p_used))
+    unit_snr_mean = coding.theoretical_mse_expectation(enc, 1.0)
+    mean = unit_snr_mean * ts.plan.config.n0 * float(np.mean(1.0 / ts.p_used))
     return GammaParams(shape=float(enc.l), scale=mean / enc.l)
 
 
@@ -304,14 +303,14 @@ def _sweep_row(plan: ExperimentPlan, workers: int, **fields) -> dict:
     return row
 
 
-def _integral_blocklength(l: float, rate: float) -> int:
-    l_tilde = l / rate
-    if abs(l_tilde - round(l_tilde)) > 1e-9:
+def _integral_blocklength(l: float, l_tilde: float) -> tuple[int, int]:
+    """Source and codeword lengths as ints; both must be whole within 1e-9."""
+    if max(abs(n - round(n)) for n in (l, l_tilde)) > 1e-9:
         raise NonIntegralBlocklength(
-            f"rate {rate} does not divide source length {l} into an integer "
-            f"codeword length"
+            f"source length {l} and codeword length {l_tilde} must both be "
+            f"integers"
         )
-    return int(round(l_tilde))
+    return int(round(l)), int(round(l_tilde))
 
 
 def sweep_mse_vs_snr(
@@ -332,7 +331,7 @@ def sweep_mse_vs_snr(
         for scheme, rate in schemes:
             config = replace(
                 base.config,
-                l_tilde=_integral_blocklength(base.config.l, rate),
+                l_tilde=_integral_blocklength(base.config.l, base.config.l / rate)[1],
                 p_x=base.config.n0 * channel.db_to_linear(snr_db),
             )
             plan = replace(base, config=config)
@@ -361,27 +360,30 @@ def sweep_rate_regions(
     p_w: float = 1.0,
     min_gain: float = 1.0,
 ) -> list[dict]:
-    """Rate-region boundaries per criterion over an SNR grid (min gain 1)."""
+    """Rate-region boundaries per criterion over an SNR grid.
+
+    The expected-distortion and asymptotic criteria share one bound; only
+    the probabilistic row carries a source length, the smallest that meets
+    its tail bound.
+    """
+    l_min = analysis.min_source_length(delta, eta)
     rows = []
     for snr_db in snr_db_values:
         rho_x = channel.db_to_linear(snr_db)
-        for criterion in Criterion:
-            report = analysis.region_report(
-                criterion,
-                epsilon,
-                rho_x,
-                min_gain,
-                p_w,
-                delta=delta if criterion is Criterion.EPSILON_DELTA else None,
-                eta=eta if criterion is Criterion.EPSILON_DELTA else None,
-            )
+        r_eps = analysis.epsilon_rate_bound(epsilon, rho_x, min_gain, p_w)
+        r_delta = analysis.epsilon_delta_rate_bound(epsilon, eta, rho_x, min_gain, p_w)
+        for criterion, rate, l in (
+            (Criterion.EPSILON, r_eps, None),
+            (Criterion.EPSILON_ASYMPTOTIC, r_eps, None),
+            (Criterion.EPSILON_DELTA, r_delta, l_min),
+        ):
             row = _blank_row()
             row.update(
                 experiment="rate_regions",
                 snr_db=float(snr_db),
-                rate=report.r_max,
-                scheme=report.criterion.value,
-                l=report.l_min,
+                rate=rate,
+                scheme=criterion.value,
+                l=l,
             )
             rows.append(row)
     return rows
@@ -401,13 +403,8 @@ def sweep_blocklength(
     rate = base.config.rate
     rows = []
     for l_tilde in l_tilde_values:
-        l = rate * l_tilde
-        if abs(l - round(l)) > 1e-9:
-            raise NonIntegralBlocklength(
-                f"codeword length {l_tilde} at rate {rate} implies "
-                f"non-integer source length {l}"
-            )
-        config = replace(base.config, l=int(round(l)), l_tilde=int(l_tilde))
+        l, l_tilde = _integral_blocklength(rate * l_tilde, l_tilde)
+        config = replace(base.config, l=l, l_tilde=l_tilde)
         rows.append(
             _sweep_row(
                 replace(base, config=config),
@@ -466,11 +463,12 @@ def oracle_equivalence_test(
 # ---------------------------------------------------------------------------
 
 
-# One precision for every float written to a CSV.
+# One precision for every float written to a CSV or printed by the CLI.
 _format_float = "{:.12g}".format
 
 
-def _format_field(value) -> str:
+def format_field(value) -> str:
+    """A CSV field or printed number: None empty, integers exact."""
     if value is None:
         return ""
     if isinstance(value, str):
@@ -487,7 +485,7 @@ def write_rows(rows, fh) -> None:
         unknown = set(row) - set(CSV_HEADER)
         if unknown:
             raise ValueError(f"row carries unknown fields {sorted(unknown)}")
-        writer.writerow([_format_field(row.get(key)) for key in CSV_HEADER])
+        writer.writerow([format_field(row.get(key)) for key in CSV_HEADER])
 
 
 def write_csv(rows, path) -> None:

@@ -2,8 +2,9 @@
 
 Domain-free building blocks: seeded random streams, orthonormalization,
 spectra, pseudo-inverses, circularly symmetric Gaussian sampling, the
-regularized lower incomplete gamma function, and a one-sample
-Kolmogorov-Smirnov statistic. All matrix routines operate on complex128
+regularized lower incomplete gamma function, a one-sample
+Kolmogorov-Smirnov statistic, and the rule for counts read from input
+files. All matrix routines operate on complex128
 numpy arrays; callers own the domain semantics of rows and columns.
 """
 
@@ -257,3 +258,12 @@ def ks_distance(
     d_plus = np.max(steps - f)
     d_minus = np.max(f - (steps - 1.0 / n))
     return float(max(d_plus, d_minus, 0.0))
+
+
+def exact_int(value, name: str) -> int:
+    """``value`` as an int; bools, fractions and non-numbers raise ValueError."""
+    if isinstance(value, bool) or not (
+        isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    ):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)

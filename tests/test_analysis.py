@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aircomp.analysis import (
-    Criterion,
     GammaParams,
     chernoff_tail,
     epsilon_delta_rate_bound,
@@ -15,7 +14,6 @@ from aircomp.analysis import (
     gamma_opt,
     min_source_length,
     optimal_mse_gamma,
-    region_report,
     sample_general_mse,
 )
 from aircomp.numerics import Rng, ks_distance
@@ -220,24 +218,3 @@ class TestSampleGeneralMse:
         with pytest.raises(ValueError):
             sample_general_mse([1.0], 0.0, Rng(54))
 
-
-class TestRegionReport:
-    def test_expected_distortion_criteria_share_the_bound(self):
-        a = region_report(Criterion.EPSILON, 0.02, 10**1.5, 1.0, 1.0)
-        b = region_report(Criterion.EPSILON_ASYMPTOTIC, 0.02, 10**1.5, 1.0, 1.0)
-        assert a.r_max == b.r_max
-        assert a.criterion is Criterion.EPSILON
-        assert b.criterion is Criterion.EPSILON_ASYMPTOTIC
-        assert a.l_min is None
-
-    def test_probabilistic_report_carries_all_fields(self):
-        report = region_report(
-            Criterion.EPSILON_DELTA, 0.02, 10**1.5, 1.0, 1.0, delta=0.2, eta=1.0
-        )
-        assert report.r_max == pytest.approx(0.31622776601683794)
-        assert report.l_min == 6
-        assert report.delta == 0.2 and report.eta == 1.0
-
-    def test_probabilistic_report_requires_parameters(self):
-        with pytest.raises(ValueError):
-            region_report(Criterion.EPSILON_DELTA, 0.02, 10.0, 1.0, 1.0)

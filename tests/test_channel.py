@@ -93,6 +93,14 @@ class TestSystemConfig:
         with pytest.raises(ValueError):
             SystemConfig(p_w=0.0)
 
+    @pytest.mark.parametrize(
+        "name", ["p_w", "n0", "p_x", "rician_kappa_db", "min_gain_floor"]
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_float_fields_must_be_finite(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            SystemConfig(**{name: value})
+
 
 class TestChannelRealization:
     def test_from_coefficients(self):

@@ -33,6 +33,16 @@ def count_calls(monkeypatch, module, name):
     return calls
 
 
+def assert_usage_error_before_output(capsys, code, *paths):
+    """Exit 2 with an ``error:`` line, nothing on stdout, no file written."""
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""
+    for path in paths:
+        assert not os.path.exists(path)
+
+
 class TestConstruct:
     def test_writes_matrix_and_reports_ok(self, tmp_path, capsys):
         out = tmp_path / "phi.json"
@@ -53,12 +63,11 @@ class TestConstruct:
         run_cli("construct", "--l", "4", "--l-tilde", "8", "--seed", "3", "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
 
-    def test_wide_shape_is_usage_error(self, tmp_path):
-        code = run_cli(
-            "construct", "--l", "5", "--l-tilde", "4",
-            "--out", str(tmp_path / "x.json"),
-        )
-        assert code == 2
+    def test_wide_shape_is_usage_error(self, tmp_path, capsys):
+        # rejected by construct_random_orthonormal, not by the CLI
+        out = tmp_path / "x.json"
+        code = run_cli("construct", "--l", "5", "--l-tilde", "4", "--out", str(out))
+        assert_usage_error_before_output(capsys, code, out)
 
     def test_zero_samples_is_usage_error(self, tmp_path, capsys):
         code = run_cli(
@@ -110,6 +119,16 @@ class TestCheck:
         assert run_cli("check", "--matrix", str(path), "--samples", "0") == 2
         assert capsys.readouterr().err.startswith("error: --samples")
 
+    # int() would read each as a valid shape: 2x2 and 2x1
+    @pytest.mark.parametrize("rows, cols", [(2.5, 2), (2, True)])
+    def test_non_integral_shape_is_usage_error(self, tmp_path, capsys, rows, cols):
+        path = tmp_path / "phi.json"
+        n = int(rows) * int(cols)
+        blob = {"rows": rows, "cols": cols, "re": [1.0] * n, "im": [0.0] * n}
+        path.write_text(json.dumps(blob))
+        code = run_cli("check", "--matrix", str(path))
+        assert_usage_error_before_output(capsys, code)
+
 
 class TestTheory:
     def test_reference_values(self, capsys):
@@ -160,6 +179,29 @@ class TestTheory:
         assert captured.err.startswith("error: ")
 
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--l", "5", "--l-tilde", "4"],
+            ["--l", "0", "--l-tilde", "0"],
+            ["--p-w", "0"],
+            ["--min-gain", "-1"],
+        ],
+    )
+    def test_library_range_error_is_usage_error_before_output(self, capsys, flags):
+        # optimal_mse_gamma owns these checks
+        assert_usage_error_before_output(capsys, run_cli("theory", *flags))
+
+    def test_rank_deficient_matrix_is_usage_error_before_output(
+        self, tmp_path, capsys
+    ):
+        path = tmp_path / "phi.json"
+        blob = {"rows": 2, "cols": 2, "re": [1.0, 0.0, 1.0, 0.0], "im": [0.0] * 4}
+        path.write_text(json.dumps(blob))
+        code = run_cli("theory", "--l", "2", "--l-tilde", "2", "--matrix", str(path))
+        assert_usage_error_before_output(capsys, code)
+
+
 class TestRegions:
     def test_reference_rows(self, capsys):
         code = run_cli(
@@ -181,10 +223,26 @@ class TestRegions:
         for line in out.splitlines()[1:]:
             assert line.split(",")[2] == "1"
 
-    def test_bad_delta_is_usage_error(self):
-        assert run_cli(
+    def test_bad_delta_is_usage_error(self, capsys):
+        code = run_cli(
             "regions", "--epsilon", "0.02", "--delta", "1.5", "--snr-db", "15"
-        ) == 2
+        )
+        assert_usage_error_before_output(capsys, code)
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--epsilon", "0"],
+            ["--epsilon", "0.02", "--delta", "0"],
+            ["--epsilon", "0.02", "--eta", "0"],
+            ["--epsilon", "0.02", "--p-w", "0"],
+            ["--epsilon", "0.02", "--min-gain", "-1"],
+        ],
+    )
+    def test_library_range_error_is_usage_error_before_output(self, capsys, flags):
+        # sweep_rate_regions validates every value before a row is written
+        code = run_cli("regions", *flags, "--snr-db", "0", "15")
+        assert_usage_error_before_output(capsys, code)
 
 
 class TestImports:
@@ -253,8 +311,13 @@ class TestSimulate:
         assert "theory_mean: 0.05" in out
         assert "mean_ratio:" in out
 
-    def test_zero_trials_is_usage_error(self):
-        assert run_cli("simulate", "--trials", "0") == 2
+    def test_zero_trials_is_usage_error(self, tmp_path, capsys):
+        # ExperimentPlan rejects it before any output file is opened
+        prefix = str(tmp_path / "run")
+        code = run_cli("simulate", "--trials", "0", "--out", prefix)
+        assert_usage_error_before_output(
+            capsys, code, prefix + ".trials.csv", prefix + ".report.json"
+        )
 
     def test_config_file_and_artifacts(self, tmp_path, capsys):
         config = {
@@ -276,6 +339,37 @@ class TestSimulate:
         lines = (tmp_path / "run.trials.csv").read_text().splitlines()
         assert lines[0] == "trial,distortion,min_gain,p_used"
         assert len(lines) == 51
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("snr_db", float("nan")),
+            ("rician_kappa_db", float("nan")),
+            ("p_w", float("inf")),
+            ("k_users", 2.7),
+            ("l_tilde", 10.9),
+            ("master_seed", 1.5),
+            ("k_users", True),
+        ],
+    )
+    def test_bad_config_number_fails_before_outputs_exist(
+        self, tmp_path, capsys, key, value
+    ):
+        config = {
+            "k_users": 4, "l": 2, "l_tilde": 4, "p_w": 1.0, "n0": 1.0,
+            "snr_db": 10.0, "rician_kappa_db": 5.0, "min_gain_floor": 1e-6,
+            "master_seed": 9, key: value,
+        }
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(config))
+        prefix = str(tmp_path / "run")
+        code = run_cli(
+            "simulate", "--config", str(cfg_path), "--trials", "5",
+            "--mode", "fixed-from-seed", "--out", prefix,
+        )
+        assert_usage_error_before_output(
+            capsys, code, prefix + ".trials.csv", prefix + ".report.json"
+        )
 
     def test_custom_matrix_is_loaded_once(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "phi.json"

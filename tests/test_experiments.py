@@ -390,6 +390,26 @@ class TestSweepRateRegions:
         rows = sweep_rate_regions(1e9, 0.2, 1.0, [10.0])
         assert all(r["rate"] == 1.0 for r in rows)
 
+    def test_expected_distortion_criteria_share_the_bound(self):
+        rows = sweep_rate_regions(0.02, 0.2, 1.0, [0.0, 15.0])
+        for snr in (0.0, 15.0):
+            at_snr = {r["scheme"]: r for r in rows if r["snr_db"] == snr}
+            assert at_snr["epsilon"]["rate"] == at_snr["epsilon_asymptotic"]["rate"]
+            assert at_snr["epsilon"]["l"] is None
+            assert at_snr["epsilon_asymptotic"]["l"] is None
+
+    @pytest.mark.parametrize("delta, eta", [(0.2, 1.0), (0.01, 0.25), (0.5, 4.0)])
+    def test_probabilistic_row_carries_min_source_length(self, delta, eta):
+        (row,) = [
+            r for r in sweep_rate_regions(0.02, delta, eta, [15.0])
+            if r["scheme"] == "epsilon_delta"
+        ]
+        assert row["l"] == analysis.min_source_length(delta, eta)
+        rho_x = channel.db_to_linear(15.0)
+        assert row["rate"] == analysis.epsilon_delta_rate_bound(
+            0.02, eta, rho_x, 1.0, 1.0
+        )
+
     def test_l_min_is_snr_independent(self):
         rows = sweep_rate_regions(0.02, 0.2, 1.0, [0.0, 15.0, 30.0])
         l_mins = {r["l"] for r in rows if r["scheme"] == "epsilon_delta"}
