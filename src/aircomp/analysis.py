@@ -103,11 +103,17 @@ def min_source_length(delta: float, eta: float) -> int:
     """Smallest source dimension making the tail bound at slack eta <= delta.
 
     Ceiling of ln(1/delta) / (eta - ln(1 + eta)), clamped to at least 1.
+    Raises ValueError when that ratio exceeds the float range.
     """
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
     _require_positive(eta=eta)
-    bound = math.log(1.0 / delta) / (eta - math.log1p(eta))
+    exponent = _tail_exponent(eta)
+    bound = -math.log(delta) / exponent if exponent > 0 else math.inf
+    if not math.isfinite(bound):
+        raise ValueError(
+            f"the source length for delta={delta}, eta={eta} exceeds the float range"
+        )
     return max(1, math.ceil(bound))
 
 
@@ -118,7 +124,29 @@ def chernoff_tail(shape: float, eta: float) -> float:
     arguments and vacuous (-> 1) as eta -> 0.
     """
     _require_positive(shape=shape, eta=eta)
-    return math.exp(-shape * (eta - math.log1p(eta)))
+    return math.exp(-shape * _tail_exponent(eta))
+
+
+# Below this slack ``eta - log1p(eta)`` loses about 2e-16 / eta of its
+# relative precision to cancellation, so the series takes over; its
+# truncation error there is below 1e-19 relative.
+_TAIL_SERIES_BELOW = 0.1
+_TAIL_SERIES_TERMS = 20
+
+
+def _tail_exponent(eta: float) -> float:
+    """eta - ln(1 + eta), the Chernoff exponent per unit of Gamma shape.
+
+    Direct from eta = 0.1 on (so those values keep their exact bits);
+    below it, the alternating series eta^2/2 - eta^3/3 + ... in Horner
+    form, which stays accurate down to eta^2 underflowing to zero.
+    """
+    if eta >= _TAIL_SERIES_BELOW:
+        return eta - math.log1p(eta)
+    acc = 0.0
+    for k in range(_TAIL_SERIES_TERMS, 1, -1):
+        acc = 1.0 / k - eta * acc
+    return eta * eta * acc
 
 
 def gamma_cdf(params: GammaParams, x: float) -> float:
@@ -138,9 +166,9 @@ def sample_general_mse(spectrum, rho: float, rng: Rng) -> float:
     lam = np.asarray(spectrum, dtype=float)
     if lam.ndim != 1 or lam.size < 1:
         raise ValueError("spectrum must be a nonempty vector")
-    if np.any(lam <= 0):
+    if (lam <= 0).any():
         raise ValueError("spectrum entries must be positive")
     _require_positive(rho=rho)
     z = rng.gen.exponential(scale=1.0, size=lam.size)
-    return float(np.sum(z / lam) / (rho * lam.size))
+    return float((z / lam).sum() / (rho * lam.size))
 

@@ -161,16 +161,24 @@ def _run_range(enc, config, fixed, start, stop):
     samples = np.empty(n)
     min_gains = np.empty(n)
     p_used = np.empty(n)
+    if n > 0:
+        # Checking both ends checks every index in between; the loop then
+        # adds each index to its purpose's base key without stream_id.
+        stream_id(_STREAM_TRIAL, start)
+        stream_id(_STREAM_TRIAL, stop - 1)
+    trial_base = stream_id(_STREAM_TRIAL)
+    channel_base = stream_id(_STREAM_CHANNEL)
+    seed = config.master_seed
+    run_round = channel.run_round
+    sample_rician = channel.sample_rician
+    max_power_scaling = channel.max_power_scaling
     ch = fixed
-    p = None if ch is None else channel.max_power_scaling(ch, config)
+    p = None if ch is None else max_power_scaling(ch, config)
     for j, i in enumerate(range(start, stop)):
         if fixed is None:
-            ch = channel.sample_rician(
-                config, Rng(config.master_seed, stream_id(_STREAM_CHANNEL, i))
-            )
-            p = channel.max_power_scaling(ch, config)
-        trial_rng = Rng(config.master_seed, stream_id(_STREAM_TRIAL, i))
-        outcome = channel.run_round(enc, config, ch, p, trial_rng)
+            ch = sample_rician(config, Rng(seed, channel_base + i))
+            p = max_power_scaling(ch, config)
+        outcome = run_round(enc, config, ch, p, Rng(seed, trial_base + i))
         samples[j] = outcome.distortion
         min_gains[j] = ch.min_gain
         p_used[j] = p
@@ -450,10 +458,9 @@ def oracle_equivalence_test(
     spectrum = coding.gram_spectrum(enc)
     rho = channel.max_power_scaling(channel_realization, config) / config.n0
     oracle_rng = Rng(config.master_seed, stream_id(_STREAM_ORACLE))
+    sample = analysis.sample_general_mse
     oracle = np.fromiter(
-        (analysis.sample_general_mse(spectrum, rho, oracle_rng) for _ in range(n)),
-        dtype=float,
-        count=n,
+        (sample(spectrum, rho, oracle_rng) for _ in range(n)), dtype=float, count=n
     )
     return ks_two_sample(pipeline, oracle)
 

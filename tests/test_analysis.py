@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from aircomp.analysis import (
     GammaParams,
+    _tail_exponent,
     chernoff_tail,
     epsilon_delta_rate_bound,
     epsilon_rate_bound,
@@ -124,6 +126,50 @@ class TestMinSourceLength:
         with pytest.raises(ValueError):
             min_source_length(0.2, 0.0)
 
+    def test_subnormal_delta(self):
+        # 1 / delta overflows here; -log(delta) = 736.83, / (1 - ln 2) = 2401.24
+        assert min_source_length(1e-320, 1.0) == 2402
+
+    def test_small_slack_is_exact(self):
+        # -ln(0.2) / (eta - ln(1 + eta)) = 3218877970785.24 at eta = 1e-6;
+        # the direct difference used to give 3218877971214
+        assert min_source_length(0.2, 1e-6) == 3218877970786
+        assert min_source_length(0.2, 1e-20) == math.ceil(
+            -math.log(0.2) / 5e-41
+        )
+
+    @pytest.mark.parametrize("eta", [1e-160, 1e-200, 5e-324])
+    def test_bound_beyond_float_range_is_value_error(self, eta):
+        with pytest.raises(ValueError, match="float range"):
+            min_source_length(0.2, eta)
+
+
+def tail_exponent_reference(eta: float) -> float:
+    """eta - ln(1 + eta) from 60 exact series terms (eta <= 0.5)."""
+    x = Fraction(eta)
+    return float(sum((-1) ** k * x**k / k for k in range(2, 62)))
+
+
+class TestTailExponent:
+    @pytest.mark.parametrize(
+        "eta", [1e-150, 1e-20, 1e-6, 3.3e-3, 0.0999999, 0.1, 0.1000001, 0.37]
+    )
+    def test_matches_exact_series(self, eta):
+        assert _tail_exponent(eta) == pytest.approx(
+            tail_exponent_reference(eta), rel=4e-15
+        )
+
+    @pytest.mark.parametrize("eta", [0.1, 0.5, 1.0, 2.0, 4.0])
+    def test_direct_form_from_threshold_on(self, eta):
+        # the values dist-test, figures 3 and the CLI defaults use keep their bits
+        assert _tail_exponent(eta) == eta - math.log1p(eta)
+
+    def test_chernoff_tail_shares_it(self):
+        eta = 1e-6
+        assert chernoff_tail(2e12, eta) == pytest.approx(
+            math.exp(-2e12 * tail_exponent_reference(eta)), rel=1e-14
+        )
+
 
 class TestChernoffTail:
     def test_reference_point(self):
@@ -211,6 +257,19 @@ class TestSampleGeneralMse:
         )
         expected = np.sum(1.0 / spectrum) / (rho * spectrum.size)
         assert np.mean(samples) == pytest.approx(expected, rel=0.02)
+
+    @pytest.mark.parametrize("size", [1, 2, 5, 40, 1000])
+    def test_bits_equal_previous_expression(self, size):
+        spectrum = Rng(55, size).gen.uniform(0.1, 3.0, size=size)
+        rho = 17.5
+        rng = Rng(56, size)
+        ours = [sample_general_mse(spectrum, rho, rng) for _ in range(3)]
+        rng = Rng(56, size)
+        previous = []
+        for _ in range(3):
+            z = rng.gen.exponential(scale=1.0, size=size)
+            previous.append(float(np.sum(z / spectrum) / (rho * size)))
+        assert ours == previous
 
     def test_domain(self):
         with pytest.raises(ValueError):

@@ -27,7 +27,7 @@ from aircomp.errors import (
     ShapeMismatch,
     ZeroChannel,
 )
-from aircomp.numerics import Rng
+from aircomp.numerics import Rng, sample_complex_gaussian
 
 NEGLIGIBLE_NOISE = 1e-300
 
@@ -294,6 +294,68 @@ class TestDecodeSum:
         enc = construct_identity(3)
         with pytest.raises(ShapeMismatch):
             decode_sum(enc, np.zeros(4), 1.0)
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+class TestMatvecRule:
+    """encode_and_precode and decode_sum give the bits of ``m @ v``.
+
+    They call ``m.dot`` where it makes the same BLAS zgemv call as
+    ``m @ v`` (C-contiguous, both dimensions at least 2) and ``@``
+    elsewhere. The comparisons run on whatever BLAS and SIMD kernels this
+    machine has, so they also check that premise on every CI runner.
+    """
+
+    DRAWS = 50
+
+    def check(self, enc, seed):
+        rng = Rng(seed)
+        h = sample_complex_gaussian(rng, self.DRAWS, 1.0) + 1.0
+        w = sample_complex_gaussian(rng, self.DRAWS * enc.l, 1.0)
+        y = sample_complex_gaussian(rng, self.DRAWS * enc.l_tilde, 1.0)
+        p = 7.3
+        for i in range(self.DRAWS):
+            w_i = w[i * enc.l:(i + 1) * enc.l]
+            y_i = y[i * enc.l_tilde:(i + 1) * enc.l_tilde]
+            expected = (math.sqrt(p) / h[i]) * (enc.phi @ w_i)
+            assert np.array_equal(
+                bits(encode_and_precode(enc, w_i, h[i], p)), bits(expected)
+            )
+            expected = (enc.decoder @ y_i) / math.sqrt(p)
+            assert np.array_equal(bits(decode_sum(enc, y_i, p)), bits(expected))
+
+    @pytest.mark.parametrize("l_tilde, l", [(2, 2), (10, 5), (80, 40), (3, 1)])
+    def test_bits_equal_matmul(self, l_tilde, l):
+        phi = sample_complex_gaussian(Rng(l_tilde, l), l_tilde * l, 1.0)
+        enc = EncodingMatrix(phi.reshape(l_tilde, l))
+        self.check(enc, seed=l_tilde * 100 + l)
+
+    @pytest.mark.parametrize("l_tilde, l", [(2, 2), (10, 5), (80, 40)])
+    def test_dot_where_both_dimensions_reach_two(self, l_tilde, l):
+        enc = construct_random_orthonormal(l_tilde, l, Rng(l_tilde))
+        assert enc.phi_matvec.__name__ == "dot"
+        assert enc.decoder_matvec.__name__ == "dot"
+
+    def test_single_column_keeps_matmul(self):
+        # 3x1 encode, 1x3 decoder: matmul skips zgemv here, so dot would
+        # round differently (the simulate-rician-l1 golden digest)
+        enc = construct_random_orthonormal(3, 1, Rng(38))
+        assert enc.decoder.shape == (1, 3)
+        assert enc.phi_matvec.__name__ == "__matmul__"
+        assert enc.decoder_matvec.__name__ == "__matmul__"
+        self.check(enc, seed=39)
+
+    @pytest.mark.parametrize("layout", ["fortran", "strided"])
+    def test_non_contiguous_phi_keeps_matmul(self, layout):
+        a = sample_complex_gaussian(Rng(40), 10 * 10, 1.0).reshape(10, 10)
+        phi = np.asfortranarray(a[:, :5]) if layout == "fortran" else a[:, ::2]
+        enc = EncodingMatrix(phi)
+        assert not enc.phi.flags.c_contiguous
+        assert enc.phi_matvec.__name__ == "__matmul__"
+        self.check(enc, seed=41)
 
 
 class TestRunRound:

@@ -244,6 +244,21 @@ class TestRegions:
         code = run_cli("regions", *flags, "--snr-db", "0", "15")
         assert_usage_error_before_output(capsys, code)
 
+    def test_subnormal_delta_prints_source_length(self, capsys):
+        code = run_cli(
+            "regions", "--epsilon", "0.02", "--delta", "1e-320", "--snr-db", "0"
+        )
+        out = capsys.readouterr().out
+        assert code == 0
+        row = [line for line in out.splitlines() if "epsilon_delta" in line][0]
+        assert row.split(",")[3] == "2402"
+
+    def test_source_length_beyond_float_range_is_usage_error(self, capsys):
+        code = run_cli(
+            "regions", "--epsilon", "0.02", "--eta", "1e-200", "--snr-db", "0"
+        )
+        assert_usage_error_before_output(capsys, code)
+
 
 class TestImports:
     def test_cli_import_skips_pool_and_numpy_random(self):

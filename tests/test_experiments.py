@@ -233,6 +233,36 @@ class TestTrialLoopCallStructure:
         }
 
 
+class TestTrialRange:
+    @pytest.mark.parametrize(
+        "mode", [ChannelMode.RICIAN_PER_TRIAL, ChannelMode.FIXED_UNIT_MIN_GAIN]
+    )
+    @pytest.mark.parametrize("start, stop", [(2**48, 2**48 + 1), (-1, 1)])
+    def test_index_out_of_range_rejected_before_any_trial(
+        self, monkeypatch, mode, start, stop
+    ):
+        plan = ExperimentPlan(config=SystemConfig(master_seed=3), channel_mode=mode)
+        enc = build_encoding(plan)
+        fixed = experiments.fixed_channel_for(plan)
+        calls = []
+        for name in ("run_round", "sample_rician"):
+            monkeypatch.setattr(channel, name, lambda *a, **k: calls.append(a))
+        with pytest.raises(ValueError, match="stream index out of range"):
+            experiments._run_range(enc, plan.config, fixed, start, stop)
+        assert calls == []
+
+    def test_last_index_in_range_runs(self):
+        plan = fixed_plan(trials=1)
+        enc = build_encoding(plan)
+        fixed = experiments.fixed_channel_for(plan)
+        samples, _, _ = experiments._run_range(
+            enc, plan.config, fixed, 2**48 - 1, 2**48
+        )
+        p = max_power_scaling(fixed, plan.config)
+        rng = Rng(plan.config.master_seed, stream_id(_STREAM_TRIAL, 2**48 - 1))
+        assert samples[0] == run_round(enc, plan.config, fixed, p, rng).distortion
+
+
 class TestSummarize:
     def test_moments_of_synthetic_gamma_samples(self):
         # n0 / p = 1 / 20 at an orthonormal 10x5 code: Gamma(5, 0.01)

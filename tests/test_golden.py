@@ -22,6 +22,8 @@ INPUTS = {
     # l = 1 makes every encode a 3x1 matrix-vector product, where
     # ``phi @ w`` (numpy's own loop) and ``phi.dot(w)`` (BLAS) round
     # differently in the last bits; report.json prints full precision.
+    # It guards the matvec rule (coding._matvec): ``dot`` only where both
+    # dimensions are at least 2 and ``phi`` is C-contiguous.
     "l1.json": json.dumps({
         "k_users": 10, "l": 1, "l_tilde": 3, "p_w": 1.0, "n0": 1.0,
         "snr_db": 10.0, "rician_kappa_db": 5.0, "min_gain_floor": 1e-6,

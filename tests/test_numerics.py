@@ -58,6 +58,20 @@ class TestRng:
             gen.bit_generator.random_raw(8), twin.bit_generator.random_raw(8)
         )
 
+    @pytest.mark.parametrize("seed, stream", [(0, 0), (-1, (5 << 48) + 3)])
+    def test_state_equals_philox_keyed_directly(self, seed, stream):
+        # the constant zero-counter array sets the same state as counter 0
+        key = np.array([seed & U64, stream & U64], dtype=np.uint64)
+        ours = Rng(seed, stream).gen.bit_generator.state
+        twin = np.random.Philox(key=key).state
+        assert ours["state"]["counter"].tolist() == [0, 0, 0, 0]
+        for part in ("counter", "key"):
+            assert np.array_equal(ours["state"][part], twin["state"][part])
+        assert np.array_equal(ours["buffer"], twin["buffer"])
+        assert (ours["buffer_pos"], ours["has_uint32"], ours["uinteger"]) == (
+            twin["buffer_pos"], twin["has_uint32"], twin["uinteger"]
+        )
+
     def test_pickled_stream_resumes(self):
         gen = Rng(3, 4).gen
         gen.standard_normal(5)
@@ -279,6 +293,25 @@ class TestKsDistance:
         ours = ks_distance(samples, lambda x: 1.0 - math.exp(-x))
         theirs = scipy.stats.kstest(samples, scipy.stats.expon.cdf).statistic
         assert ours == pytest.approx(theirs, abs=1e-12)
+
+    def test_cdf_receives_floats_with_float64_result(self):
+        # the incomplete-gamma CDF on Python floats gives the bits it gives
+        # on np.float64 scalars, so the statistic is the float64 one
+        samples = np.sort(Rng(18).gen.gamma(5.0, 0.01, size=2000))
+        seen = set()
+
+        def cdf(x):
+            seen.add(type(x))
+            return regularized_lower_gamma(5.0, x / 0.01)
+
+        ours = ks_distance(samples, cdf)
+        assert seen == {float}
+        f = np.array([regularized_lower_gamma(5.0, x / 0.01) for x in samples])
+        steps = np.arange(1, samples.size + 1) / samples.size
+        expected = max(
+            np.max(steps - f), np.max(f - (steps - 1.0 / samples.size)), 0.0
+        )
+        assert ours == float(expected)
 
     def test_empty_rejected(self):
         with pytest.raises(EmptySample):
