@@ -2,14 +2,10 @@
 
 from .analysis import (
     Criterion,
-    GammaParams,
+    DistortionLaw,
     chernoff_tail,
-    epsilon_delta_rate_bound,
     epsilon_rate_bound,
-    gamma_cdf,
-    gamma_opt,
     min_source_length,
-    optimal_mse_gamma,
     sample_general_mse,
 )
 from .channel import (
@@ -32,10 +28,10 @@ from .coding import (
     construct_identity,
     construct_random_orthonormal,
     construct_repetition,
+    distortion_law,
     gram_spectrum,
     load_matrix,
     save_matrix,
-    theoretical_mse_expectation,
     validate,
 )
 from .experiments import (

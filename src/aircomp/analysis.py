@@ -1,20 +1,27 @@
-"""Closed-form distortion statistics, accuracy criteria, and rate regions.
+"""The decoded-sum distortion law, accuracy criteria, and rate regions.
 
-For an orthonormal encoding matrix at the maximal power scaling, the
-realized per-dimension distortion of the decoded sum is Gamma distributed:
+With Gram spectrum lambda_1..lambda_l of the encoding matrix and effective
+SNR rho = p / n0, the per-dimension distortion of the decoded sum is
 
-    d ~ Gamma(shape=l, scale=p_w / (l_tilde * rho_x * min_gain))
+    d = sum_l z_l / (rho * l * lambda_l),   z_l i.i.d. unit exponentials,
 
-with mean gamma_opt = rate * p_w / (rho_x * min_gain). Three accuracy
-criteria bound this distortion and each induces a maximal admissible
-coding rate; the expected-distortion and asymptotic criteria share one
-formula and differ only in which guarantee they certify.
+with mean sum_l (1 / lambda_l) / (rho * l). ``DistortionLaw`` owns this
+law. An orthonormal code has a unit spectrum, so at the maximal power
+scaling d is Gamma distributed,
+
+    d ~ Gamma(shape=l, scale=p_w / (l_tilde * rho_x * min_gain)),
+
+with mean rate * p_w / (rho_x * min_gain), which falls with the coding
+rate. Three accuracy criteria bound this distortion and each induces a
+maximal admissible coding rate; the expected-distortion and asymptotic
+criteria share one formula and differ only in which guarantee they
+certify.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -28,52 +35,65 @@ class Criterion(str, Enum):
     EPSILON_DELTA = "epsilon_delta"
 
 
-@dataclass(frozen=True)
-class GammaParams:
-    """Shape-scale Gamma parameters (mean = shape * scale)."""
-
-    shape: float
-    scale: float
-
-    def __post_init__(self):
-        if self.shape <= 0 or self.scale <= 0:
-            raise ValueError("Gamma shape and scale must be positive")
-
-    @property
-    def mean(self) -> float:
-        return self.shape * self.scale
-
-    @property
-    def variance(self) -> float:
-        return self.shape * self.scale**2
-
-
 def _require_positive(**values) -> None:
     for name, value in values.items():
         if value <= 0:
             raise ValueError(f"{name} must be positive, got {value}")
 
 
-def gamma_opt(r: float, p_w: float, rho_x: float, min_gain: float) -> float:
-    """Expected distortion of the optimal scheme: r * p_w / (rho_x * min_gain)."""
-    _require_positive(r=r, p_w=p_w, rho_x=rho_x, min_gain=min_gain)
-    if r > 1:
-        raise ValueError(f"coding rate must lie in (0, 1], got {r}")
-    return r * p_w / (rho_x * min_gain)
+@dataclass(frozen=True, eq=False)
+class DistortionLaw:
+    """Law of the decoded-sum distortion d = sum_l z_l / (rho * l * lambda_l).
 
-
-def optimal_mse_gamma(
-    l: int, l_tilde: int, p_w: float, rho_x: float, min_gain: float
-) -> GammaParams:
-    """Distortion law of the optimal scheme at fixed channel.
-
-    Shape l, scale p_w / (l_tilde * rho_x * min_gain); the mean reproduces
-    gamma_opt and the variance shrinks as 1/l_tilde at fixed rate.
+    ``spectrum`` holds the positive Gram eigenvalues lambda_l and ``rho``
+    the effective SNR p / n0; the z_l are unit exponentials. ``mean`` is
+    exact for every spectrum. ``cdf`` is the mean-matched Gamma law (shape
+    l, scale mean / l) with its ``variance``, which is exact when all
+    eigenvalues are equal, as for orthonormal columns, and a proxy
+    otherwise. The moments are computed once, at construction.
     """
-    if l < 1 or l_tilde < l:
-        raise ValueError("need l_tilde >= l >= 1")
-    _require_positive(p_w=p_w, rho_x=rho_x, min_gain=min_gain)
-    return GammaParams(shape=float(l), scale=p_w / (l_tilde * rho_x * min_gain))
+
+    spectrum: np.ndarray
+    rho: float
+    mean: float = field(init=False)
+    shape: float = field(init=False)
+    scale: float = field(init=False)
+    variance: float = field(init=False)
+
+    def __post_init__(self):
+        lam = np.asarray(self.spectrum, dtype=float)
+        if lam.ndim != 1 or lam.size < 1 or not (lam > 0).all():
+            raise ValueError("spectrum must be a nonempty vector of positive entries")
+        _require_positive(rho=self.rho)
+        shape = float(lam.size)
+        mean = float((1.0 / lam).sum() / (shape * self.rho))
+        scale = mean / shape
+        for name, value in dict(
+            spectrum=lam, mean=mean, shape=shape, scale=scale, variance=shape * scale**2
+        ).items():
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def optimal(
+        cls, l: int, l_tilde: int, p_w: float, rho_x: float, min_gain: float
+    ) -> "DistortionLaw":
+        """Law of an orthonormal l_tilde x l code at the maximal power scaling.
+
+        Unit spectrum at rho = rho_x * min_gain / (rate * p_w): Gamma with
+        shape l and scale p_w / (l_tilde * rho_x * min_gain), whose mean
+        rate * p_w / (rho_x * min_gain) falls with the coding rate and whose
+        variance shrinks as 1 / l_tilde at fixed rate.
+        """
+        if l < 1 or l_tilde < l:
+            raise ValueError("need l_tilde >= l >= 1")
+        _require_positive(p_w=p_w, rho_x=rho_x, min_gain=min_gain)
+        return cls(np.ones(l), rho_x * min_gain / (l / l_tilde * p_w))
+
+    def cdf(self, x: float) -> float:
+        """Mean-matched Gamma CDF at x (regularized lower incomplete gamma)."""
+        if x < 0:
+            raise ValueError("x must be nonnegative")
+        return regularized_lower_gamma(self.shape, x / self.scale)
 
 
 def epsilon_rate_bound(
@@ -83,20 +103,11 @@ def epsilon_rate_bound(
 
     The asymptotic criterion (realized distortion concentrating below
     epsilon as the blocklength grows) yields the identical value; the rate
-    region sweep reports it once under each criterion.
+    region sweep reports it once under each criterion. The probabilistic
+    criterion at slack eta takes the bound at epsilon / (1 + eta).
     """
     _require_positive(epsilon=epsilon, rho_x=rho_x, min_gain=min_gain, p_w=p_w)
     return min(1.0, epsilon * rho_x * min_gain / p_w)
-
-
-def epsilon_delta_rate_bound(
-    epsilon: float, eta: float, rho_x: float, min_gain: float, p_w: float
-) -> float:
-    """Largest rate meeting the probabilistic criterion with slack eta."""
-    _require_positive(
-        epsilon=epsilon, eta=eta, rho_x=rho_x, min_gain=min_gain, p_w=p_w
-    )
-    return min(1.0, epsilon * rho_x * min_gain / ((1.0 + eta) * p_w))
 
 
 def min_source_length(delta: float, eta: float) -> int:
@@ -149,26 +160,13 @@ def _tail_exponent(eta: float) -> float:
     return eta * eta * acc
 
 
-def gamma_cdf(params: GammaParams, x: float) -> float:
-    """CDF of the Gamma law at x (regularized lower incomplete gamma)."""
-    if x < 0:
-        raise ValueError("x must be nonnegative")
-    return regularized_lower_gamma(params.shape, x / params.scale)
-
-
-def sample_general_mse(spectrum, rho: float, rng: Rng) -> float:
-    """Draw one distortion sample directly from the spectrum law.
+def sample_general_mse(law: DistortionLaw, rng: Rng) -> float:
+    """Draw one distortion sample directly from the law.
 
     Draws one unit exponential per Gram eigenvalue and returns
-    (1 / (rho * l)) * sum_l z_l / lambda_l, the distribution of the
-    decoded-sum distortion for any encoding matrix with that spectrum.
+    sum_l z_l / lambda_l / (rho * l), distributed as the decoded-sum
+    distortion of any encoding matrix with that spectrum.
     """
-    lam = np.asarray(spectrum, dtype=float)
-    if lam.ndim != 1 or lam.size < 1:
-        raise ValueError("spectrum must be a nonempty vector")
-    if (lam <= 0).any():
-        raise ValueError("spectrum entries must be positive")
-    _require_positive(rho=rho)
+    lam = law.spectrum
     z = rng.gen.exponential(scale=1.0, size=lam.size)
-    return float((z / lam).sum() / (rho * lam.size))
-
+    return float((z / lam).sum() / (law.rho * lam.size))

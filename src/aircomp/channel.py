@@ -30,7 +30,7 @@ from .errors import (
     ShapeMismatch,
     ZeroChannel,
 )
-from .numerics import Rng, exact_int, sample_complex_gaussian
+from .numerics import Rng, exact_int, finite_float, sample_complex_gaussian
 
 DEFAULT_MIN_GAIN_FLOOR = 1e-6
 
@@ -115,6 +115,8 @@ class SystemConfig:
         """
         with open(path, "r", encoding="utf-8") as fh:
             blob = json.load(fh)
+        if not isinstance(blob, dict):
+            raise ValueError(f"config file {path} must hold a JSON object")
         keys = set(blob)
         expected = set(CONFIG_KEYS)
         if keys != expected:
@@ -124,16 +126,16 @@ class SystemConfig:
                 f"config file {path} keys mismatch: missing {missing}, "
                 f"unexpected {extra}"
             )
-        n0 = float(blob["n0"])
+        n0 = finite_float(blob["n0"], "n0")
         return cls(
             k_users=exact_int(blob["k_users"], "k_users"),
             l=exact_int(blob["l"], "l"),
             l_tilde=exact_int(blob["l_tilde"], "l_tilde"),
-            p_w=float(blob["p_w"]),
+            p_w=finite_float(blob["p_w"], "p_w"),
             n0=n0,
-            p_x=n0 * db_to_linear(float(blob["snr_db"])),
-            rician_kappa_db=float(blob["rician_kappa_db"]),
-            min_gain_floor=float(blob["min_gain_floor"]),
+            p_x=n0 * db_to_linear(finite_float(blob["snr_db"], "snr_db")),
+            rician_kappa_db=finite_float(blob["rician_kappa_db"], "rician_kappa_db"),
+            min_gain_floor=finite_float(blob["min_gain_floor"], "min_gain_floor"),
             master_seed=exact_int(blob["master_seed"], "master_seed"),
         )
 

@@ -121,23 +121,22 @@ def cmd_theory(args) -> int:
     rho_x = db_to_linear(args.snr_db)
     # Every value is computed before the first line is printed, so a
     # rejected input leaves stdout empty.
-    params = analysis.optimal_mse_gamma(
+    law = analysis.DistortionLaw.optimal(
         args.l, args.l_tilde, args.p_w, rho_x, args.min_gain
     )
-    rate = args.l / args.l_tilde
     lines = {
-        "rate": rate,
+        "rate": args.l / args.l_tilde,
         "rho_x": rho_x,
-        "gamma_opt": analysis.gamma_opt(rate, args.p_w, rho_x, args.min_gain),
-        "gamma_shape": params.shape,
-        "gamma_scale": params.scale,
-        "gamma_mean": params.mean,
-        "gamma_variance": params.variance,
+        "gamma_opt": law.mean,
+        "gamma_shape": law.shape,
+        "gamma_scale": law.scale,
+        "gamma_mean": law.mean,
+        "gamma_variance": law.variance,
     }
     if enc is not None:
-        rho_star = rho_x * args.min_gain / (enc.rate * args.p_w)
+        # the optimal law's rho is the effective SNR rho_x * min_gain / (rate * p_w)
         lines["spectrum"] = " ".join(map(format_field, coding.gram_spectrum(enc)))
-        lines["expected_mse"] = coding.theoretical_mse_expectation(enc, rho_star)
+        lines["expected_mse"] = coding.distortion_law(enc, law.rho).mean
     for name, value in lines.items():
         print(f"{name}: {format_field(value)}")
     return 0

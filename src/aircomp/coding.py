@@ -23,11 +23,13 @@ from functools import cached_property
 
 import numpy as np
 
+from .analysis import DistortionLaw
 from .errors import InvalidShape, RankDeficient
 from .numerics import (
     RANK_TOLERANCE,
     Rng,
     exact_int,
+    finite_float,
     hermitian_eigenvalues,
     pseudo_inverse,
     qr_orthonormal,
@@ -246,27 +248,20 @@ def gram_spectrum(enc: EncodingMatrix) -> np.ndarray:
     return hermitian_eigenvalues(enc.gram)
 
 
-def _full_rank_spectrum(enc: EncodingMatrix) -> np.ndarray:
+def distortion_law(enc: EncodingMatrix, rho: float) -> DistortionLaw:
+    """Decoded-sum distortion law of ``enc`` at normalized SNR rho.
+
+    Its mean, (1 / (l * rho)) * sum_l 1/lambda_l over the Gram spectrum, is
+    at least 1/rho over trace-l matrices, with equality exactly for
+    orthonormal columns. A rank-deficient matrix raises RankDeficient.
+    """
     spectrum = gram_spectrum(enc)
     if spectrum[0] <= _GRAM_RANK_TOLERANCE * spectrum[-1] or spectrum[0] <= 0:
         raise RankDeficient(
             "Gram spectrum has a vanishing eigenvalue; encoding matrix is "
             "rank deficient"
         )
-    return spectrum
-
-
-def theoretical_mse_expectation(enc: EncodingMatrix, rho: float) -> float:
-    """Expected decoded-sum MSE at normalized SNR rho.
-
-    Equals (1 / (l * rho)) * sum_l 1/lambda_l over the Gram spectrum; the
-    minimum over trace-l matrices is 1/rho, attained exactly by orthonormal
-    columns.
-    """
-    if rho <= 0:
-        raise ValueError("rho must be positive")
-    spectrum = _full_rank_spectrum(enc)
-    return float(np.sum(1.0 / spectrum) / (enc.l * rho))
+    return DistortionLaw(spectrum, rho)
 
 
 # ---------------------------------------------------------------------------
@@ -299,15 +294,15 @@ def load_matrix(path) -> EncodingMatrix:
     try:
         rows = exact_int(blob["rows"], "rows")
         cols = exact_int(blob["cols"], "cols")
-        re, im = blob["re"], blob["im"]
+        re, im = (
+            np.array([finite_float(v, part) for v in blob[part]])
+            for part in ("re", "im")
+        )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed matrix file {path}: {exc}") from exc
-    if len(re) != rows * cols or len(im) != rows * cols:
+    if re.size != rows * cols or im.size != rows * cols:
         raise ValueError(
-            f"matrix file {path} carries {len(re)}/{len(im)} entries, "
+            f"matrix file {path} carries {re.size}/{im.size} entries, "
             f"expected {rows * cols}"
         )
-    phi = np.asarray(re, dtype=float).reshape(rows, cols) + 1j * np.asarray(
-        im, dtype=float
-    ).reshape(rows, cols)
-    return EncodingMatrix(phi)
+    return EncodingMatrix((re + 1j * im).reshape(rows, cols))

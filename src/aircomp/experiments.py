@@ -17,7 +17,7 @@ from enum import Enum
 import numpy as np
 
 from . import analysis, channel, coding
-from .analysis import Criterion, GammaParams
+from .analysis import Criterion, DistortionLaw
 from .channel import ChannelRealization, SystemConfig
 from .coding import Construction, EncodingMatrix
 from .errors import EmptySample, InvalidShape, NonIntegralBlocklength, ShapeMismatch
@@ -250,9 +250,7 @@ def summarize(ts: TrialSet, eta: float | None = None) -> MseReport:
     theory_variance = ks_statistic = None
     if ts.plan.channel_mode is not ChannelMode.RICIAN_PER_TRIAL:
         theory_variance = theory.variance
-        ks_statistic = ks_distance(
-            np.sort(samples), lambda x: analysis.gamma_cdf(theory, x)
-        )
+        ks_statistic = ks_distance(np.sort(samples), theory.cdf)
     exceedance = None
     if eta is not None:
         exceedance = float(np.mean(samples >= (1.0 + eta) * theory.mean))
@@ -268,18 +266,16 @@ def summarize(ts: TrialSet, eta: float | None = None) -> MseReport:
     )
 
 
-def theory_for_trials(ts: TrialSet) -> GammaParams:
-    """Mean-matched Gamma law for a trial set.
+def theory_for_trials(ts: TrialSet) -> DistortionLaw:
+    """Distortion law of a trial set's matrix at its mean effective SNR.
 
-    Exact (shape l, scale p_w / (l_tilde * rho_x * min_gain)) when the
-    encoding is orthonormal and the channel fixed; otherwise the mean still
-    matches the spectrum formula averaged over the realized power scalings,
-    and the Gamma shape is only a proxy.
+    The effective SNR is 1 / (n0 * mean(1 / p_used)), so the law's mean is
+    the spectrum formula averaged over the realized power scalings. The
+    law is exact for a fixed channel (its Gamma CDF only for an
+    orthonormal matrix); under per-trial fading only its mean applies.
     """
-    enc = ts.enc
-    unit_snr_mean = coding.theoretical_mse_expectation(enc, 1.0)
-    mean = unit_snr_mean * ts.plan.config.n0 * float(np.mean(1.0 / ts.p_used))
-    return GammaParams(shape=float(enc.l), scale=mean / enc.l)
+    rho = 1.0 / (ts.plan.config.n0 * float(np.mean(1.0 / ts.p_used)))
+    return coding.distortion_law(ts.enc, rho)
 
 
 def _blank_row() -> dict:
@@ -379,7 +375,9 @@ def sweep_rate_regions(
     for snr_db in snr_db_values:
         rho_x = channel.db_to_linear(snr_db)
         r_eps = analysis.epsilon_rate_bound(epsilon, rho_x, min_gain, p_w)
-        r_delta = analysis.epsilon_delta_rate_bound(epsilon, eta, rho_x, min_gain, p_w)
+        r_delta = analysis.epsilon_rate_bound(
+            epsilon / (1.0 + eta), rho_x, min_gain, p_w
+        )
         for criterion, rate, l in (
             (Criterion.EPSILON, r_eps, None),
             (Criterion.EPSILON_ASYMPTOTIC, r_eps, None),
@@ -455,12 +453,12 @@ def oracle_equivalence_test(
         raise ValueError("need at least 1000 samples per side")
     pipeline, _, _ = _run_range(enc, config, channel_realization, 0, n)
 
-    spectrum = coding.gram_spectrum(enc)
     rho = channel.max_power_scaling(channel_realization, config) / config.n0
+    law = coding.distortion_law(enc, rho)
     oracle_rng = Rng(config.master_seed, stream_id(_STREAM_ORACLE))
     sample = analysis.sample_general_mse
     oracle = np.fromiter(
-        (sample(spectrum, rho, oracle_rng) for _ in range(n)), dtype=float, count=n
+        (sample(law, oracle_rng) for _ in range(n)), dtype=float, count=n
     )
     return ks_two_sample(pipeline, oracle)
 

@@ -3,8 +3,8 @@
 Domain-free building blocks: seeded random streams, orthonormalization,
 spectra, pseudo-inverses, circularly symmetric Gaussian sampling, the
 regularized lower incomplete gamma function, a one-sample
-Kolmogorov-Smirnov statistic, and the rule for counts read from input
-files. All matrix routines operate on complex128
+Kolmogorov-Smirnov statistic, and the rules for counts and numbers read
+from input files. All matrix routines operate on complex128
 numpy arrays; callers own the domain semantics of rows and columns.
 """
 
@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from typing import Callable, Sequence
 
 import numpy as np
@@ -274,3 +275,13 @@ def exact_int(value, name: str) -> int:
     ):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def finite_float(value, name: str) -> float:
+    """``value`` as a float; bools, strings and non-finite numbers raise ValueError."""
+    # an exact comparison: ints beyond the float range fail it, as do NaN and inf
+    if isinstance(value, bool) or not (
+        isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    ):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return float(value)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from aircomp import analysis, coding
-from aircomp.analysis import GammaParams, chernoff_tail, gamma_cdf, min_source_length
+from aircomp.analysis import DistortionLaw, chernoff_tail, min_source_length
 from aircomp.channel import SystemConfig, all_ones_channel, max_power_scaling, run_round
 from aircomp.coding import (
     Construction,
@@ -96,8 +96,8 @@ def test_criterion_2_mean_mse(run_10db_half_rate):
 def test_criterion_3_gamma_law(run_10db_half_rate):
     # the first 10^4 trials are exactly the 10^4-trial run (index-keyed streams)
     samples = np.sort(run_10db_half_rate.samples[:10_000])
-    law = GammaParams(shape=5.0, scale=0.01)
-    stat = ks_distance(samples, lambda x: gamma_cdf(law, x))
+    law = DistortionLaw.optimal(5, 10, 1.0, 10.0, 1.0)
+    stat = ks_distance(samples, law.cdf)
     assert report(
         3,
         "Gamma(5, 0.01) distortion law",

@@ -7,63 +7,103 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aircomp.analysis import (
-    GammaParams,
+    DistortionLaw,
     _tail_exponent,
     chernoff_tail,
-    epsilon_delta_rate_bound,
     epsilon_rate_bound,
-    gamma_cdf,
-    gamma_opt,
     min_source_length,
-    optimal_mse_gamma,
     sample_general_mse,
 )
-from aircomp.numerics import Rng, ks_distance
+from aircomp.numerics import Rng, ks_distance, regularized_lower_gamma
 
 positive = st.floats(1e-3, 1e3)
+optimal = DistortionLaw.optimal
+
+
+def gamma_law(l: int, scale: float) -> DistortionLaw:
+    """The Gamma(l, scale) law: a unit spectrum of size l at rho = 1 / (l scale)."""
+    return DistortionLaw(np.ones(l), 1.0 / (l * scale))
+
+
+class TestDistortionLaw:
+    def test_moments_of_skewed_spectrum(self):
+        # (1/2) * (1/0.5 + 1/1.5) = 4/3 at rho = 1, and 4/30 at rho = 10
+        law = DistortionLaw([0.5, 1.5], 10.0)
+        assert law.mean == pytest.approx(4.0 / 30.0, rel=1e-15)
+        assert law.shape == 2.0
+        assert law.scale == law.mean / 2.0
+        assert law.variance == law.shape * law.scale**2
+
+    def test_mean_is_stored_at_construction(self):
+        law = DistortionLaw(np.array([0.5, 1.5]), 1.0)
+        assert "mean" in vars(law) and "variance" in vars(law)
+        with pytest.raises(AttributeError):
+            law.mean = 1.0
+
+    def test_cdf_is_mean_matched_gamma(self):
+        law = DistortionLaw([0.5, 1.5], 2.0)
+        for x in (0.1, 0.5, 2.0):
+            assert law.cdf(x) == regularized_lower_gamma(2.0, x / law.scale)
+
+    def test_cdf_domain(self):
+        with pytest.raises(ValueError):
+            gamma_law(2, 1.0).cdf(-1.0)
+
+    def test_optimal_is_unit_spectrum_at_effective_snr(self):
+        law = optimal(5, 10, 2.0, 10.0, 0.5)
+        assert law.spectrum.tolist() == [1.0] * 5
+        assert law.rho == 10.0 * 0.5 / (0.5 * 2.0)
+
+    @pytest.mark.parametrize(
+        "spectrum", [[], [[1.0]], [1.0, -1.0], [1.0, float("nan")]]
+    )
+    def test_spectrum_domain(self, spectrum):
+        with pytest.raises(ValueError):
+            DistortionLaw(spectrum, 1.0)
 
 
 class TestGammaOpt:
     def test_direct_evaluation(self):
-        assert gamma_opt(0.5, 1.0, 10.0, 1.0) == pytest.approx(0.05)
+        assert optimal(5, 10, 1.0, 10.0, 1.0).mean == pytest.approx(0.05)
 
     def test_uncoded_rate_one(self):
         for rho in (1.0, 10.0, 100.0):
-            assert gamma_opt(1.0, 1.0, rho, 1.0) == pytest.approx(1.0 / rho)
+            assert optimal(5, 5, 1.0, rho, 1.0).mean == pytest.approx(1.0 / rho)
 
     def test_linear_in_rate(self):
-        assert gamma_opt(0.25, 1.0, 10.0, 1.0) == pytest.approx(
-            0.5 * gamma_opt(0.5, 1.0, 10.0, 1.0)
+        assert optimal(5, 20, 1.0, 10.0, 1.0).mean == pytest.approx(
+            0.5 * optimal(5, 10, 1.0, 10.0, 1.0).mean
         )
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            gamma_opt(1.5, 1.0, 10.0, 1.0)
+            optimal(3, 2, 1.0, 10.0, 1.0)
         with pytest.raises(ValueError):
-            gamma_opt(0.5, 1.0, 0.0, 1.0)
+            optimal(5, 10, 1.0, 0.0, 1.0)
 
 
 class TestOptimalMseGamma:
     def test_reference_point(self):
-        params = optimal_mse_gamma(5, 10, 1.0, 10.0, 1.0)
+        params = optimal(5, 10, 1.0, 10.0, 1.0)
         assert params.shape == 5
         assert params.scale == pytest.approx(0.01)
         assert params.mean == pytest.approx(0.05)
-        assert params.mean == pytest.approx(gamma_opt(0.5, 1.0, 10.0, 1.0))
+        # rate * p_w / (rho_x * min_gain)
+        assert params.mean == pytest.approx(0.5 * 1.0 / (10.0 * 1.0))
 
     def test_variance(self):
-        params = optimal_mse_gamma(5, 10, 1.0, 10.0, 1.0)
+        params = optimal(5, 10, 1.0, 10.0, 1.0)
         assert params.variance == pytest.approx(5e-4)
 
     def test_blocklength_scaling(self):
-        base = optimal_mse_gamma(5, 10, 1.0, 10.0, 1.0)
-        doubled = optimal_mse_gamma(5, 20, 1.0, 10.0, 1.0)
+        base = optimal(5, 10, 1.0, 10.0, 1.0)
+        doubled = optimal(5, 20, 1.0, 10.0, 1.0)
         assert doubled.mean == pytest.approx(base.mean / 2)
         assert doubled.variance == pytest.approx(base.variance / 4)
 
     def test_invalid_shape(self):
         with pytest.raises(ValueError):
-            optimal_mse_gamma(5, 4, 1.0, 10.0, 1.0)
+            optimal(5, 4, 1.0, 10.0, 1.0)
 
 
 class TestRateBounds:
@@ -82,18 +122,19 @@ class TestRateBounds:
         rho = 10**1.5
         r_max = epsilon_rate_bound(epsilon, rho, 1.0, 1.0)
         assert r_max < 1.0
-        assert gamma_opt(r_max, 1.0, rho, 1.0) == pytest.approx(
+        # the law at rate r_max has effective SNR rho * min_gain / (r_max * p_w)
+        assert DistortionLaw([1.0], rho / r_max).mean == pytest.approx(
             epsilon, rel=1e-12
         )
 
     def test_probabilistic_bound_is_halved_at_unit_slack(self):
         rho = 10**1.5
-        assert epsilon_delta_rate_bound(0.02, 1.0, rho, 1.0, 1.0) == pytest.approx(
+        assert epsilon_rate_bound(0.02 / (1 + 1.0), rho, 1.0, 1.0) == pytest.approx(
             0.31622776601683794, rel=1e-12
         )
 
     def test_small_slack_recovers_expected_bound(self):
-        strict = epsilon_delta_rate_bound(0.02, 1e-12, 10.0, 1.0, 1.0)
+        strict = epsilon_rate_bound(0.02 / (1 + 1e-12), 10.0, 1.0, 1.0)
         assert strict == pytest.approx(
             epsilon_rate_bound(0.02, 10.0, 1.0, 1.0), rel=1e-9
         )
@@ -102,7 +143,7 @@ class TestRateBounds:
     @given(epsilon=positive, eta=positive, rho=positive, g=positive, p_w=positive)
     def test_property_region_nesting(self, epsilon, eta, rho, g, p_w):
         loose = epsilon_rate_bound(epsilon, rho, g, p_w)
-        tight = epsilon_delta_rate_bound(epsilon, eta, rho, g, p_w)
+        tight = epsilon_rate_bound(epsilon / (1 + eta), rho, g, p_w)
         assert 0.0 <= tight <= loose <= 1.0
 
 
@@ -201,14 +242,14 @@ class TestChernoffTail:
 
 class TestGammaCdf:
     def test_zero(self):
-        assert gamma_cdf(GammaParams(3.0, 2.0), 0.0) == 0.0
+        assert gamma_law(3, 2.0).cdf(0.0) == 0.0
 
     def test_exponential_special_case(self):
-        assert gamma_cdf(GammaParams(1.0, 1.0), math.log(2.0)) == pytest.approx(0.5)
+        assert gamma_law(1, 1.0).cdf(math.log(2.0)) == pytest.approx(0.5)
 
     def test_scale_invariance(self):
-        a = gamma_cdf(GammaParams(2.5, 1.0), 3.0)
-        b = gamma_cdf(GammaParams(2.5, 4.0), 12.0)
+        a = gamma_law(3, 1.0).cdf(3.0)
+        b = gamma_law(3, 4.0).cdf(12.0)
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_probabilistic_criterion_met_at_min_source_length(self):
@@ -217,9 +258,9 @@ class TestGammaCdf:
         p_w, rho_x, g = 1.0, 10**1.5, 1.0
         l = min_source_length(delta, eta)
         l_tilde = 2 * l
-        params = optimal_mse_gamma(l, l_tilde, p_w, rho_x, g)
+        params = optimal(l, l_tilde, p_w, rho_x, g)
         epsilon = (1 + eta) * params.mean
-        assert gamma_cdf(params, epsilon) >= 1 - delta
+        assert params.cdf(epsilon) >= 1 - delta
 
 
 class TestSampleGeneralMse:
@@ -228,42 +269,45 @@ class TestSampleGeneralMse:
         l, rho = 5, 20.0
         rng = Rng(50)
         n = 10**4
-        samples = np.sort(
-            [sample_general_mse(np.ones(l), rho, rng) for _ in range(n)]
-        )
-        params = GammaParams(shape=l, scale=1.0 / (l * rho))
-        assert ks_distance(samples, lambda x: gamma_cdf(params, x)) < 1.63 / math.sqrt(n)
+        law = DistortionLaw(np.ones(l), rho)
+        samples = np.sort([sample_general_mse(law, rng) for _ in range(n)])
+        params = gamma_law(l, 1.0 / (l * rho))
+        assert ks_distance(samples, params.cdf) < 1.63 / math.sqrt(n)
 
     def test_single_eigenvalue_is_unit_exponential(self):
         rng = Rng(51)
+        law = DistortionLaw([1.0], 1.0)
         samples = np.fromiter(
-            (sample_general_mse([1.0], 1.0, rng) for _ in range(10**6)),
+            (sample_general_mse(law, rng) for _ in range(10**6)),
             dtype=float,
         )
         assert np.mean(samples) == pytest.approx(1.0, rel=0.004)
 
     def test_snr_scaling(self):
-        a = sample_general_mse([0.5, 1.5], 1.0, Rng(52))
-        b = sample_general_mse([0.5, 1.5], 10.0, Rng(52))
+        a = sample_general_mse(DistortionLaw([0.5, 1.5], 1.0), Rng(52))
+        b = sample_general_mse(DistortionLaw([0.5, 1.5], 10.0), Rng(52))
         assert b == pytest.approx(a / 10.0, rel=1e-12)
 
     def test_mean_matches_spectrum_formula(self):
         spectrum = np.array([0.5, 1.5])
         rho = 2.0
         rng = Rng(53)
+        law = DistortionLaw(spectrum, rho)
         samples = np.fromiter(
-            (sample_general_mse(spectrum, rho, rng) for _ in range(10**5)),
+            (sample_general_mse(law, rng) for _ in range(10**5)),
             dtype=float,
         )
         expected = np.sum(1.0 / spectrum) / (rho * spectrum.size)
         assert np.mean(samples) == pytest.approx(expected, rel=0.02)
+        assert law.mean == pytest.approx(expected, rel=1e-15)
 
     @pytest.mark.parametrize("size", [1, 2, 5, 40, 1000])
     def test_bits_equal_previous_expression(self, size):
         spectrum = Rng(55, size).gen.uniform(0.1, 3.0, size=size)
         rho = 17.5
         rng = Rng(56, size)
-        ours = [sample_general_mse(spectrum, rho, rng) for _ in range(3)]
+        law = DistortionLaw(spectrum, rho)
+        ours = [sample_general_mse(law, rng) for _ in range(3)]
         rng = Rng(56, size)
         previous = []
         for _ in range(3):
@@ -272,8 +316,9 @@ class TestSampleGeneralMse:
         assert ours == previous
 
     def test_domain(self):
+        # the law checks its inputs once, before any draw
         with pytest.raises(ValueError):
-            sample_general_mse([0.0, 1.0], 1.0, Rng(54))
+            DistortionLaw([0.0, 1.0], 1.0)
         with pytest.raises(ValueError):
-            sample_general_mse([1.0], 0.0, Rng(54))
+            DistortionLaw([1.0], 0.0)
 

@@ -165,14 +165,28 @@ class TestTheory:
         assert captured.out == ""
         assert captured.err.startswith("error: matrix file shape (8, 4)")
 
-    @pytest.mark.parametrize("content", [None, "{not json", '{"rows": 2}'])
+    @pytest.mark.parametrize(
+        "content",
+        [
+            None,
+            "{not json",
+            '{"rows": 2}',
+            "[1]",
+            '{"rows": 1, "cols": 1, "re": {"a": 1}, "im": [0]}',
+            '{"rows": 1, "cols": 1, "re": 5, "im": [0]}',
+            '{"rows": 1, "cols": 1, "re": ["1"], "im": [0]}',
+            '{"rows": 1, "cols": 1, "re": [1], "im": [true]}',
+            '{"rows": 1, "cols": 1, "re": [1], "im": [null]}',
+        ],
+    )
     def test_bad_matrix_is_usage_error_before_output(
         self, tmp_path, capsys, content
     ):
         path = tmp_path / "phi.json"
         if content is not None:
             path.write_text(content)
-        code = run_cli("theory", "--matrix", str(path))
+        # a well-formed 1x1 file would pass at these flags
+        code = run_cli("theory", "--l", "1", "--l-tilde", "1", "--matrix", str(path))
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
@@ -189,7 +203,7 @@ class TestTheory:
         ],
     )
     def test_library_range_error_is_usage_error_before_output(self, capsys, flags):
-        # optimal_mse_gamma owns these checks
+        # DistortionLaw.optimal owns these checks
         assert_usage_error_before_output(capsys, run_cli("theory", *flags))
 
     def test_rank_deficient_matrix_is_usage_error_before_output(
@@ -365,12 +379,19 @@ class TestSimulate:
             ("l_tilde", 10.9),
             ("master_seed", 1.5),
             ("k_users", True),
+            ("p_w", None),
+            ("p_w", [1]),
+            ("p_w", True),
+            ("p_w", "1"),
+            pytest.param("n0", 10**400, id="n0-int-beyond-float"),
+            # key None: the whole file is the value, not an object
+            (None, 5),
         ],
     )
     def test_bad_config_number_fails_before_outputs_exist(
         self, tmp_path, capsys, key, value
     ):
-        config = {
+        config = value if key is None else {
             "k_users": 4, "l": 2, "l_tilde": 4, "p_w": 1.0, "n0": 1.0,
             "snr_db": 10.0, "rician_kappa_db": 5.0, "min_gain_floor": 1e-6,
             "master_seed": 9, key: value,

@@ -17,10 +17,10 @@ from aircomp.coding import (
     construct_identity,
     construct_random_orthonormal,
     construct_repetition,
+    distortion_law,
     gram_spectrum,
     load_matrix,
     save_matrix,
-    theoretical_mse_expectation,
     validate,
 )
 from aircomp.errors import InvalidShape, RankDeficient
@@ -88,7 +88,7 @@ class TestRepetition:
         enc = construct_repetition(2, 2)
         assert np.allclose(enc.gram, np.eye(2), atol=1e-14)
         # expected-MSE factor is unaffected by the duplicate rows
-        assert theoretical_mse_expectation(enc, 1.0) == pytest.approx(1.0)
+        assert distortion_law(enc, 1.0).mean == pytest.approx(1.0)
 
     def test_trace_is_exact(self):
         for m in (1, 2, 3):
@@ -245,13 +245,13 @@ class TestGramSpectrum:
 class TestTheoreticalMse:
     def test_orthonormal_reduces_to_inverse_snr(self):
         enc = construct_random_orthonormal(10, 5, Rng(9))
-        assert theoretical_mse_expectation(enc, 10.0) == pytest.approx(
+        assert distortion_law(enc, 10.0).mean == pytest.approx(
             0.1, rel=1e-10
         )
 
     def test_skewed_spectrum_value(self):
         # (1/2) * (1/0.5 + 1/1.5) = 4/3
-        assert theoretical_mse_expectation(skewed_two_by_two(), 1.0) == pytest.approx(
+        assert distortion_law(skewed_two_by_two(), 1.0).mean == pytest.approx(
             4.0 / 3.0, rel=1e-12
         )
 
@@ -262,20 +262,20 @@ class TestTheoreticalMse:
             a = sample_complex_gaussian(Rng(seed, 123), 18, 1.0).reshape(6, 3)
             a *= math.sqrt(3.0 / np.trace(a.conj().T @ a).real)
             enc = EncodingMatrix(a)
-            assert theoretical_mse_expectation(enc, rho) >= (1 / rho) * (1 - 1e-12)
+            assert distortion_law(enc, rho).mean >= (1 / rho) * (1 - 1e-12)
         ortho = construct_random_orthonormal(6, 3, Rng(10))
-        assert theoretical_mse_expectation(ortho, rho) == pytest.approx(
+        assert distortion_law(ortho, rho).mean == pytest.approx(
             1 / rho, abs=1e-8
         )
 
     def test_rank_deficient_rejected(self):
         enc = EncodingMatrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
         with pytest.raises(RankDeficient):
-            theoretical_mse_expectation(enc, 1.0)
+            distortion_law(enc, 1.0)
 
     def test_invalid_rho(self):
         with pytest.raises(ValueError):
-            theoretical_mse_expectation(skewed_two_by_two(), 0.0)
+            distortion_law(skewed_two_by_two(), 0.0)
 
 
 class TestEncodingMatrixType:

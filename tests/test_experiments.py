@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from aircomp import analysis, channel, coding, experiments
+from aircomp import analysis, channel, cli, coding, experiments, numerics
 from aircomp.channel import SystemConfig, all_ones_channel, max_power_scaling, run_round
 from aircomp.coding import Construction, construct_random_orthonormal
 from aircomp.errors import EmptySample, InvalidShape, NonIntegralBlocklength
@@ -233,6 +233,52 @@ class TestTrialLoopCallStructure:
         }
 
 
+class TestDistTestCallStructure:
+    def test_calls_match_bench_pins(self, monkeypatch, capsys):
+        # bench/workloads.py pins these for dist-test: run_round and
+        # encode_and_precode per KS, Chernoff and two oracle runs (10 users
+        # on 10x5, 3 users on the skewed 2x2), one spectrum draw per oracle
+        # sample, and at least one incomplete-gamma call per KS sample.
+        counts = dict.fromkeys(
+            (
+                "run_round",
+                "encode_and_precode",
+                "sample_general_mse",
+                "regularized_lower_gamma",
+            ),
+            0,
+        )
+        owners = {
+            "run_round": [channel],
+            "encode_and_precode": [channel],
+            "sample_general_mse": [analysis],
+            # bound in both modules, as the bench's tracer replaces both
+            "regularized_lower_gamma": [numerics, analysis],
+        }
+        for name, modules in owners.items():
+            original = getattr(modules[0], name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            for module in modules:
+                monkeypatch.setattr(module, name, counted)
+        n = 1000
+        code = cli.main(
+            [
+                "dist-test", "--seed", "0", "--ks-trials", str(n),
+                "--chernoff-trials", str(n), "--oracle-n", str(n),
+            ]
+        )
+        assert code == 0
+        assert "FAIL" not in capsys.readouterr().out
+        assert counts["run_round"] == 4 * n
+        assert counts["encode_and_precode"] == 10 * 3 * n + 3 * n
+        assert counts["sample_general_mse"] == 2 * n
+        assert counts["regularized_lower_gamma"] >= n
+
+
 class TestTrialRange:
     @pytest.mark.parametrize(
         "mode", [ChannelMode.RICIAN_PER_TRIAL, ChannelMode.FIXED_UNIT_MIN_GAIN]
@@ -342,7 +388,7 @@ class TestTheoryForTrials:
         plan = fixed_plan(trials=10, seed=20)
         ts = run_trials(plan)
         theory = theory_for_trials(ts)
-        expected = analysis.optimal_mse_gamma(5, 10, 1.0, 10.0, 1.0)
+        expected = analysis.DistortionLaw.optimal(5, 10, 1.0, 10.0, 1.0)
         assert theory.shape == expected.shape
         assert theory.scale == pytest.approx(expected.scale, rel=1e-12)
 
@@ -436,8 +482,8 @@ class TestSweepRateRegions:
         ]
         assert row["l"] == analysis.min_source_length(delta, eta)
         rho_x = channel.db_to_linear(15.0)
-        assert row["rate"] == analysis.epsilon_delta_rate_bound(
-            0.02, eta, rho_x, 1.0, 1.0
+        assert row["rate"] == analysis.epsilon_rate_bound(
+            0.02 / (1 + eta), rho_x, 1.0, 1.0
         )
 
     def test_l_min_is_snr_independent(self):

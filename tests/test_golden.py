@@ -106,7 +106,7 @@ GOLDEN = {
     'simulate-fixed-from-seed:fs.trials.csv': '3211c4f6cf44cf293d87ad27cd82a8a8d40c15def850492a23c34101a02f19b0',
     'simulate-fixed-from-seed:stdout': '2007485f1a3c7744a005a9d9db00c1a951634d231877f9a196d5a12507eded76',
     'simulate-fixed-unit:exit': '0',
-    'simulate-fixed-unit:fu.report.json': 'c6dda32d800a02d2ecd5b515230e36d2fe7a9ce4e3ad98a9e00f0eb00c249407',
+    'simulate-fixed-unit:fu.report.json': 'c04e31d7cdd7d80c796bc383c5c4cb50c2abab29ea8e68043b2c414fe3e18dfe',
     'simulate-fixed-unit:fu.trials.csv': 'b390e39267e655d38fb164cd95b82fb1a88a9c20609a1546b3c25785b6bb1e4a',
     'simulate-fixed-unit:stdout': '5374de12adbded4f62dfbd7b518bc6427995847a0db1ec217c70a48bf9aca187',
     'simulate-repetition:exit': '0',
