@@ -25,7 +25,6 @@ from .coding import (
     Construction,
     EncodingMatrix,
     ValidationReport,
-    construct_identity,
     construct_random_orthonormal,
     construct_repetition,
     distortion_law,

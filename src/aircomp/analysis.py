@@ -46,10 +46,11 @@ class DistortionLaw:
     """Law of the decoded-sum distortion d = sum_l z_l / (rho * l * lambda_l).
 
     ``spectrum`` holds the positive Gram eigenvalues lambda_l and ``rho``
-    the effective SNR p / n0; the z_l are unit exponentials. ``mean`` is
-    exact for every spectrum. ``cdf`` is the mean-matched Gamma law (shape
-    l, scale mean / l) with its ``variance``, which is exact when all
-    eigenvalues are equal, as for orthonormal columns, and a proxy
+    the effective SNR p / n0; the z_l are unit exponentials. ``mean`` and
+    ``variance`` (sum_l c_l^2 with c_l = 1 / (rho * l * lambda_l)) are
+    exact for every spectrum. ``shape``, ``scale`` and ``cdf`` are the
+    mean-matched Gamma law (shape l, scale mean / l), which is exact when
+    all eigenvalues are equal, as for orthonormal columns, and a proxy
     otherwise. The moments are computed once, at construction.
     """
 
@@ -67,9 +68,10 @@ class DistortionLaw:
         _require_positive(rho=self.rho)
         shape = float(lam.size)
         mean = float((1.0 / lam).sum() / (shape * self.rho))
-        scale = mean / shape
+        weights = 1.0 / (self.rho * shape * lam)
+        variance = float((weights * weights).sum())
         for name, value in dict(
-            spectrum=lam, mean=mean, shape=shape, scale=scale, variance=shape * scale**2
+            spectrum=lam, mean=mean, shape=shape, scale=mean / shape, variance=variance
         ).items():
             object.__setattr__(self, name, value)
 

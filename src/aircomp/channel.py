@@ -104,7 +104,18 @@ class SystemConfig:
 
     @property
     def snr_db(self) -> float:
-        return linear_to_db(self.rho_x)
+        """Transmit SNR cap in dB that from_json maps back to this p_x.
+
+        The float nearest 10 log10(rho_x), within two ulps, that does, so a
+        config echo replays its run; the plain log when none does, as when
+        p_x was set directly.
+        """
+        db = linear_to_db(self.rho_x)
+        ulp = math.ulp(db)
+        for candidate in (db + k * ulp for k in (0, 1, -1, 2, -2)):
+            if self.n0 * db_to_linear(candidate) == self.p_x:
+                return candidate
+        return db
 
     @classmethod
     def from_json(cls, path) -> "SystemConfig":

@@ -89,7 +89,6 @@ class EncodingMatrix:
     """
 
     phi: np.ndarray
-    construction: Construction = Construction.CUSTOM
     l_tilde: int = field(init=False)
     l: int = field(init=False)
 
@@ -157,14 +156,7 @@ def construct_random_orthonormal(l_tilde: int, l: int, rng: Rng) -> EncodingMatr
             f"need l_tilde >= l >= 1, got ({l_tilde}, {l})"
         )
     a = sample_complex_gaussian(rng, l_tilde * l, 1.0).reshape(l_tilde, l)
-    return EncodingMatrix(qr_orthonormal(a), Construction.RANDOM_ORTHONORMAL)
-
-
-def construct_identity(l: int) -> EncodingMatrix:
-    """Uncoded baseline: phi = I_l, one channel use per source dimension."""
-    if l < 1:
-        raise InvalidShape("need l >= 1")
-    return EncodingMatrix(np.eye(l, dtype=np.complex128), Construction.IDENTITY)
+    return EncodingMatrix(qr_orthonormal(a))
 
 
 def construct_repetition(l: int, m: int = 1) -> EncodingMatrix:
@@ -179,7 +171,7 @@ def construct_repetition(l: int, m: int = 1) -> EncodingMatrix:
     if m < 1:
         raise InvalidShape("need at least one repetition block")
     phi = np.tile(np.eye(l, dtype=np.complex128), (m, 1)) / math.sqrt(m)
-    return EncodingMatrix(phi, Construction.REPETITION)
+    return EncodingMatrix(phi)
 
 
 def validate(

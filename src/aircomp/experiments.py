@@ -125,7 +125,7 @@ def build_encoding(plan: ExperimentPlan) -> EncodingMatrix:
     if plan.construction is Construction.IDENTITY:
         if config.l_tilde != config.l:
             raise InvalidShape("identity construction needs l_tilde == l")
-        return coding.construct_identity(config.l)
+        return coding.construct_repetition(config.l)
     if plan.construction is Construction.REPETITION:
         if config.l_tilde % config.l != 0:
             raise InvalidShape(

@@ -16,7 +16,6 @@ from aircomp.analysis import DistortionLaw, chernoff_tail, min_source_length
 from aircomp.channel import SystemConfig, all_ones_channel, max_power_scaling, run_round
 from aircomp.coding import (
     Construction,
-    construct_identity,
     construct_random_orthonormal,
     construct_repetition,
     validate,
@@ -223,7 +222,7 @@ def test_criterion_9_uncoded_baseline_identity():
     )
     coded_view = run_trials(plan)
 
-    uncoded_enc = construct_identity(config.l)
+    uncoded_enc = construct_repetition(config.l)
     ch = all_ones_channel(config.k_users)
     p = max_power_scaling(ch, config)
     uncoded = np.array(

@@ -27,12 +27,15 @@ def gamma_law(l: int, scale: float) -> DistortionLaw:
 
 class TestDistortionLaw:
     def test_moments_of_skewed_spectrum(self):
-        # (1/2) * (1/0.5 + 1/1.5) = 4/3 at rho = 1, and 4/30 at rho = 10
-        law = DistortionLaw([0.5, 1.5], 10.0)
-        assert law.mean == pytest.approx(4.0 / 30.0, rel=1e-15)
-        assert law.shape == 2.0
-        assert law.scale == law.mean / 2.0
-        assert law.variance == law.shape * law.scale**2
+        # mean (1/2) * (1/0.5 + 1/1.5) / rho; variance sum_l c_l^2 with
+        # c_l = 1 / (rho l lambda_l), 1 + 1/9 at rho = 1 where the
+        # mean-matched Gamma's would be (4/3)^2 / 2 = 8/9
+        for rho, mean, variance in ((1.0, 4 / 3, 10 / 9), (10.0, 4 / 30, 1 / 90)):
+            law = DistortionLaw([0.5, 1.5], rho)
+            assert law.mean == pytest.approx(mean, rel=1e-15)
+            assert law.shape == 2.0
+            assert law.scale == law.mean / 2.0
+            assert law.variance == pytest.approx(variance, rel=1e-15)
 
     def test_mean_is_stored_at_construction(self):
         law = DistortionLaw(np.array([0.5, 1.5]), 1.0)
@@ -300,6 +303,8 @@ class TestSampleGeneralMse:
         expected = np.sum(1.0 / spectrum) / (rho * spectrum.size)
         assert np.mean(samples) == pytest.approx(expected, rel=0.02)
         assert law.mean == pytest.approx(expected, rel=1e-15)
+        # the exact variance, 20% above the mean-matched Gamma's
+        assert np.var(samples, ddof=1) == pytest.approx(law.variance, rel=0.05)
 
     @pytest.mark.parametrize("size", [1, 2, 5, 40, 1000])
     def test_bits_equal_previous_expression(self, size):

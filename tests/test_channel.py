@@ -19,8 +19,8 @@ from aircomp.channel import (
 )
 from aircomp.coding import (
     EncodingMatrix,
-    construct_identity,
     construct_random_orthonormal,
+    construct_repetition,
 )
 from aircomp.errors import (
     FloorUnsatisfiable,
@@ -68,6 +68,19 @@ class TestSystemConfig:
         assert cfg.p_x == pytest.approx(10**1.5)
         assert cfg.l_tilde == 20
         assert cfg.master_seed == 0
+
+    @pytest.mark.parametrize("n0", [1.0, 0.37, 25.0])
+    def test_config_echo_replays_its_run(self, tmp_path, n0):
+        # at n0 = 1, 2.4 dB used to echo as 2.3999999999999995, whose p_x is
+        # one ulp off; every 0.1 dB step from -30 to 60 dB must round-trip
+        path = tmp_path / "config.json"
+        for tenths in range(-300, 601):
+            write_config(path, n0=n0, snr_db=tenths / 10)
+            cfg = SystemConfig.from_json(path)
+            path.write_text(json.dumps(cfg.to_json()))
+            assert SystemConfig.from_json(path) == cfg, tenths / 10
+        write_config(path, n0=n0, snr_db=2.4)
+        assert SystemConfig.from_json(path).snr_db == 2.4
 
     def test_from_json_rejects_missing_key(self, tmp_path):
         path = tmp_path / "config.json"
@@ -196,7 +209,7 @@ class TestMaxPowerScaling:
 
 class TestEncodeAndPrecode:
     def test_identity_chain(self):
-        enc = construct_identity(3)
+        enc = construct_repetition(3)
         w = np.array([1.0 + 1j, 2.0, -1.0])
         x = encode_and_precode(enc, w, 1.0, 1.0)
         assert np.allclose(x, w)
@@ -234,12 +247,12 @@ class TestEncodeAndPrecode:
                 assert expected < cfg.p_x
 
     def test_zero_channel_rejected(self):
-        enc = construct_identity(2)
+        enc = construct_repetition(2)
         with pytest.raises(ZeroChannel):
             encode_and_precode(enc, np.zeros(2), 1e-8, 1.0)
 
     def test_shape_mismatch(self):
-        enc = construct_identity(2)
+        enc = construct_repetition(2)
         with pytest.raises(ShapeMismatch):
             encode_and_precode(enc, np.zeros(3), 1.0, 1.0)
 
@@ -286,12 +299,12 @@ class TestDecodeSum:
         )
 
     def test_identity_pass_through(self):
-        enc = construct_identity(3)
+        enc = construct_repetition(3)
         y = np.array([1.0, 2.0 + 1j, -0.5])
         assert np.allclose(decode_sum(enc, y, 1.0), y)
 
     def test_shape_mismatch(self):
-        enc = construct_identity(3)
+        enc = construct_repetition(3)
         with pytest.raises(ShapeMismatch):
             decode_sum(enc, np.zeros(4), 1.0)
 

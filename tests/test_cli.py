@@ -115,7 +115,7 @@ class TestCheck:
 
     def test_zero_samples_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "phi.json"
-        coding.save_matrix(coding.construct_identity(2), path)
+        coding.save_matrix(coding.construct_repetition(2), path)
         assert run_cli("check", "--matrix", str(path), "--samples", "0") == 2
         assert capsys.readouterr().err.startswith("error: --samples")
 
@@ -532,6 +532,17 @@ class TestSimulate:
         a = (tmp_path / "a.trials.csv").read_bytes()
         b = (tmp_path / "b.trials.csv").read_bytes()
         assert a == b
+
+    def test_shorter_run_is_a_prefix_of_the_trials_csv(self, tmp_path, capsys):
+        for trials in ("30", "80"):
+            run_cli(
+                "simulate", "--trials", trials, "--seed", "4",
+                "--out", str(tmp_path / trials),
+            )
+        short = (tmp_path / "30.trials.csv").read_text().splitlines()
+        long = (tmp_path / "80.trials.csv").read_text().splitlines()
+        assert len(short) == 31
+        assert long[:31] == short
 
     def test_assertion_failure_exit_code(self, capsys):
         code = run_cli(

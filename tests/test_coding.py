@@ -11,10 +11,8 @@ from hypothesis import strategies as st
 
 from aircomp import coding
 from aircomp.coding import (
-    Construction,
     EncodingMatrix,
     RankMode,
-    construct_identity,
     construct_random_orthonormal,
     construct_repetition,
     distortion_law,
@@ -72,7 +70,6 @@ class TestRepetition:
     def test_single_block_is_identity(self):
         enc = construct_repetition(5, 1)
         assert np.array_equal(enc.phi, np.eye(5))
-        assert enc.construction is Construction.REPETITION
 
     def test_two_blocks_fail_rank_validation(self):
         enc = construct_repetition(2, 2)
@@ -109,7 +106,7 @@ class TestValidate:
         assert report.rank_ok
 
     def test_identity_single_subset(self):
-        report = validate(construct_identity(4))
+        report = validate(construct_repetition(4))
         assert report.subsets_checked == 1
         assert report.rank_ok and report.power_ok
 
@@ -303,7 +300,6 @@ class TestMatrixFile:
         path = tmp_path / "phi.json"
         save_matrix(enc, path)
         loaded = load_matrix(path)
-        assert loaded.construction is Construction.CUSTOM
         assert np.array_equal(loaded.phi, enc.phi)
 
     def test_schema_fields(self, tmp_path):

@@ -17,6 +17,7 @@ from aircomp.experiments import (
     ChannelMode,
     ExperimentPlan,
     TrialSet,
+    _STREAM_CHANNEL,
     _STREAM_TRIAL,
     build_encoding,
     ks_two_sample,
@@ -132,6 +133,30 @@ class TestRunTrials:
             Rng(plan.config.master_seed, stream_id(_STREAM_TRIAL, 7)),
         )
         assert ts.samples[7] == direct.distortion
+
+    def test_rician_trial_replays_alone(self):
+        # trial i needs only its channel stream and its trial stream
+        cfg = SystemConfig(master_seed=17)
+        plan = ExperimentPlan(
+            config=cfg, trials=12, channel_mode=ChannelMode.RICIAN_PER_TRIAL
+        )
+        ts = run_trials(plan)
+        ch = channel.sample_rician(cfg, Rng(17, stream_id(_STREAM_CHANNEL, 7)))
+        p = max_power_scaling(ch, cfg)
+        rng = Rng(17, stream_id(_STREAM_TRIAL, 7))
+        direct = run_round(build_encoding(plan), cfg, ch, p, rng)
+        assert ts.samples[7] == direct.distortion
+        assert ts.channel_min_gains[7] == ch.min_gain
+
+    @pytest.mark.parametrize("mode", list(ChannelMode))
+    def test_first_trials_equal_the_shorter_run(self, mode):
+        plan = ExperimentPlan(
+            config=SystemConfig(master_seed=18), trials=80, channel_mode=mode
+        )
+        long = run_trials(plan)
+        short = run_trials(replace(plan, trials=30))
+        assert np.array_equal(long.samples[:30], short.samples)
+        assert np.array_equal(long.channel_min_gains[:30], short.channel_min_gains)
 
     def test_worker_count_does_not_change_results(self):
         plan = fixed_plan(trials=60, seed=14)

@@ -102,11 +102,11 @@ GOLDEN = {
     'simulate-custom:exit': '0',
     'simulate-custom:stdout': 'c70e6ba3d0449884a9df45f4efa5c8637b6bc4b0e918eb86cdc89229a606be55',
     'simulate-fixed-from-seed:exit': '0',
-    'simulate-fixed-from-seed:fs.report.json': 'fb4aa0b585c8ca43bdf029f6190804b321f6dea7d2baa383b926f0208485a883',
+    'simulate-fixed-from-seed:fs.report.json': '0dbdb2e224efa4cec9f635140c1bb5eb439b8c18f07636018f1f5a0f6298cf9d',
     'simulate-fixed-from-seed:fs.trials.csv': '3211c4f6cf44cf293d87ad27cd82a8a8d40c15def850492a23c34101a02f19b0',
     'simulate-fixed-from-seed:stdout': '2007485f1a3c7744a005a9d9db00c1a951634d231877f9a196d5a12507eded76',
     'simulate-fixed-unit:exit': '0',
-    'simulate-fixed-unit:fu.report.json': 'c04e31d7cdd7d80c796bc383c5c4cb50c2abab29ea8e68043b2c414fe3e18dfe',
+    'simulate-fixed-unit:fu.report.json': '0532a2ac95251e61b5cd33b820f1c0bcdb0b8ed286ac20930b01c38c6824b736',
     'simulate-fixed-unit:fu.trials.csv': 'b390e39267e655d38fb164cd95b82fb1a88a9c20609a1546b3c25785b6bb1e4a',
     'simulate-fixed-unit:stdout': '5374de12adbded4f62dfbd7b518bc6427995847a0db1ec217c70a48bf9aca187',
     'simulate-repetition:exit': '0',
