@@ -12,6 +12,11 @@ Per-user average transmit power is P * l * P_W / (l_tilde * |h_k|^2) per
 channel use, so the largest feasible common scaling under a per-user cap
 P_X is P* = P_X * min_k|h_k|^2 / (R * P_W) with R = l / l_tilde.
 
+Channel inversion needs every |h_k|^2 at or above the configured gain
+floor. sample_rician enforces it when it draws, by redrawing weak users;
+run_round checks it once per round for any channel it is handed, so
+encode_and_precode does not re-check it per user.
+
 Convention: CN(0, v) per complex entry means the real and imaginary parts
 carry variance v/2 each. dB quantities convert as x -> 10^(x/10).
 """
@@ -208,6 +213,9 @@ def sample_rician(config: SystemConfig, rng: Rng) -> ChannelRealization:
     los = math.sqrt(kappa / (kappa + 1.0))
     scatter_variance = 1.0 / (kappa + 1.0)
     coeffs = los + sample_complex_gaussian(rng, config.k_users, scatter_variance)
+    channel = ChannelRealization(coeffs)
+    if channel.min_gain >= config.min_gain_floor:
+        return channel
     redraws = 0
     rounds = 0
     below = np.abs(coeffs) ** 2 < config.min_gain_floor
@@ -245,16 +253,15 @@ def encode_and_precode(
     w_k: np.ndarray,
     h_k: complex,
     p: float,
-    min_gain_floor: float = DEFAULT_MIN_GAIN_FLOOR,
 ) -> np.ndarray:
-    """Map one user's source to its transmit signal (sqrt(p)/h_k) * phi @ w_k."""
+    """Map one user's source to its transmit signal (sqrt(p)/h_k) * phi @ w_k.
+
+    Preconditions: p > 0 and w_k an array of length l, both checked here,
+    and |h_k|^2 at or above the gain floor, which run_round checks once per
+    round for every user.
+    """
     if p <= 0:
         raise ValueError("power scaling must be positive")
-    if abs(h_k) ** 2 < min_gain_floor:
-        raise ZeroChannel(
-            f"channel gain {abs(h_k) ** 2:.3e} below floor {min_gain_floor:.3e}"
-        )
-    w_k = np.asarray(w_k, dtype=np.complex128)
     if w_k.shape != (enc.l,):
         raise ShapeMismatch(
             f"source vector of shape {w_k.shape} does not match l={enc.l}"
@@ -306,7 +313,8 @@ def run_round(
     """One full transmission: sources -> precode -> superpose -> decode.
 
     Distortion is the per-dimension squared error ||w_hat - w||^2 / l of
-    the decoded sum against the true sum.
+    the decoded sum against the true sum. Raises ZeroChannel when the
+    channel's min_gain is below config.min_gain_floor.
     """
     if enc.l != config.l or enc.l_tilde != config.l_tilde:
         raise ShapeMismatch(
@@ -318,16 +326,15 @@ def run_round(
             f"channel has {channel.k_users} coefficients for "
             f"{config.k_users} users"
         )
+    if channel.min_gain < config.min_gain_floor:
+        raise ZeroChannel(
+            f"channel gain {channel.min_gain:.3e} below floor "
+            f"{config.min_gain_floor:.3e}"
+        )
     sources = sample_sources(config, rng)
     signals = [
-        encode_and_precode(
-            enc,
-            sources[k],
-            channel.coefficients[k],
-            p,
-            min_gain_floor=config.min_gain_floor,
-        )
-        for k in range(config.k_users)
+        encode_and_precode(enc, w_k, h_k, p)
+        for w_k, h_k in zip(sources, channel.coefficients)
     ]
     y = superpose(signals, channel, config.n0, rng)
     true_sum = sources.sum(axis=0)

@@ -158,14 +158,15 @@ def _run_range(enc, config, fixed, start, stop):
     channel stream when ``fixed`` is None.
     """
     n = stop - start
+    if n > 0:
+        # Checking both ends checks every index in between; the loop then
+        # adds each index to its purpose's base key without stream_id. The
+        # check comes first so that an out-of-range run allocates nothing.
+        stream_id(_STREAM_TRIAL, start)
+        stream_id(_STREAM_TRIAL, stop - 1)
     samples = np.empty(n)
     min_gains = np.empty(n)
     p_used = np.empty(n)
-    if n > 0:
-        # Checking both ends checks every index in between; the loop then
-        # adds each index to its purpose's base key without stream_id.
-        stream_id(_STREAM_TRIAL, start)
-        stream_id(_STREAM_TRIAL, stop - 1)
     trial_base = stream_id(_STREAM_TRIAL)
     channel_base = stream_id(_STREAM_CHANNEL)
     seed = config.master_seed

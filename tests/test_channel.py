@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -161,6 +162,19 @@ class TestSampleRician:
         assert np.min(np.abs(ch.coefficients) ** 2) >= cfg.min_gain_floor
         assert ch.redraws > 0
 
+    def test_draw_above_floor_is_one_plain_draw(self):
+        # no redraw: the coefficients are the first K draws of the stream
+        cfg = SystemConfig(rician_kappa_db=5.0, master_seed=4)
+        ch = sample_rician(cfg, Rng(cfg.master_seed, 25))
+        assert ch.redraws == 0
+        assert ch.min_gain >= cfg.min_gain_floor
+        kappa = db_to_linear(cfg.rician_kappa_db)
+        los = math.sqrt(kappa / (kappa + 1.0))
+        replay = los + sample_complex_gaussian(
+            Rng(cfg.master_seed, 25), cfg.k_users, 1.0 / (kappa + 1.0)
+        )
+        assert np.array_equal(bits(ch.coefficients), bits(replay))
+
     def test_unsatisfiable_floor(self):
         cfg = SystemConfig(k_users=2, rician_kappa_db=100.0, min_gain_floor=5.0)
         with pytest.raises(FloorUnsatisfiable):
@@ -245,11 +259,6 @@ class TestEncodeAndPrecode:
                 assert expected == pytest.approx(cfg.p_x, rel=1e-12)
             else:
                 assert expected < cfg.p_x
-
-    def test_zero_channel_rejected(self):
-        enc = construct_repetition(2)
-        with pytest.raises(ZeroChannel):
-            encode_and_precode(enc, np.zeros(2), 1e-8, 1.0)
 
     def test_shape_mismatch(self):
         enc = construct_repetition(2)
@@ -417,6 +426,70 @@ class TestRunRound:
         base = distortion([0, 1, 2, 3])
         shuffled = distortion([2, 0, 3, 1])
         assert shuffled == pytest.approx(base, rel=1e-9)
+
+    def test_zero_channel_rejected(self):
+        # the gain floor is checked once per round, before any user precodes
+        cfg = SystemConfig(k_users=2, l=2, l_tilde=2)
+        enc = construct_repetition(2)
+        with pytest.raises(ZeroChannel):
+            run_round(enc, cfg, ChannelRealization([1e-8, 1.0]), 1.0, Rng(50))
+
+    @pytest.mark.parametrize(
+        "coefficients, floor, rejected",
+        [
+            # weak user last: 1e-4 has gain 1e-8, below the default 1e-6
+            ([1.0, 1.0, 1e-4], None, True),
+            # a min_gain equal to the floor runs
+            ([1.0, 1e-3, 2.0j], "min_gain", False),
+            # gain 0.25 passes the default floor but not a floor of 0.5
+            ([1.0, 0.5], None, False),
+            ([1.0, 0.5], 0.5, True),
+        ],
+    )
+    def test_configured_floor_checked_per_round(self, coefficients, floor, rejected):
+        ch = ChannelRealization(coefficients)
+        cfg = SystemConfig(k_users=ch.k_users, l=2, l_tilde=2)
+        if floor is not None:
+            floor = ch.min_gain if floor == "min_gain" else floor
+            cfg = replace(cfg, min_gain_floor=floor)
+        enc = construct_repetition(2)
+        if rejected:
+            with pytest.raises(ZeroChannel):
+                run_round(enc, cfg, ch, 1.0, Rng(51))
+        else:
+            out = run_round(enc, cfg, ch, max_power_scaling(ch, cfg), Rng(51))
+            assert math.isfinite(out.distortion)
+
+    @pytest.mark.parametrize(
+        "case", ["rician-10x5", "skewed-diag", "single-column", "one-user"]
+    )
+    def test_round_equals_staged_chain(self, case):
+        # the hot path is the readable chain: same draws, same float bits
+        if case == "skewed-diag":
+            cfg = SystemConfig(k_users=3, l=2, l_tilde=2, master_seed=54)
+            enc = EncodingMatrix(np.diag([math.sqrt(0.5), math.sqrt(1.5)]))
+        else:
+            k, l, l_tilde = {
+                "rician-10x5": (10, 5, 10),
+                "single-column": (10, 1, 3),  # the __matmul__ path
+                "one-user": (1, 5, 10),
+            }[case]
+            cfg = SystemConfig(k_users=k, l=l, l_tilde=l_tilde, master_seed=54)
+            enc = construct_random_orthonormal(l_tilde, l, Rng(55))
+        ch = sample_rician(cfg, Rng(cfg.master_seed, 56))
+        p = max_power_scaling(ch, cfg)
+        out = run_round(enc, cfg, ch, p, Rng(cfg.master_seed, 57))
+
+        rng = Rng(cfg.master_seed, 57)
+        sources = sample_sources(cfg, rng)
+        signals = [
+            encode_and_precode(enc, sources[k], ch.coefficients[k], p)
+            for k in range(cfg.k_users)
+        ]
+        y = superpose(signals, ch, cfg.n0, rng)
+        error = decode_sum(enc, y, p) - sources.sum(axis=0)
+        distortion = float((np.abs(error) ** 2).sum() / cfg.l)
+        assert np.array_equal(bits(out.distortion), bits(distortion))
 
     def test_config_mismatch_rejected(self):
         cfg = SystemConfig()

@@ -340,6 +340,15 @@ class TestSimulate:
         assert "theory_mean: 0.05" in out
         assert "mean_ratio:" in out
 
+    def test_trials_beyond_stream_range_is_usage_error(self, capsys):
+        # 10^15 trials pass 2^48 stream indices; the range check runs before
+        # the per-trial arrays (7 PiB each) are allocated
+        code = run_cli("simulate", "--trials", str(10**15))
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == "error: stream index out of range\n"
+        assert captured.out == ""
+
     def test_zero_trials_is_usage_error(self, tmp_path, capsys):
         # ExperimentPlan rejects it before any output file is opened
         prefix = str(tmp_path / "run")
