@@ -11,7 +11,6 @@ from .analysis import (
 from .channel import (
     ChannelRealization,
     SystemConfig,
-    TransmissionOutcome,
     all_ones_channel,
     decode_sum,
     encode_and_precode,

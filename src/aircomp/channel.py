@@ -164,8 +164,8 @@ class SystemConfig:
 class ChannelRealization:
     """Per-user complex channel coefficients and their minimum power gain.
 
-    ``min_gain`` = min_k |h_k|^2 is computed from the coefficients, which
-    must all have positive gain.
+    ``min_gain`` = min_k |h_k|^2 is computed from the coefficients, whose
+    gains must all be finite (ValueError) and positive (ZeroChannel).
     """
 
     coefficients: np.ndarray
@@ -176,7 +176,11 @@ class ChannelRealization:
         coeffs = np.asarray(self.coefficients, dtype=np.complex128)
         if coeffs.ndim != 1 or coeffs.size < 1:
             raise ShapeMismatch("coefficients must be a nonempty vector")
-        min_gain = float((np.abs(coeffs) ** 2).min())
+        gains = np.abs(coeffs) ** 2
+        # max is NaN or inf exactly when some gain is, which min can miss
+        if not math.isfinite(gains.max()):
+            raise ValueError("channel gains must be finite")
+        min_gain = float(gains.min())
         if min_gain <= 0:
             raise ZeroChannel("all channel gains must be positive")
         object.__setattr__(self, "coefficients", coeffs)
@@ -190,15 +194,6 @@ class ChannelRealization:
 def all_ones_channel(k_users: int) -> ChannelRealization:
     """Deterministic channel with every coefficient 1 (min gain exactly 1)."""
     return ChannelRealization(np.ones(k_users, dtype=np.complex128))
-
-
-@dataclass(eq=False, frozen=True)
-class TransmissionOutcome:
-    """One round's truth, estimate, and realized distortion."""
-
-    true_sum: np.ndarray
-    estimate: np.ndarray
-    distortion: float
 
 
 def sample_rician(config: SystemConfig, rng: Rng) -> ChannelRealization:
@@ -239,13 +234,17 @@ def sample_sources(config: SystemConfig, rng: Rng) -> np.ndarray:
     return flat.reshape(config.k_users, config.l)
 
 
-def max_power_scaling(channel: ChannelRealization, config: SystemConfig) -> float:
+def max_power_scaling(
+    min_gain: float | np.ndarray, config: SystemConfig
+) -> float | np.ndarray:
     """Largest common power scaling P* under the per-user cap.
 
     P* = p_x * min_gain / (R * p_w); at this value the weakest-channel user
     transmits at exactly p_x per complex dimension, everyone else below.
+    ``min_gain`` is a channel's min_gain, or an array of them, mapped
+    elementwise to the bits of the scalar call.
     """
-    return config.p_x * channel.min_gain / (config.rate * config.p_w)
+    return config.p_x * min_gain / (config.rate * config.p_w)
 
 
 def encode_and_precode(
@@ -309,12 +308,12 @@ def run_round(
     channel: ChannelRealization,
     p: float,
     rng: Rng,
-) -> TransmissionOutcome:
+) -> float:
     """One full transmission: sources -> precode -> superpose -> decode.
 
-    Distortion is the per-dimension squared error ||w_hat - w||^2 / l of
-    the decoded sum against the true sum. Raises ZeroChannel when the
-    channel's min_gain is below config.min_gain_floor.
+    Returns the distortion, the per-dimension squared error
+    ||w_hat - w||^2 / l of the decoded sum against the true sum. Raises
+    ZeroChannel when the channel's min_gain is below config.min_gain_floor.
     """
     if enc.l != config.l or enc.l_tilde != config.l_tilde:
         raise ShapeMismatch(
@@ -337,11 +336,5 @@ def run_round(
         for w_k, h_k in zip(sources, channel.coefficients)
     ]
     y = superpose(signals, channel, config.n0, rng)
-    true_sum = sources.sum(axis=0)
-    estimate = decode_sum(enc, y, p)
-    distortion = float((np.abs(estimate - true_sum) ** 2).sum() / config.l)
-    return TransmissionOutcome(
-        true_sum=true_sum,
-        estimate=estimate,
-        distortion=distortion,
-    )
+    error = decode_sum(enc, y, p) - sources.sum(axis=0)
+    return float((np.abs(error) ** 2).sum() / config.l)

@@ -167,10 +167,9 @@ def cmd_simulate(args) -> int:
         config = replace(config, master_seed=args.seed)
     plan = ExperimentPlan(
         config=config,
-        construction=Construction(args.construction),
+        construction=args.construction,
         trials=args.trials,
-        channel_mode=ChannelMode(args.mode),
-        output_path=args.out,
+        channel_mode=args.mode,
         matrix_path=args.matrix,
     )
     # A matrix that cannot be built or loaded fails before any output exists.

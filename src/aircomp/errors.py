@@ -22,7 +22,11 @@ class InvalidShape(AirCompError):
 
 
 class ZeroChannel(AirCompError):
-    """Channel-inversion precoding hit a coefficient below the gain floor."""
+    """A channel gain is too weak to invert.
+
+    Raised by run_round for a min_gain below config.min_gain_floor and by
+    ChannelRealization for a zero gain.
+    """
 
 
 class ShapeMismatch(AirCompError):

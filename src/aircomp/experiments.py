@@ -69,7 +69,6 @@ class ExperimentPlan:
     construction: Construction = Construction.RANDOM_ORTHONORMAL
     trials: int = 1000
     channel_mode: ChannelMode = ChannelMode.RICIAN_PER_TRIAL
-    output_path: str | None = None
     matrix_path: str | None = None
 
     def __post_init__(self):
@@ -89,7 +88,6 @@ class ExperimentPlan:
             "construction": self.construction.value,
             "trials": self.trials,
             "channel_mode": self.channel_mode.value,
-            "output_path": self.output_path,
             "matrix_path": self.matrix_path,
         }
 
@@ -102,7 +100,11 @@ class TrialSet:
     enc: EncodingMatrix
     samples: np.ndarray
     channel_min_gains: np.ndarray
-    p_used: np.ndarray
+
+    @property
+    def p_used(self) -> np.ndarray:
+        """Per-trial power scaling, bit for bit the one each trial ran at."""
+        return channel.max_power_scaling(self.channel_min_gains, self.plan.config)
 
 
 @dataclass
@@ -113,7 +115,6 @@ class MseReport:
     theory_variance: float | None
     ks_statistic: float | None = None
     exceedance_freq: float | None = None
-    degenerate: bool = False
 
 
 def build_encoding(plan: ExperimentPlan) -> EncodingMatrix:
@@ -166,7 +167,6 @@ def _run_range(enc, config, fixed, start, stop):
         stream_id(_STREAM_TRIAL, stop - 1)
     samples = np.empty(n)
     min_gains = np.empty(n)
-    p_used = np.empty(n)
     trial_base = stream_id(_STREAM_TRIAL)
     channel_base = stream_id(_STREAM_CHANNEL)
     seed = config.master_seed
@@ -174,16 +174,14 @@ def _run_range(enc, config, fixed, start, stop):
     sample_rician = channel.sample_rician
     max_power_scaling = channel.max_power_scaling
     ch = fixed
-    p = None if ch is None else max_power_scaling(ch, config)
+    p = None if ch is None else max_power_scaling(ch.min_gain, config)
     for j, i in enumerate(range(start, stop)):
         if fixed is None:
             ch = sample_rician(config, Rng(seed, channel_base + i))
-            p = max_power_scaling(ch, config)
-        outcome = run_round(enc, config, ch, p, Rng(seed, trial_base + i))
-        samples[j] = outcome.distortion
+            p = max_power_scaling(ch.min_gain, config)
+        samples[j] = run_round(enc, config, ch, p, Rng(seed, trial_base + i))
         min_gains[j] = ch.min_gain
-        p_used[j] = p
-    return samples, min_gains, p_used
+    return samples, min_gains
 
 
 def run_trials(
@@ -220,15 +218,11 @@ def run_trials(
             ]
             parts = [f.result() for f in futures]
 
-    samples = np.concatenate([p[0] for p in parts])
-    min_gains = np.concatenate([p[1] for p in parts])
-    p_used = np.concatenate([p[2] for p in parts])
     return TrialSet(
         plan=plan,
         enc=enc,
-        samples=samples,
-        channel_min_gains=min_gains,
-        p_used=p_used,
+        samples=np.concatenate([p[0] for p in parts]),
+        channel_min_gains=np.concatenate([p[1] for p in parts]),
     )
 
 
@@ -244,8 +238,7 @@ def summarize(ts: TrialSet, eta: float | None = None) -> MseReport:
     samples = np.asarray(ts.samples, dtype=float)
     if samples.size == 0:
         raise EmptySample("summarize needs at least one sample")
-    degenerate = samples.size == 1
-    variance = 0.0 if degenerate else float(np.var(samples, ddof=1))
+    variance = 0.0 if samples.size == 1 else float(np.var(samples, ddof=1))
     theory = theory_for_trials(ts)
 
     theory_variance = ks_statistic = None
@@ -263,7 +256,6 @@ def summarize(ts: TrialSet, eta: float | None = None) -> MseReport:
         theory_variance=theory_variance,
         ks_statistic=ks_statistic,
         exceedance_freq=exceedance,
-        degenerate=degenerate,
     )
 
 
@@ -452,10 +444,10 @@ def oracle_equivalence_test(
     """
     if n < 1000:
         raise ValueError("need at least 1000 samples per side")
-    pipeline, _, _ = _run_range(enc, config, channel_realization, 0, n)
+    pipeline, _ = _run_range(enc, config, channel_realization, 0, n)
 
-    rho = channel.max_power_scaling(channel_realization, config) / config.n0
-    law = coding.distortion_law(enc, rho)
+    p = channel.max_power_scaling(channel_realization.min_gain, config)
+    law = coding.distortion_law(enc, p / config.n0)
     oracle_rng = Rng(config.master_seed, stream_id(_STREAM_ORACLE))
     sample = analysis.sample_general_mse
     oracle = np.fromiter(

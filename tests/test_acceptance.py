@@ -224,7 +224,7 @@ def test_criterion_9_uncoded_baseline_identity():
 
     uncoded_enc = construct_repetition(config.l)
     ch = all_ones_channel(config.k_users)
-    p = max_power_scaling(ch, config)
+    p = max_power_scaling(ch.min_gain, config)
     uncoded = np.array(
         [
             run_round(
@@ -233,7 +233,7 @@ def test_criterion_9_uncoded_baseline_identity():
                 ch,
                 p,
                 Rng(config.master_seed, stream_id(_STREAM_TRIAL, i)),
-            ).distortion
+            )
             for i in range(plan.trials)
         ]
     )

@@ -292,6 +292,40 @@ class TestImports:
         )
         assert done.stdout.split() == []
 
+    def test_every_subcommand_runs_without_test_only_packages(self, tmp_path):
+        # numpy is the only runtime dependency: a fresh interpreter runs
+        # every subcommand at tiny sizes and none of the test suite's own
+        # packages gets imported on the way.
+        code = """
+import contextlib, io, json, sys
+from aircomp.cli import main
+calls = [
+    ["construct", "--l", "2", "--l-tilde", "4", "--out", "phi.json"],
+    ["check", "--matrix", "phi.json"],
+    ["theory", "--matrix", "phi.json", "--l", "2", "--l-tilde", "4"],
+    ["regions", "--epsilon", "0.02", "--snr-db", "0", "10"],
+    ["simulate", "--trials", "3", "--eta", "1", "--out", "run"],
+    ["simulate", "--mode", "fixed-unit", "--trials", "3"],
+    ["dist-test", "--ks-trials", "1000", "--chernoff-trials", "1000",
+     "--oracle-n", "1000"],
+    ["figures", "--which", "2", "--trials", "2", "--out-dir", "fig"],
+    ["figures", "--which", "3", "--out-dir", "fig"],
+    ["figures", "--which", "4", "--trials", "2", "--out-dir", "fig"],
+]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(argv) for argv in calls]
+loaded = [m for m in ("scipy", "hypothesis", "pytest") if m in sys.modules]
+print(json.dumps({"codes": codes, "loaded": loaded}))
+"""
+        src = os.path.dirname(os.path.dirname(aircomp.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", code], cwd=tmp_path,
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        result = json.loads(done.stdout)
+        assert result == {"codes": [0] * 10, "loaded": []}
+
 
 class TestBadFloatFlags:
     @pytest.mark.parametrize(

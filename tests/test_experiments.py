@@ -124,7 +124,7 @@ class TestRunTrials:
         ts = run_trials(plan)
         enc = build_encoding(plan)
         ch = all_ones_channel(plan.config.k_users)
-        p = max_power_scaling(ch, plan.config)
+        p = max_power_scaling(ch.min_gain, plan.config)
         direct = run_round(
             enc,
             plan.config,
@@ -132,7 +132,7 @@ class TestRunTrials:
             p,
             Rng(plan.config.master_seed, stream_id(_STREAM_TRIAL, 7)),
         )
-        assert ts.samples[7] == direct.distortion
+        assert ts.samples[7] == direct
 
     def test_rician_trial_replays_alone(self):
         # trial i needs only its channel stream and its trial stream
@@ -142,10 +142,10 @@ class TestRunTrials:
         )
         ts = run_trials(plan)
         ch = channel.sample_rician(cfg, Rng(17, stream_id(_STREAM_CHANNEL, 7)))
-        p = max_power_scaling(ch, cfg)
+        p = max_power_scaling(ch.min_gain, cfg)
         rng = Rng(17, stream_id(_STREAM_TRIAL, 7))
         direct = run_round(build_encoding(plan), cfg, ch, p, rng)
-        assert ts.samples[7] == direct.distortion
+        assert ts.samples[7] == direct
         assert ts.channel_min_gains[7] == ch.min_gain
 
     @pytest.mark.parametrize("mode", list(ChannelMode))
@@ -192,9 +192,27 @@ class TestRunTrials:
         )
         ts = run_trials(plan)
         assert np.unique(ts.channel_min_gains).size > 1
-        # power scaling tracks the per-trial channel
-        expected_p = cfg.p_x * ts.channel_min_gains / (cfg.rate * cfg.p_w)
-        assert np.allclose(ts.p_used, expected_p, rtol=1e-12)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_p_used_is_the_power_each_trial_ran_at(self, workers):
+        # bit for bit the scalar max_power_scaling of each trial's channel
+        cfg = SystemConfig(master_seed=16)
+        plan = ExperimentPlan(
+            config=cfg, trials=50, channel_mode=ChannelMode.RICIAN_PER_TRIAL
+        )
+        ts = run_trials(plan, workers=workers)
+        expected = [
+            max_power_scaling(
+                channel.sample_rician(
+                    cfg, Rng(16, stream_id(_STREAM_CHANNEL, i))
+                ).min_gain,
+                cfg,
+            )
+            for i in range(plan.trials)
+        ]
+        assert np.array_equal(
+            ts.p_used.view(np.uint64), np.array(expected).view(np.uint64)
+        )
 
 
 def count_trial_loop_calls(monkeypatch):
@@ -326,12 +344,12 @@ class TestTrialRange:
         plan = fixed_plan(trials=1)
         enc = build_encoding(plan)
         fixed = experiments.fixed_channel_for(plan)
-        samples, _, _ = experiments._run_range(
+        samples, _ = experiments._run_range(
             enc, plan.config, fixed, 2**48 - 1, 2**48
         )
-        p = max_power_scaling(fixed, plan.config)
+        p = max_power_scaling(fixed.min_gain, plan.config)
         rng = Rng(plan.config.master_seed, stream_id(_STREAM_TRIAL, 2**48 - 1))
-        assert samples[0] == run_round(enc, plan.config, fixed, p, rng).distortion
+        assert samples[0] == run_round(enc, plan.config, fixed, p, rng)
 
 
 class TestSummarize:
@@ -344,8 +362,8 @@ class TestSummarize:
             enc=build_encoding(plan),
             samples=samples,
             channel_min_gains=np.ones(samples.size),
-            p_used=np.full(samples.size, 20.0),
         )
+        assert np.all(ts.p_used == 20.0)
         report = summarize(ts)
         assert report.mean == pytest.approx(0.05, rel=0.02)
         assert report.variance == pytest.approx(5e-4, rel=0.05)
@@ -375,9 +393,10 @@ class TestSummarize:
             plan=plan,
             enc=build_encoding(plan),
             samples=samples,
-            channel_min_gains=np.ones(4),
-            p_used=np.ones(4),
+            # p_x * 0.05 / (rate * p_w) = 1 at 10 dB and rate 1/2
+            channel_min_gains=np.full(4, 0.05),
         )
+        assert np.all(ts.p_used == 1.0)
         report = summarize(ts, eta=1.0)
         # theory mean n0 / p = 1, threshold (1 + 1) * 1 = 2 -> two of four exceed
         assert report.exceedance_freq == pytest.approx(0.5)
@@ -389,11 +408,8 @@ class TestSummarize:
             enc=build_encoding(plan),
             samples=np.array([0.05]),
             channel_min_gains=np.ones(1),
-            p_used=np.ones(1),
         )
-        report = summarize(ts)
-        assert report.variance == 0.0
-        assert report.degenerate
+        assert summarize(ts).variance == 0.0
 
     def test_empty_rejected(self):
         plan = fixed_plan(trials=1)
@@ -402,7 +418,6 @@ class TestSummarize:
             enc=build_encoding(plan),
             samples=np.array([]),
             channel_min_gains=np.array([]),
-            p_used=np.array([]),
         )
         with pytest.raises(EmptySample):
             summarize(ts)
