@@ -45,10 +45,17 @@ _GRAM_RANK_TOLERANCE = RANK_TOLERANCE**2
 DEFAULT_MAX_EXHAUSTIVE_SUBSETS = 100_000
 DEFAULT_SAMPLE_COUNT = 1_000
 
-# Bytes of stacked l x l row-subset matrices per np.linalg.svd call in
-# ``validate``: large enough that LAPACK, not Python, sets the pace, and
-# small enough that memory stays bounded whatever the subset count.
+# Bytes of one ``validate`` batch: the stacked l x l row-subset matrices,
+# their conjugates, Gram matrices and Gram eigenvalues. Large enough that
+# LAPACK, not Python, sets the pace, and small enough that memory stays
+# bounded whatever the subset count.
 SVD_BATCH_BYTES = 256 * 1024
+
+# Factor by which the screen in ``validate`` widens its worst-case rounding
+# bounds, which take the "modestly growing" p(l) of the LAPACK bounds as l.
+SCREEN_SAFETY = 16
+
+_U = np.finfo(np.float64).eps / 2
 
 
 class Construction(str, Enum):
@@ -183,14 +190,30 @@ def validate(
     """Check the power constraint and the row-subset rank condition.
 
     All C(l_tilde, l) row subsets are tested when there are at most
-    ``max_exhaustive_subsets`` of them; otherwise ``sample_count`` subsets
-    are drawn uniformly (requires ``rng``). A subset passes when its
-    min/max singular-value ratio exceeds the rank tolerance. Subsets go
-    through stacked SVDs of about ``SVD_BATCH_BYTES`` each, so memory stays
-    bounded and the report equals a one-subset-at-a-time check. The report
-    also carries the Gram spectrum, which fully determines the distortion
-    law downstream.
+    ``max_exhaustive_subsets`` of them (which must be non-negative);
+    otherwise ``sample_count`` subsets are drawn uniformly (requires
+    ``rng``). A subset passes when its min/max singular-value ratio exceeds
+    the rank tolerance. The report also carries the Gram spectrum, which
+    fully determines the distortion law downstream.
+
+    Subsets go in batches of about ``SVD_BATCH_BYTES`` of working set, so
+    memory stays bounded. Each batch is screened first: one stacked
+    ``eigvalsh`` of the Gram matrices B^H B gives every subset B a
+    certified interval [lo, hi] around its true ratio (``_ratio_bounds``).
+    A computed SVD ratio lies within m = SCREEN_SAFETY (2l + 5) u of the
+    true one, u being the unit roundoff: LAPACK Users' Guide §4.9 bounds
+    each singular value's error by l u sigma_max, and 4u more covers the
+    rounding of lo and hi. A subset whose lo - m exceeds m plus the least
+    hi seen so far has a computed ratio above another subset's, so it is
+    skipped; every other subset, NaN bounds included, goes through
+    ``np.linalg.svd``, and the worst ratio is the least of those SVD
+    ratios. The report is therefore bit-identical to an SVD of every
+    subset, one at a time. When every subset is singular, none can be
+    skipped and the screen is extra work: a 12x6 matrix with a zero column
+    takes about twice as long as with SVDs alone.
     """
+    if max_exhaustive_subsets < 0:
+        raise ValueError("max_exhaustive_subsets must be non-negative")
     trace = float(np.trace(enc.gram).real)
     power_ok = abs(trace - enc.l) <= POWER_TOLERANCE * enc.l
 
@@ -213,12 +236,24 @@ def validate(
         )
         count = sample_count
 
+    l = enc.l
+    margin = SCREEN_SAFETY * (2 * l + 5) * _U
+    # Ratios do not change with scale, and with entries of magnitude at most
+    # 1 no Gram overflows.
+    screened = enc.phi / (float(np.abs(enc.phi).max()) or 1.0)
     # Batches are read in the iterator's order, so sampled subsets are
     # drawn from rng exactly as one at a time would draw them.
-    batch = max(1, SVD_BATCH_BYTES // (enc.phi.itemsize * enc.l * enc.l))
-    worst = math.inf
-    while rows := list(itertools.islice(subsets, batch)):
-        sv = np.linalg.svd(enc.phi[rows], compute_uv=False)
+    batch = max(1, SVD_BATCH_BYTES // (3 * enc.phi.itemsize * l * l + 8 * l))
+    flat = itertools.chain.from_iterable(subsets)
+    worst = least_hi = math.inf
+    while (rows := np.fromiter(itertools.islice(flat, batch * l), np.intp)).size:
+        rows = rows.reshape(-1, l)
+        lo, hi = _ratio_bounds(screened[rows])
+        least_hi = np.fmin.reduce(hi, initial=least_hi)  # NaN hi is no bound
+        svd = ~(lo - margin > least_hi + margin)  # NaN lo compares False
+        if not svd.any():
+            continue
+        sv = np.linalg.svd(enc.phi[rows[svd]], compute_uv=False)
         top = sv[:, 0]
         # a zero matrix has no largest singular value to divide by: ratio 0
         ratios = np.divide(sv[:, -1], top, out=np.zeros_like(top), where=top > 0)
@@ -233,6 +268,39 @@ def validate(
         worst_min_singular_ratio=worst,
         gram_spectrum=gram_spectrum(enc).tolist(),
     )
+
+
+def _ratio_bounds(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """[lo, hi] around the true sigma_min / sigma_max of each stacked matrix.
+
+    ``stack`` holds row subsets of phi / s, rounded, for some scale s. For
+    one subset B of phi / s, with Gram G = B^H B and F = ||B||_F^2 <=
+    l lambda_max(G), Weyl's inequality puts each computed eigenvalue within
+    (3l + 8) u F of the true one, summing three errors (u is the unit
+    roundoff):
+
+    - rounding phi / s moves the eigenvalues by at most 3 u F;
+    - the computed Gram is within 2 (l + 2) u F of G in norm (Higham,
+      Accuracy and Stability of Numerical Algorithms, §3.5, with §3.6 for
+      complex products);
+    - ``eigvalsh`` returns the exact eigenvalues of a matrix within
+      l u ||G|| of the computed Gram (LAPACK Users' Guide §4.7, taking its
+      p(l) as l).
+
+    The bounds widen (3l + 8) l u lambda_max by SCREEN_SAFETY, which also
+    covers second-order terms, and add l^2 times the smallest normal float
+    for gradual underflow. The true ratio is sqrt(lambda_min / lambda_max).
+    A zero or non-finite top eigenvalue gives lo = 0 or NaN and hi = inf or
+    NaN, so such a matrix is never skipped and never bounds another.
+    """
+    l = stack.shape[-1]
+    lam = np.linalg.eigvalsh(np.matmul(stack.conj().transpose(0, 2, 1), stack))
+    low, top = lam[:, 0], lam[:, -1]
+    delta = SCREEN_SAFETY * (3 * l + 8) * l * _U * top + l * l * np.finfo(np.float64).tiny
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lo = np.sqrt(np.maximum(low - delta, 0) / (top + delta))
+        hi = np.sqrt(np.maximum(low + delta, 0) / np.maximum(top - delta, 0))
+    return lo, hi
 
 
 def gram_spectrum(enc: EncodingMatrix) -> np.ndarray:

@@ -160,10 +160,8 @@ def sample_complex_gaussian(rng: Rng, n: int, variance: float) -> np.ndarray:
         raise ValueError("variance must be positive")
     z = rng.gen.standard_normal((2, n))
     z *= math.sqrt(variance / 2.0)
-    out = np.empty(n, dtype=np.complex128)
-    out.real = z[0]
-    out.imag = z[1]
-    return out
+    # one contiguous copy interleaves the (re, im) pairs
+    return np.ascontiguousarray(z.T).view(np.complex128)[:, 0]
 
 
 def regularized_lower_gamma(shape: float, x: float) -> float:

@@ -38,6 +38,7 @@ def assert_usage_error_before_output(capsys, code, *paths):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
     assert captured.out == ""
     for path in paths:
         assert not os.path.exists(path)
@@ -93,6 +94,14 @@ class TestConstruct:
         )
         assert code == 0
 
+    def test_negative_max_exhaustive_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "a.json"
+        code = run_cli(
+            "construct", "--l", "3", "--l-tilde", "6", "--seed", "1",
+            "--out", str(out), "--max-exhaustive", "-5",
+        )
+        assert_usage_error_before_output(capsys, code, out)
+
 
 class TestCheck:
     def test_construct_output_checks_clean(self, tmp_path, capsys):
@@ -118,6 +127,12 @@ class TestCheck:
         coding.save_matrix(coding.construct_repetition(2), path)
         assert run_cli("check", "--matrix", str(path), "--samples", "0") == 2
         assert capsys.readouterr().err.startswith("error: --samples")
+
+    def test_negative_max_exhaustive_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "phi.json"
+        coding.save_matrix(coding.construct_repetition(2), path)
+        code = run_cli("check", "--matrix", str(path), "--max-exhaustive", "-1")
+        assert_usage_error_before_output(capsys, code)
 
     # int() would read each as a valid shape: 2x2 and 2x1
     @pytest.mark.parametrize("rows, cols", [(2.5, 2), (2, True)])

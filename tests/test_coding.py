@@ -119,6 +119,12 @@ class TestValidate:
         assert report.subsets_checked == 15
         assert report.rank_ok
 
+    @pytest.mark.parametrize("max_exhaustive", [-1, -5])
+    def test_negative_max_exhaustive_rejected(self, max_exhaustive):
+        enc = construct_random_orthonormal(6, 3, Rng(3))
+        with pytest.raises(ValueError, match="max_exhaustive_subsets"):
+            validate(enc, max_exhaustive_subsets=max_exhaustive)
+
     def test_sampled_mode_requires_rng(self):
         enc = construct_random_orthonormal(8, 4, Rng(5))
         with pytest.raises(ValueError):
@@ -164,10 +170,33 @@ def reference_rank_check(enc, max_exhaustive_subsets, sample_count, rng):
 
 
 def set_svd_batch(monkeypatch, enc, batch):
-    """Make validate stack ``batch`` subsets per SVD (None: the default)."""
+    """Make validate take ``batch`` subsets per batch (None: the default)."""
     if batch is not None:
-        size = batch * enc.phi.itemsize * enc.l * enc.l
+        # validate's working set per subset: the subset, its conjugate and
+        # its Gram matrix, plus the Gram eigenvalues
+        size = batch * (3 * enc.phi.itemsize * enc.l * enc.l + 8 * enc.l)
         monkeypatch.setattr(coding, "SVD_BATCH_BYTES", size)
+
+
+def with_row_near(enc, row, source, scale, seed):
+    """``enc`` with ``row`` replaced by row ``source`` plus a ``scale`` nudge."""
+    phi = enc.phi.copy()
+    nudge = sample_complex_gaussian(Rng(seed, 7), enc.l, 1.0)
+    phi[row] = phi[source] + scale * nudge
+    return EncodingMatrix(phi)
+
+
+def with_zero_column(enc):
+    phi = enc.phi.copy()
+    phi[:, 0] = 0
+    return EncodingMatrix(phi)
+
+
+def partial_dft(l_tilde, l):
+    """Columns of the unitary DFT: cyclic row shifts keep every singular
+    value, so many subsets tie and rounding alone picks the worst."""
+    k = np.arange(l_tilde)[:, None] * np.arange(l)[None, :]
+    return EncodingMatrix(np.exp(2j * np.pi * k / l_tilde) / math.sqrt(l_tilde))
 
 
 class TestValidateBatches:
@@ -181,8 +210,25 @@ class TestValidateBatches:
             (construct_repetition(3, 2), 100_000, 1000),
             # 100 of the 252 subsets sampled
             (construct_random_orthonormal(10, 5, Rng(22)), 10, 100),
+            # two rows equal up to 1e-8 and 1e-12: the 28 subsets holding
+            # both are near-singular, the worst ratio near the rank tolerance
+            (with_row_near(construct_random_orthonormal(10, 4, Rng(24)), 6, 2, 1e-8, 1),
+             100_000, 1000),
+            (with_row_near(construct_random_orthonormal(10, 4, Rng(25)), 9, 0, 1e-12, 2),
+             100_000, 1000),
+            # every subset singular: nothing can be screened out
+            (with_zero_column(construct_random_orthonormal(9, 4, Rng(26))), 100_000, 1000),
+            (partial_dft(12, 4), 100_000, 1000),
+            (construct_random_orthonormal(9, 1, Rng(27)), 100_000, 1000),
+            (construct_random_orthonormal(6, 6, Rng(28)), 100_000, 1000),
+            # 150 sampled subsets of the benchmark's 64x32 shape
+            (construct_random_orthonormal(64, 32, Rng(29)), 10, 150),
         ],
-        ids=["exhaustive", "repetition", "sampled"],
+        ids=[
+            "exhaustive", "repetition", "sampled", "near-dependent-1e-8",
+            "near-dependent-1e-12", "zero-column", "ties", "l-is-1",
+            "l-is-l-tilde", "sampled-64x32",
+        ],
     )
     def test_matches_one_subset_at_a_time(
         self, monkeypatch, batch, enc, max_exhaustive, samples
@@ -206,6 +252,21 @@ class TestValidateBatches:
         assert report.worst_min_singular_ratio == 0.0
         assert not report.rank_ok
         assert report.power_ok
+
+    def test_screen_leaves_few_subsets_to_the_svd(self, monkeypatch):
+        # the Gram screen must leave almost every one of the C(16, 8) =
+        # 12870 subsets out of the SVD, or the speed-up has silently gone
+        svd = np.linalg.svd
+        reached = []
+
+        def counted(a, *args, **kwargs):
+            reached.append(len(a) if a.ndim == 3 else 1)
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        report = validate(construct_random_orthonormal(16, 8, Rng(23)))
+        assert report.subsets_checked == 12870 and report.rank_ok
+        assert 0 < sum(reached) < 12870 // 100
 
     def test_memory_stays_bounded(self):
         # stacking all C(16, 8) = 12870 subsets at once would take ~13 MiB
