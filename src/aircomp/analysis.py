@@ -45,13 +45,14 @@ def _require_positive(**values) -> None:
 class DistortionLaw:
     """Law of the decoded-sum distortion d = sum_l z_l / (rho * l * lambda_l).
 
-    ``spectrum`` holds the positive Gram eigenvalues lambda_l and ``rho``
-    the effective SNR p / n0; the z_l are unit exponentials. ``mean`` and
-    ``variance`` (sum_l c_l^2 with c_l = 1 / (rho * l * lambda_l)) are
-    exact for every spectrum. ``shape``, ``scale`` and ``cdf`` are the
-    mean-matched Gamma law (shape l, scale mean / l), which is exact when
-    all eigenvalues are equal, as for orthonormal columns, and a proxy
-    otherwise. The moments are computed once, at construction.
+    ``spectrum`` holds the positive, finite Gram eigenvalues lambda_l and
+    ``rho`` the positive, finite effective SNR p / n0; the z_l are unit
+    exponentials. ``mean`` and ``variance`` (sum_l c_l^2 with
+    c_l = 1 / (rho * l * lambda_l)) are exact for every spectrum.
+    ``shape``, ``scale`` and ``cdf`` are the mean-matched Gamma law (shape
+    l, scale mean / l), which is exact when all eigenvalues are equal, as
+    for orthonormal columns, and a proxy otherwise. The moments are
+    computed once, at construction.
     """
 
     spectrum: np.ndarray
@@ -63,9 +64,12 @@ class DistortionLaw:
 
     def __post_init__(self):
         lam = np.asarray(self.spectrum, dtype=float)
-        if lam.ndim != 1 or lam.size < 1 or not (lam > 0).all():
-            raise ValueError("spectrum must be a nonempty vector of positive entries")
-        _require_positive(rho=self.rho)
+        if lam.ndim != 1 or lam.size < 1 or not 0 < lam.min() <= lam.max() < math.inf:
+            raise ValueError(
+                "spectrum must be a nonempty vector of positive finite entries"
+            )
+        if not 0 < self.rho < math.inf:
+            raise ValueError(f"rho must be positive and finite, got {self.rho}")
         shape = float(lam.size)
         mean = float((1.0 / lam).sum() / (shape * self.rho))
         weights = 1.0 / (self.rho * shape * lam)

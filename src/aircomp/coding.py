@@ -8,8 +8,9 @@ can undo the code with a single pseudo-inverse. A valid matrix satisfies
     every l-row subset of phi has full rank   (decoding feasibility)
 
 and the distortion of the decoded sum depends on phi only through the
-eigenvalues of phi^H phi (the Gram spectrum). Orthonormal columns make the
-spectrum all ones, which is the distortion-optimal choice.
+eigenvalues of phi^H phi (the Gram spectrum), which are the squared
+singular values of phi. Orthonormal columns make the spectrum all ones,
+which is the distortion-optimal choice.
 """
 
 from __future__ import annotations
@@ -30,17 +31,12 @@ from .numerics import (
     Rng,
     exact_int,
     finite_float,
-    hermitian_eigenvalues,
-    pseudo_inverse,
     qr_orthonormal,
     sample_complex_gaussian,
 )
 
 # Relative slack on the power constraint trace(phi^H phi) = l.
 POWER_TOLERANCE = 1e-8
-
-# Gram eigenvalues are squared singular values, hence the squared cutoff.
-_GRAM_RANK_TOLERANCE = RANK_TOLERANCE**2
 
 DEFAULT_MAX_EXHAUSTIVE_SUBSETS = 100_000
 DEFAULT_SAMPLE_COUNT = 1_000
@@ -92,7 +88,9 @@ class EncodingMatrix:
 
     Rows are channel uses (l_tilde), columns are source dimensions (l);
     both are read from ``phi``. Instances are treated as immutable once
-    built; the decoder (pseudo-inverse) and Gram matrix are cached lazily.
+    built. One thin SVD of ``phi``, cached on first use, gives the Gram
+    spectrum, the rank verdict and the decoder. The Gram matrix is cached
+    too, but only for the reported trace and orthonormality deviation.
     """
 
     phi: np.ndarray
@@ -119,12 +117,39 @@ class EncodingMatrix:
 
     @cached_property
     def gram(self) -> np.ndarray:
+        """phi^H phi; nothing derived from it feeds the law or the decoder."""
         return self.phi.conj().T @ self.phi
 
     @cached_property
+    def svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Thin SVD ``(u, sigma, vh)`` of phi, sigma descending.
+
+        Factored at unit largest entry, the scaling ``validate`` screens
+        at, with sigma rescaled afterwards, so the factorization neither
+        overflows nor underflows whatever the scale of phi.
+        """
+        scale = float(np.abs(self.phi).max()) or 1.0
+        u, sigma, vh = np.linalg.svd(self.phi / scale, full_matrices=False)
+        return u, sigma * scale, vh
+
+    def require_full_rank(self) -> None:
+        """Raise RankDeficient unless sigma_min > RANK_TOLERANCE * sigma_max."""
+        sigma = self.svd[1]
+        if not sigma[-1] > RANK_TOLERANCE * sigma[0]:
+            raise RankDeficient("encoding matrix is not full column rank")
+
+    @cached_property
     def decoder(self) -> np.ndarray:
-        """Left pseudo-inverse used to undo the code at the receiver."""
-        return pseudo_inverse(self.phi)
+        """Left pseudo-inverse V diag(1/sigma) U^H, which undoes the code.
+
+        Its error grows like kappa u, not the kappa^2 u of a solve with the
+        Gram matrix (Higham, Accuracy and Stability of Numerical
+        Algorithms, ch. 20). The product is C-contiguous, so
+        ``decoder_matvec`` can take ``dot``.
+        """
+        self.require_full_rank()
+        u, sigma, vh = self.svd
+        return (vh.conj().T / sigma) @ u.conj().T
 
     @cached_property
     def phi_matvec(self):
@@ -304,8 +329,14 @@ def _ratio_bounds(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def gram_spectrum(enc: EncodingMatrix) -> np.ndarray:
-    """Eigenvalues of phi^H phi, ascending. Sums to trace(phi^H phi)."""
-    return hermitian_eigenvalues(enc.gram)
+    """Eigenvalues of phi^H phi, ascending: the squared singular values of phi.
+
+    Sums to trace(phi^H phi) up to rounding. An entry overflows to inf,
+    without a warning, once a singular value passes about 1e154;
+    ``DistortionLaw`` rejects such a spectrum.
+    """
+    with np.errstate(over="ignore"):
+        return enc.svd[1][::-1] ** 2
 
 
 def distortion_law(enc: EncodingMatrix, rho: float) -> DistortionLaw:
@@ -313,15 +344,12 @@ def distortion_law(enc: EncodingMatrix, rho: float) -> DistortionLaw:
 
     Its mean, (1 / (l * rho)) * sum_l 1/lambda_l over the Gram spectrum, is
     at least 1/rho over trace-l matrices, with equality exactly for
-    orthonormal columns. A rank-deficient matrix raises RankDeficient.
+    orthonormal columns. The spectrum and the rank rule come from the same
+    SVD as the decoder: a matrix the decoder rejects raises RankDeficient
+    here too, and a spectrum that overflows raises ValueError.
     """
-    spectrum = gram_spectrum(enc)
-    if spectrum[0] <= _GRAM_RANK_TOLERANCE * spectrum[-1] or spectrum[0] <= 0:
-        raise RankDeficient(
-            "Gram spectrum has a vanishing eigenvalue; encoding matrix is "
-            "rank deficient"
-        )
-    return DistortionLaw(spectrum, rho)
+    enc.require_full_rank()
+    return DistortionLaw(gram_spectrum(enc), rho)
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,6 @@ class RankDeficient(AirCompError):
     """A matrix that must have full column rank does not."""
 
 
-class NotHermitian(AirCompError):
-    """Eigenvalue routine got a matrix that is not Hermitian."""
-
-
 class EmptySample(AirCompError):
     """A statistic was requested on an empty sample set."""
 

@@ -1,10 +1,11 @@
 """Complex linear-algebra and statistics kernels.
 
 Domain-free building blocks: seeded random streams, orthonormalization,
-spectra, pseudo-inverses, circularly symmetric Gaussian sampling, the
-regularized lower incomplete gamma function, a one-sample
-Kolmogorov-Smirnov statistic, and the rules for counts and numbers read
-from input files. All matrix routines operate on complex128
+circularly symmetric Gaussian sampling, the regularized lower incomplete
+gamma function, a one-sample Kolmogorov-Smirnov statistic, the rank rule,
+and the rules for counts and numbers read from input files. Spectra and
+pseudo-inverses of an encoding matrix come from its one cached SVD
+(``coding.EncodingMatrix.svd``). Matrix routines operate on complex128
 numpy arrays; callers own the domain semantics of rows and columns.
 """
 
@@ -17,15 +18,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import EmptySample, NotHermitian, RankDeficient
+from .errors import EmptySample, RankDeficient
 
-# A matrix counts as full column rank iff min_sv > RANK_TOLERANCE * max_sv.
+# The one rank rule: a matrix counts as full column rank iff
+# min_sv > RANK_TOLERANCE * max_sv.
 RANK_TOLERANCE = 1e-9
 
 # Stricter cutoff used as the orthonormalization precondition.
 _QR_RANK_TOLERANCE = 1e-12
-
-_HERMITIAN_TOLERANCE = 1e-10
 
 _U64 = (1 << 64) - 1
 
@@ -91,15 +91,6 @@ class Rng:
         return f"Rng(master_seed={self.master_seed}, stream={self.stream})"
 
 
-def _as_matrix(a) -> np.ndarray:
-    m = np.asarray(a, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
-        raise ValueError(f"expected a 2-D matrix, got shape {m.shape}")
-    if not np.isfinite(m).all():
-        raise ValueError("matrix entries must be finite")
-    return m
-
-
 def qr_orthonormal(a) -> np.ndarray:
     """Orthonormal basis for the column span of a tall full-rank matrix.
 
@@ -108,7 +99,11 @@ def qr_orthonormal(a) -> np.ndarray:
     a given input (any orthonormal basis would be equally valid downstream,
     but a fixed convention keeps outputs byte-reproducible).
     """
-    a = _as_matrix(a)
+    a = np.asarray(a, dtype=np.complex128)
+    if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
+        raise ValueError(f"expected a 2-D matrix, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError("matrix entries must be finite")
     sv = np.linalg.svd(a, compute_uv=False)
     if a.shape[0] < a.shape[1] or sv[-1] <= _QR_RANK_TOLERANCE * sv[0]:
         raise RankDeficient(
@@ -119,32 +114,6 @@ def qr_orthonormal(a) -> np.ndarray:
     phases = np.diagonal(r).copy()
     phases /= np.abs(phases)
     return q * phases[np.newaxis, :]
-
-
-def hermitian_eigenvalues(m) -> np.ndarray:
-    """All real eigenvalues of a Hermitian matrix, sorted ascending."""
-    m = _as_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        raise NotHermitian(f"matrix of shape {m.shape} is not square")
-    if np.max(np.abs(m - m.conj().T)) >= _HERMITIAN_TOLERANCE:
-        raise NotHermitian("matrix deviates from its Hermitian transpose")
-    return np.linalg.eigvalsh(m)
-
-
-def pseudo_inverse(m) -> np.ndarray:
-    """Left Moore-Penrose pseudo-inverse (m^H m)^-1 m^H.
-
-    Requires rows >= cols and full column rank; then pseudo_inverse(m) @ m
-    is the identity up to round-off.
-    """
-    m = _as_matrix(m)
-    sv = np.linalg.svd(m, compute_uv=False)
-    if m.shape[0] < m.shape[1] or sv[-1] <= RANK_TOLERANCE * sv[0]:
-        raise RankDeficient(
-            f"cannot pseudo-invert a rank-deficient matrix of shape {m.shape}"
-        )
-    mh = m.conj().T
-    return np.linalg.solve(mh @ m, mh)
 
 
 def sample_complex_gaussian(rng: Rng, n: int, variance: float) -> np.ndarray:

@@ -119,6 +119,20 @@ class TestCheck:
         assert "rank_ok: false" in captured
         assert run_cli("check", "--matrix", str(path), "--strict") == 1
 
+    def test_rank_verdict_does_not_depend_on_scale(self, tmp_path, capsys):
+        # trace(phi^H phi) = 5 s^2, so --strict fails on power alone off s = 1
+        enc = coding.construct_random_orthonormal(10, 5, Rng(3))
+        path = str(tmp_path / "phi.json")
+        rank_lines = set()
+        for scale in (1e-150, 1e-4, 1.0, 1e4, 1e150):
+            coding.save_matrix(coding.EncodingMatrix(scale * enc.phi), path)
+            assert run_cli("check", "--matrix", path) == 0
+            assert run_cli("check", "--matrix", path, "--strict") == (scale != 1.0)
+            out = capsys.readouterr().out
+            rank_lines.update(l for l in out.splitlines() if l.startswith("rank_ok"))
+        assert len(rank_lines) == 1
+        assert rank_lines.pop().startswith("rank_ok: true (exhaustive, 252 subsets")
+
     def test_missing_file_is_usage_error(self, tmp_path):
         assert run_cli("check", "--matrix", str(tmp_path / "nope.json")) == 2
 
@@ -215,10 +229,19 @@ class TestTheory:
             ["--l", "0", "--l-tilde", "0"],
             ["--p-w", "0"],
             ["--min-gain", "-1"],
+            # rho = 1e300 / (0.5 * 1e-300) overflows
+            ["--p-w", "1e-300", "--snr-db", "3000"],
+            # the spectrum of an orthonormal 10x5 matrix times 1e160 overflows
+            ["--matrix", "big.json"],
         ],
     )
-    def test_library_range_error_is_usage_error_before_output(self, capsys, flags):
-        # DistortionLaw.optimal owns these checks
+    def test_library_range_error_is_usage_error_before_output(
+        self, tmp_path, monkeypatch, capsys, flags
+    ):
+        # DistortionLaw owns these checks
+        monkeypatch.chdir(tmp_path)
+        enc = coding.construct_random_orthonormal(10, 5, Rng(1))
+        coding.save_matrix(coding.EncodingMatrix(1e160 * enc.phi), "big.json")
         assert_usage_error_before_output(capsys, run_cli("theory", *flags))
 
     def test_rank_deficient_matrix_is_usage_error_before_output(

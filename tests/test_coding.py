@@ -299,6 +299,38 @@ class TestGramSpectrum:
             np.trace(enc.gram).real, rel=1e-12
         )
 
+    def test_ascending_order(self):
+        a = sample_complex_gaussian(Rng(6), 30, 1.0).reshape(6, 5)
+        assert np.all(np.diff(gram_spectrum(EncodingMatrix(a))) >= 0)
+
+    def test_two_by_two_by_characteristic_polynomial(self):
+        # Gram [[2, 1], [1, 2]]: det([[2-x, 1], [1, 2-x]]) = 0  =>  x in {1, 3}
+        enc = EncodingMatrix(np.array([[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]]))
+        assert np.allclose(gram_spectrum(enc), [1.0, 3.0], atol=1e-12)
+
+
+class TestDecoder:
+    def test_identity(self):
+        assert np.allclose(EncodingMatrix(np.eye(3)).decoder, np.eye(3))
+
+    def test_orthonormal_columns_give_hermitian_transpose(self):
+        enc = construct_random_orthonormal(5, 2, Rng(7))
+        assert np.max(np.abs(enc.decoder - enc.phi.conj().T)) < 1e-10
+
+    def test_single_column(self):
+        # (m^H m)^-1 m^H = (1/4) * [2, 0] = [0.5, 0]
+        enc = EncodingMatrix(np.array([[2.0], [0.0]]))
+        assert np.allclose(enc.decoder, [[0.5, 0.0]])
+
+    def test_left_inverse_property(self):
+        m = sample_complex_gaussian(Rng(8), 18, 1.0).reshape(6, 3)
+        enc = EncodingMatrix(m)
+        assert np.max(np.abs(enc.decoder @ m - np.eye(3))) < 1e-8
+
+    def test_rank_deficient_rejected(self):
+        with pytest.raises(RankDeficient):
+            EncodingMatrix(np.array([[1.0, 1.0], [1.0, 1.0]])).decoder
+
 
 class TestTheoreticalMse:
     def test_orthonormal_reduces_to_inverse_snr(self):

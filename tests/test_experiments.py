@@ -433,6 +433,45 @@ class TestTheoryForTrials:
         assert theory.scale == pytest.approx(expected.scale, rel=1e-12)
 
 
+class TestIllConditionedMatrix:
+    """Custom 4x2 matrices U diag(sqrt(2 - lam), sqrt(lam)) V^H, kappa up to 4.5e8.
+
+    A decoder or spectrum that goes through the Gram matrix squares kappa
+    and loses every digit by lam = 1e-16; the SVD keeps both within kappa u.
+    """
+
+    # 3.29 standard errors: a two-sided 1e-3 false-alarm rate per row
+    Z = 3.29
+    # the modest constant p(m, n) of the SVD's error bounds, at m = 4, n = 2
+    C = 16.0
+
+    @pytest.mark.parametrize("lam", [1e-10, 1e-14, 1e-16, 1e-17])
+    def test_decoder_and_law_hold_down_to_the_rank_tolerance(self, tmp_path, lam):
+        u = construct_random_orthonormal(4, 2, Rng(1, 1)).phi
+        v = construct_random_orthonormal(2, 2, Rng(1, 2)).phi
+        path = str(tmp_path / "phi.json")
+        coding.save_matrix(
+            coding.EncodingMatrix((u * np.sqrt([2 - lam, lam])) @ v.conj().T), path
+        )
+        plan = ExperimentPlan(
+            config=SystemConfig(k_users=3, l=2, l_tilde=4, master_seed=1),
+            construction=Construction.CUSTOM,
+            matrix_path=path,
+            trials=3000,
+            channel_mode=ChannelMode.FIXED_UNIT_MIN_GAIN,
+        )
+        ts = run_trials(plan)
+
+        kappa = math.sqrt((2 - lam) / lam)
+        residual = np.linalg.norm(ts.enc.decoder @ ts.enc.phi - np.eye(2), 2)
+        assert residual <= self.C * kappa * np.finfo(float).eps / 2
+        # the channel is fixed, so the law is exact and its variance is the
+        # variance of one trial
+        report = summarize(ts)
+        standard_error = math.sqrt(report.theory_variance / plan.trials)
+        assert abs(report.mean - report.theory_mean) <= self.Z * standard_error
+
+
 class TestSweepMseVsSnr:
     def test_grid_matches_theory(self):
         base = fixed_plan(trials=5000, seed=21)

@@ -102,21 +102,21 @@ GOLDEN = {
     'simulate-custom:exit': '0',
     'simulate-custom:stdout': 'c70e6ba3d0449884a9df45f4efa5c8637b6bc4b0e918eb86cdc89229a606be55',
     'simulate-fixed-from-seed:exit': '0',
-    'simulate-fixed-from-seed:fs.report.json': 'a11257c56d2a124a97497e3a1936d6c17ab24bf38ed94fd811f11ce841e1391b',
+    'simulate-fixed-from-seed:fs.report.json': '8cfef34a555922f6d971402ea3e04ee19395bcf19fa830474b270779a8af0150',
     'simulate-fixed-from-seed:fs.trials.csv': '3211c4f6cf44cf293d87ad27cd82a8a8d40c15def850492a23c34101a02f19b0',
     'simulate-fixed-from-seed:stdout': '2007485f1a3c7744a005a9d9db00c1a951634d231877f9a196d5a12507eded76',
     'simulate-fixed-unit:exit': '0',
-    'simulate-fixed-unit:fu.report.json': '575cc2803208d26edb725ef01e98428cefa7fd44844b5755bbe0fd5addab2f0c',
+    'simulate-fixed-unit:fu.report.json': '3d8f9a0ab998bcdc462195970788ffda6e040f3d86fcd765c36f2fde647659e8',
     'simulate-fixed-unit:fu.trials.csv': 'b390e39267e655d38fb164cd95b82fb1a88a9c20609a1546b3c25785b6bb1e4a',
     'simulate-fixed-unit:stdout': '5374de12adbded4f62dfbd7b518bc6427995847a0db1ec217c70a48bf9aca187',
     'simulate-repetition:exit': '0',
     'simulate-repetition:stdout': 'eaa25d404eae012da7620069fbc044871a57898af42573a6e57c13aac9dfcd9f',
     'simulate-rician-l1:exit': '0',
-    'simulate-rician-l1:l1.report.json': '4bff6be834db1c62ba868b9523d5d512d4cbc78aa339f3748fa05d303331de06',
+    'simulate-rician-l1:l1.report.json': 'f283e2ea7da555159dff1c38e1f116e3f17eb0c4b6881dd2dd1b8ea6de9cd0c2',
     'simulate-rician-l1:l1.trials.csv': 'd10f3a7d1117c30163f0442b496ed2f405c0c5dab6c0406914b49843e5c98358',
     'simulate-rician-l1:stdout': 'ebfeb7f19be7899e629b5e892bc40ed44a782865aa12ffa994ee67568bb83936',
     'simulate-rician:exit': '0',
-    'simulate-rician:ri.report.json': '5b1d83a02ce4af5abb8f8000de23255d0700c1620f320a6a0fd1db18a2a5fbfe',
+    'simulate-rician:ri.report.json': '666f3cdf574b3bf9d29b769527882fe5d68ba01e001e4c35d23c853c8cf01ceb',
     'simulate-rician:ri.trials.csv': 'e784cd507c91501fc897babab2395bab6898a662f1240bd75806ba2f267ae7fb',
     'simulate-rician:stdout': 'a88f56d390f152fd916934677f53a38912bf4580a7a2183edb717eeedc0b1159',
     'theory:exit': '0',

@@ -8,12 +8,10 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aircomp.errors import EmptySample, NotHermitian, RankDeficient
+from aircomp.errors import EmptySample, RankDeficient
 from aircomp.numerics import (
     Rng,
-    hermitian_eigenvalues,
     ks_distance,
-    pseudo_inverse,
     qr_orthonormal,
     regularized_lower_gamma,
     sample_complex_gaussian,
@@ -119,57 +117,6 @@ class TestQrOrthonormal:
         a = random_complex(Rng(seed), cols + extra, cols)
         q = qr_orthonormal(a)
         assert np.max(np.abs(q.conj().T @ q - np.eye(cols))) < 1e-10
-
-
-class TestHermitianEigenvalues:
-    def test_identity(self):
-        assert np.allclose(hermitian_eigenvalues(np.eye(2)), [1.0, 1.0])
-
-    def test_diagonal(self):
-        assert np.allclose(hermitian_eigenvalues(np.diag([2.0, 3.0])), [2.0, 3.0])
-
-    def test_two_by_two_by_characteristic_polynomial(self):
-        # det([[2-x, 1], [1, 2-x]]) = 0  =>  x in {1, 3}
-        vals = hermitian_eigenvalues([[2.0, 1.0], [1.0, 2.0]])
-        assert np.allclose(vals, [1.0, 3.0], atol=1e-12)
-
-    def test_sum_matches_trace(self):
-        a = random_complex(Rng(5), 4, 4)
-        m = a + a.conj().T
-        vals = hermitian_eigenvalues(m)
-        assert np.isclose(vals.sum(), np.trace(m).real, rtol=1e-8)
-
-    def test_non_hermitian_rejected(self):
-        with pytest.raises(NotHermitian):
-            hermitian_eigenvalues([[0.0, 1.0], [0.0, 0.0]])
-        with pytest.raises(NotHermitian):
-            hermitian_eigenvalues([[1.0, 0.0]])
-
-    def test_ascending_order(self):
-        a = random_complex(Rng(6), 5, 5)
-        vals = hermitian_eigenvalues(a @ a.conj().T)
-        assert np.all(np.diff(vals) >= 0)
-
-
-class TestPseudoInverse:
-    def test_identity(self):
-        assert np.allclose(pseudo_inverse(np.eye(3)), np.eye(3))
-
-    def test_orthonormal_columns_give_hermitian_transpose(self):
-        q = qr_orthonormal(random_complex(Rng(7), 5, 2))
-        assert np.max(np.abs(pseudo_inverse(q) - q.conj().T)) < 1e-10
-
-    def test_single_column(self):
-        # (m^H m)^-1 m^H = (1/4) * [2, 0] = [0.5, 0]
-        assert np.allclose(pseudo_inverse([[2.0], [0.0]]), [[0.5, 0.0]])
-
-    def test_left_inverse_property(self):
-        m = random_complex(Rng(8), 6, 3)
-        assert np.max(np.abs(pseudo_inverse(m) @ m - np.eye(3))) < 1e-8
-
-    def test_rank_deficient_rejected(self):
-        with pytest.raises(RankDeficient):
-            pseudo_inverse([[1.0, 1.0], [1.0, 1.0]])
 
 
 class TestSampleComplexGaussian:
