@@ -64,10 +64,10 @@ def _validate(enc: coding.EncodingMatrix, args) -> coding.ValidationReport:
     )
 
 
-def _print_shape(enc: coding.EncodingMatrix) -> None:
+def _print_shape(enc: coding.EncodingMatrix, report: coding.ValidationReport) -> None:
     print(f"shape: {enc.l_tilde}x{enc.l}")
     print(f"rate: {format_field(enc.rate)}")
-    print(f"trace: {format_field(float(np.trace(enc.gram).real))}")
+    print(f"trace: {format_field(report.trace)}")
 
 
 def _print_validation(report: coding.ValidationReport) -> None:
@@ -83,10 +83,11 @@ def _print_validation(report: coding.ValidationReport) -> None:
 def cmd_construct(args) -> int:
     enc = coding.construct_random_orthonormal(args.l_tilde, args.l, Rng(args.seed))
     report = _validate(enc, args)
-    gram_error = float(np.max(np.abs(enc.gram - np.eye(enc.l))))
+    gram = enc.phi.conj().T @ enc.phi
+    gram_error = float(np.max(np.abs(gram - np.eye(enc.l))))
     coding.save_matrix(enc, args.out)
 
-    _print_shape(enc)
+    _print_shape(enc, report)
     verdict = "ok" if gram_error < ORTHONORMAL_TOLERANCE else "FAILED"
     print(f"orthonormal: {verdict} (max deviation {format_field(gram_error)})")
     _print_validation(report)
@@ -99,7 +100,7 @@ def cmd_construct(args) -> int:
 def cmd_check(args) -> int:
     enc = coding.load_matrix(args.matrix)
     report = _validate(enc, args)
-    _print_shape(enc)
+    _print_shape(enc, report)
     _print_validation(report)
     if args.strict and not report.ok:
         return 1
@@ -172,8 +173,10 @@ def cmd_simulate(args) -> int:
         channel_mode=args.mode,
         matrix_path=args.matrix,
     )
-    # A matrix that cannot be built or loaded fails before any output exists.
+    # A matrix that cannot be built or loaded, or whose spectrum no law
+    # accepts, fails before any output exists and before any trial runs.
     enc = experiments.build_encoding(plan)
+    coding.distortion_law(enc, 1.0)
     if args.out:
         # Fail before the run, not after it, when an output cannot be written.
         # Append mode checks writability without emptying an earlier result.

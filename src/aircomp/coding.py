@@ -42,9 +42,10 @@ DEFAULT_MAX_EXHAUSTIVE_SUBSETS = 100_000
 DEFAULT_SAMPLE_COUNT = 1_000
 
 # Bytes of one ``validate`` batch: the stacked l x l row-subset matrices,
-# their conjugates, Gram matrices and Gram eigenvalues. Large enough that
-# LAPACK, not Python, sets the pace, and small enough that memory stays
-# bounded whatever the subset count.
+# their conjugates, Gram matrices and Gram eigenvalues (the Cholesky clear's
+# shifted Grams and factors come on top). Large enough that LAPACK, not
+# Python, sets the pace, and small enough that memory stays bounded
+# whatever the subset count.
 SVD_BATCH_BYTES = 256 * 1024
 
 # Factor by which the screen in ``validate`` widens its worst-case rounding
@@ -52,6 +53,7 @@ SVD_BATCH_BYTES = 256 * 1024
 SCREEN_SAFETY = 16
 
 _U = np.finfo(np.float64).eps / 2
+_TINY = np.finfo(np.float64).tiny
 
 
 class Construction(str, Enum):
@@ -70,12 +72,21 @@ class RankMode(str, Enum):
 class ValidationReport:
     """Findings from checking the power and row-subset rank conditions."""
 
-    power_ok: bool
     rank_mode: RankMode
     subsets_checked: int
     rank_ok: bool
     worst_min_singular_ratio: float
     gram_spectrum: list[float]
+
+    @property
+    def trace(self) -> float:
+        """trace(phi^H phi), the sum of the Gram spectrum; inf once it overflows."""
+        return sum(self.gram_spectrum)
+
+    @property
+    def power_ok(self) -> bool:
+        l = len(self.gram_spectrum)
+        return abs(self.trace - l) <= POWER_TOLERANCE * l
 
     @property
     def ok(self) -> bool:
@@ -89,8 +100,7 @@ class EncodingMatrix:
     Rows are channel uses (l_tilde), columns are source dimensions (l);
     both are read from ``phi``. Instances are treated as immutable once
     built. One thin SVD of ``phi``, cached on first use, gives the Gram
-    spectrum, the rank verdict and the decoder. The Gram matrix is cached
-    too, but only for the reported trace and orthonormality deviation.
+    spectrum, the rank verdict and the decoder.
     """
 
     phi: np.ndarray
@@ -114,11 +124,6 @@ class EncodingMatrix:
     @property
     def rate(self) -> float:
         return self.l / self.l_tilde
-
-    @cached_property
-    def gram(self) -> np.ndarray:
-        """phi^H phi; nothing derived from it feeds the law or the decoder."""
-        return self.phi.conj().T @ self.phi
 
     @cached_property
     def svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -218,29 +223,41 @@ def validate(
     ``max_exhaustive_subsets`` of them (which must be non-negative);
     otherwise ``sample_count`` subsets are drawn uniformly (requires
     ``rng``). A subset passes when its min/max singular-value ratio exceeds
-    the rank tolerance. The report also carries the Gram spectrum, which
-    fully determines the distortion law downstream.
+    the rank tolerance. The report carries the Gram spectrum, which fully
+    determines the distortion law downstream and whose sum is the power
+    constraint's trace.
 
     Subsets go in batches of about ``SVD_BATCH_BYTES`` of working set, so
-    memory stays bounded. Each batch is screened first: one stacked
-    ``eigvalsh`` of the Gram matrices B^H B gives every subset B a
-    certified interval [lo, hi] around its true ratio (``_ratio_bounds``).
-    A computed SVD ratio lies within m = SCREEN_SAFETY (2l + 5) u of the
-    true one, u being the unit roundoff: LAPACK Users' Guide §4.9 bounds
-    each singular value's error by l u sigma_max, and 4u more covers the
-    rounding of lo and hi. A subset whose lo - m exceeds m plus the least
-    hi seen so far has a computed ratio above another subset's, so it is
-    skipped; every other subset, NaN bounds included, goes through
-    ``np.linalg.svd``, and the worst ratio is the least of those SVD
-    ratios. The report is therefore bit-identical to an SVD of every
-    subset, one at a time. When every subset is singular, none can be
-    skipped and the screen is extra work: a 12x6 matrix with a zero column
-    takes about twice as long as with SVDs alone.
+    memory stays bounded. The worst ratio is the least of the SVD ratios,
+    and a computed SVD ratio lies within m = SCREEN_SAFETY (2l + 5) u of
+    the true one, u being the unit roundoff: LAPACK Users' Guide §4.9
+    bounds each singular value's error by l u sigma_max, and 4u more
+    covers the rounding of the bounds below. With h the least upper bound
+    on a true ratio seen so far, a subset whose true ratio exceeds h + 2m
+    has a computed ratio above another subset's and can be left out. Each
+    batch forms its Gram matrices G = B^H B once and goes through up to
+    three stages:
+
+    1. Cholesky clear: once h is finite, one stacked ``np.linalg.cholesky``
+       of G - tau I that completes proves every true ratio in the batch
+       above h + 2m, and the whole batch is skipped (``_cleared``, which
+       budgets tau; Higham, Accuracy and Stability of Numerical
+       Algorithms, 2002, Thm 10.3).
+    2. Eigenvalue interval: otherwise one stacked ``np.linalg.eigvalsh``
+       gives every subset a certified interval [lo, hi] around its true
+       ratio (``_ratio_bounds``); h takes the least hi, and a subset whose
+       lo - m exceeds h + m is skipped.
+    3. SVD: every other subset, NaN bounds included, goes through
+       ``np.linalg.svd``.
+
+    The report is therefore bit-identical to an SVD of every subset, one
+    at a time. When every subset is singular, nothing can be cleared or
+    skipped, and each batch pays a failed Cholesky and the eigensolve on
+    top of its SVDs: a 12x6 matrix with a zero column takes about 1.8 times
+    as long as with SVDs alone.
     """
     if max_exhaustive_subsets < 0:
         raise ValueError("max_exhaustive_subsets must be non-negative")
-    trace = float(np.trace(enc.gram).real)
-    power_ok = abs(trace - enc.l) <= POWER_TOLERANCE * enc.l
 
     total = math.comb(enc.l_tilde, enc.l)
     # exhaustive whenever it is no more work than sampling, so sampled
@@ -263,9 +280,7 @@ def validate(
 
     l = enc.l
     margin = SCREEN_SAFETY * (2 * l + 5) * _U
-    # Ratios do not change with scale, and with entries of magnitude at most
-    # 1 no Gram overflows.
-    screened = enc.phi / (float(np.abs(enc.phi).max()) or 1.0)
+    screened, cap = _unit_scaled(enc)
     # Batches are read in the iterator's order, so sampled subsets are
     # drawn from rng exactly as one at a time would draw them.
     batch = max(1, SVD_BATCH_BYTES // (3 * enc.phi.itemsize * l * l + 8 * l))
@@ -273,7 +288,11 @@ def validate(
     worst = least_hi = math.inf
     while (rows := np.fromiter(itertools.islice(flat, batch * l), np.intp)).size:
         rows = rows.reshape(-1, l)
-        lo, hi = _ratio_bounds(screened[rows])
+        stack = screened[rows]
+        gram = np.matmul(stack.conj().transpose(0, 2, 1), stack)
+        if least_hi < math.inf and _cleared(gram, least_hi + 2 * margin, cap):
+            continue
+        lo, hi = _ratio_bounds(gram)
         least_hi = np.fmin.reduce(hi, initial=least_hi)  # NaN hi is no bound
         svd = ~(lo - margin > least_hi + margin)  # NaN lo compares False
         if not svd.any():
@@ -286,7 +305,6 @@ def validate(
     rank_ok = worst > RANK_TOLERANCE
 
     return ValidationReport(
-        power_ok=power_ok,
         rank_mode=mode,
         subsets_checked=count,
         rank_ok=rank_ok,
@@ -295,14 +313,65 @@ def validate(
     )
 
 
-def _ratio_bounds(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """[lo, hi] around the true sigma_min / sigma_max of each stacked matrix.
+def _unit_scaled(enc: EncodingMatrix) -> tuple[np.ndarray, float]:
+    """phi / s at unit largest entry, and a cap on every row subset's lambda_max.
 
-    ``stack`` holds row subsets of phi / s, rounded, for some scale s. For
-    one subset B of phi / s, with Gram G = B^H B and F = ||B||_F^2 <=
-    l lambda_max(G), Weyl's inequality puts each computed eigenvalue within
-    (3l + 8) u F of the true one, summing three errors (u is the unit
-    roundoff):
+    Ratios do not change with scale, and with entries of magnitude at most
+    1 no Gram overflows. No row subset has a larger singular value than phi
+    itself, so (sigma_max(phi) / s)^2, read from the cached SVD and widened
+    by SCREEN_SAFETY (l_tilde + l) u for its error (LAPACK Users' Guide
+    §4.9), bounds the Gram eigenvalues of every subset of phi / s.
+    """
+    s = float(np.abs(enc.phi).max()) or 1.0
+    widen = 1 + SCREEN_SAFETY * (enc.l_tilde + enc.l) * _U
+    return enc.phi / s, float(enc.svd[1][0] / s) ** 2 * widen
+
+
+def _cleared(gram: np.ndarray, r: float, cap: float) -> bool:
+    """True when every stacked Gram is certified to have a true ratio above r.
+
+    ``gram`` holds the computed Gram matrices of row subsets of phi / s,
+    rounded (see ``_ratio_bounds``), and ``cap`` bounds every subset's true
+    lambda_max. Per subset, with F = Re trace of its computed Gram, the
+    shift is tau = r^2 cap + SCREEN_SAFETY (3l + 9) u F + l^2 tiny. When
+    ``np.linalg.cholesky`` of every computed Gram minus tau I completes
+    with a finite factor, each true Gram has lambda_min above tau less four
+    errors, each a multiple of u F:
+
+    - 3 for rounding phi / s and 2 (l + 2) for the Gram product, as in
+      ``_ratio_bounds``;
+    - l + 1 for Cholesky's backward error (Higham, Accuracy and Stability
+      of Numerical Algorithms, 2002, Thm 10.3: R^H R is within
+      gamma_(l+1) |R^H| |R| of the shifted matrix, whose trace is at most
+      F);
+    - 1 for rounding the shift.
+
+    SCREEN_SAFETY covers second-order terms and l^2 times the smallest
+    normal float gradual underflow, so lambda_min > r^2 cap >= r^2
+    lambda_max, and the true ratio sqrt(lambda_min / lambda_max) exceeds r.
+    numpy raises LinAlgError for the whole stack when one factorization
+    fails, and then nothing is cleared.
+    """
+    l = gram.shape[-1]
+    f = np.trace(gram, axis1=1, axis2=2).real
+    tau = r * r * cap + SCREEN_SAFETY * (3 * l + 9) * _U * f + l * l * _TINY
+    shifted = gram.copy()
+    diag = np.arange(l)
+    shifted[:, diag, diag] -= tau[:, None]
+    try:
+        return bool(np.isfinite(np.linalg.cholesky(shifted)).all())
+    except np.linalg.LinAlgError:
+        return False
+
+
+def _ratio_bounds(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """[lo, hi] around the true sigma_min / sigma_max of each stacked subset.
+
+    ``gram`` holds the computed Gram matrices B~^H B~ of row subsets B~ of
+    phi / s, rounded, for some scale s. For one subset B of phi / s, with
+    Gram G = B^H B and F = ||B||_F^2 <= l lambda_max(G), Weyl's inequality
+    puts each computed eigenvalue within (3l + 8) u F of the true one,
+    summing three errors (u is the unit roundoff):
 
     - rounding phi / s moves the eigenvalues by at most 3 u F;
     - the computed Gram is within 2 (l + 2) u F of G in norm (Higham,
@@ -318,10 +387,10 @@ def _ratio_bounds(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     A zero or non-finite top eigenvalue gives lo = 0 or NaN and hi = inf or
     NaN, so such a matrix is never skipped and never bounds another.
     """
-    l = stack.shape[-1]
-    lam = np.linalg.eigvalsh(np.matmul(stack.conj().transpose(0, 2, 1), stack))
+    l = gram.shape[-1]
+    lam = np.linalg.eigvalsh(gram)
     low, top = lam[:, 0], lam[:, -1]
-    delta = SCREEN_SAFETY * (3 * l + 8) * l * _U * top + l * l * np.finfo(np.float64).tiny
+    delta = SCREEN_SAFETY * (3 * l + 8) * l * _U * top + l * l * _TINY
     with np.errstate(divide="ignore", invalid="ignore"):
         lo = np.sqrt(np.maximum(low - delta, 0) / (top + delta))
         hi = np.sqrt(np.maximum(low + delta, 0) / np.maximum(top - delta, 0))

@@ -68,7 +68,8 @@ def test_criterion_1_optimality_identity():
     for seed in range(100):
         for l, l_tilde in ((5, 10), (5, 20), (8, 16)):
             enc = construct_random_orthonormal(l_tilde, l, Rng(seed))
-            worst = max(worst, float(np.max(np.abs(enc.gram - np.eye(l)))))
+            gram = enc.phi.conj().T @ enc.phi
+            worst = max(worst, float(np.max(np.abs(gram - np.eye(l)))))
     elapsed = time.perf_counter() - start
     ok = worst < 1e-10 and elapsed < 1.0
     assert report(

@@ -533,7 +533,7 @@ class TestRunRound:
             y = superpose(signals, ch, cfg.n0, rng)
             errors[i] = decode_sum(enc, y, p) - sources.sum(axis=0)
         empirical = errors.conj().T @ errors / n
-        theory = np.linalg.inv(enc.gram) * cfg.n0 / p
+        theory = np.linalg.inv(enc.phi.conj().T @ enc.phi) * cfg.n0 / p
         assert np.allclose(np.diag(empirical).real, np.diag(theory).real, rtol=0.05)
         assert abs(empirical[0, 1]) < 0.01
 

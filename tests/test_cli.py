@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -120,16 +121,20 @@ class TestCheck:
         assert run_cli("check", "--matrix", str(path), "--strict") == 1
 
     def test_rank_verdict_does_not_depend_on_scale(self, tmp_path, capsys):
-        # trace(phi^H phi) = 5 s^2, so --strict fails on power alone off s = 1
+        # trace(phi^H phi) = 5 s^2, so --strict fails on power alone off s = 1;
+        # at s = 1e160 it overflows, and is reported as inf without a warning
         enc = coding.construct_random_orthonormal(10, 5, Rng(3))
         path = str(tmp_path / "phi.json")
         rank_lines = set()
-        for scale in (1e-150, 1e-4, 1.0, 1e4, 1e150):
+        for scale in (1e-150, 1e-4, 1.0, 1e4, 1e150, 1e160):
             coding.save_matrix(coding.EncodingMatrix(scale * enc.phi), path)
-            assert run_cli("check", "--matrix", path) == 0
-            assert run_cli("check", "--matrix", path, "--strict") == (scale != 1.0)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert run_cli("check", "--matrix", path) == 0
+                assert run_cli("check", "--matrix", path, "--strict") == (scale != 1.0)
             out = capsys.readouterr().out
             rank_lines.update(l for l in out.splitlines() if l.startswith("rank_ok"))
+            assert ("trace: inf" in out.splitlines()) == (scale == 1e160)
         assert len(rank_lines) == 1
         assert rank_lines.pop().startswith("rank_ok: true (exhaustive, 252 subsets")
 
@@ -556,12 +561,19 @@ class TestSimulate:
             ["--construction", "custom", "--matrix", "small.json"],
             # identity needs l_tilde == l, and the default config is 10x5
             ["--construction", "identity"],
+            # orthonormal 10x5 times 1e160: its Gram spectrum overflows
+            ["--construction", "custom", "--matrix", "big.json", "--mode", "fixed-unit"],
         ],
     )
-    def test_bad_matrix_fails_before_outputs_exist(self, tmp_path, capsys, flags):
+    def test_bad_matrix_fails_before_outputs_exist(
+        self, tmp_path, capsys, monkeypatch, flags
+    ):
         run_cli("construct", "--l", "2", "--l-tilde", "4",
                 "--out", str(tmp_path / "small.json"))
+        big = coding.construct_random_orthonormal(10, 5, Rng(3)).phi * 1e160
+        coding.save_matrix(coding.EncodingMatrix(big), tmp_path / "big.json")
         capsys.readouterr()
+        runs = count_calls(monkeypatch, experiments, "run_trials")
         flags = [str(tmp_path / f) if f.endswith(".json") else f for f in flags]
         code = run_cli("simulate", "--trials", "3", "--out", str(tmp_path / "run"),
                        *flags)
@@ -571,6 +583,7 @@ class TestSimulate:
         assert captured.out == ""
         assert not (tmp_path / "run.trials.csv").exists()
         assert not (tmp_path / "run.report.json").exists()
+        assert runs == []
 
     @pytest.mark.parametrize(
         "flags",

@@ -30,12 +30,16 @@ def skewed_two_by_two():
     return EncodingMatrix(np.diag([math.sqrt(0.5), math.sqrt(1.5)]))
 
 
+def gram(enc):
+    return enc.phi.conj().T @ enc.phi
+
+
 class TestRandomOrthonormal:
     def test_square_case_is_unitary(self):
         enc = construct_random_orthonormal(5, 5, Rng(1))
-        assert np.max(np.abs(enc.gram - np.eye(5))) < 1e-10
+        assert np.max(np.abs(gram(enc) - np.eye(5))) < 1e-10
         # inverse-trace factor of a unitary Gram is exactly l
-        assert np.trace(np.linalg.inv(enc.gram)).real == pytest.approx(5.0)
+        assert np.trace(np.linalg.inv(gram(enc))).real == pytest.approx(5.0)
 
     def test_validator_passes_seed_42(self):
         enc = construct_random_orthonormal(10, 5, Rng(42))
@@ -61,8 +65,8 @@ class TestRandomOrthonormal:
     )
     def test_property_orthonormal_and_power_preserving(self, seed, l, extra):
         enc = construct_random_orthonormal(l + extra, l, Rng(seed))
-        assert np.max(np.abs(enc.gram - np.eye(l))) < 1e-10
-        trace = float(np.trace(enc.gram).real)
+        assert np.max(np.abs(gram(enc) - np.eye(l))) < 1e-10
+        trace = float(np.trace(gram(enc)).real)
         assert abs(trace - l) < 1e-8 * l
 
 
@@ -83,14 +87,14 @@ class TestRepetition:
 
     def test_gram_stays_optimal(self):
         enc = construct_repetition(2, 2)
-        assert np.allclose(enc.gram, np.eye(2), atol=1e-14)
+        assert np.allclose(gram(enc), np.eye(2), atol=1e-14)
         # expected-MSE factor is unaffected by the duplicate rows
         assert distortion_law(enc, 1.0).mean == pytest.approx(1.0)
 
     def test_trace_is_exact(self):
         for m in (1, 2, 3):
             enc = construct_repetition(3, m)
-            assert np.trace(enc.gram).real == pytest.approx(3.0, abs=1e-12)
+            assert np.trace(gram(enc)).real == pytest.approx(3.0, abs=1e-12)
 
     def test_repetition_rank_behavior_by_block_count(self):
         assert validate(construct_repetition(2, 1)).rank_ok
@@ -192,6 +196,20 @@ def with_zero_column(enc):
     return EncodingMatrix(phi)
 
 
+def with_spectrum(l_tilde, sigma, seed):
+    """U diag(sigma) V^H with U's columns orthonormal and V unitary."""
+    l = len(sigma)
+    u = construct_random_orthonormal(l_tilde, l, Rng(seed)).phi
+    vh = construct_random_orthonormal(l, l, Rng(seed, 1)).phi
+    return EncodingMatrix(u @ (np.asarray(sigma)[:, None] * vh))
+
+
+def with_row_scaled(enc, row, factor):
+    phi = enc.phi.copy()
+    phi[row] *= factor
+    return EncodingMatrix(phi)
+
+
 def partial_dft(l_tilde, l):
     """Columns of the unitary DFT: cyclic row shifts keep every singular
     value, so many subsets tie and rounding alone picks the worst."""
@@ -223,11 +241,20 @@ class TestValidateBatches:
             (construct_random_orthonormal(6, 6, Rng(28)), 100_000, 1000),
             # 150 sampled subsets of the benchmark's 64x32 shape
             (construct_random_orthonormal(64, 32, Rng(29)), 10, 150),
+            # singular values from 1 down to 1e-6: ratios far below one
+            (with_spectrum(12, np.geomspace(1.0, 1e-6, 6), 30), 100_000, 1000),
+            # one row 1e3 times the rest: phi's sigma_max, which caps every
+            # subset's, is far above that of the subsets without the row
+            (with_row_scaled(construct_random_orthonormal(12, 6, Rng(31)), 4, 1e3),
+             100_000, 1000),
+            (EncodingMatrix(1e100 * construct_random_orthonormal(16, 8, Rng(32)).phi),
+             100_000, 1000),
         ],
         ids=[
             "exhaustive", "repetition", "sampled", "near-dependent-1e-8",
             "near-dependent-1e-12", "zero-column", "ties", "l-is-1",
-            "l-is-l-tilde", "sampled-64x32",
+            "l-is-l-tilde", "sampled-64x32", "spread-spectrum", "one-big-row",
+            "orthonormal-times-1e100",
         ],
     )
     def test_matches_one_subset_at_a_time(
@@ -268,6 +295,22 @@ class TestValidateBatches:
         assert report.subsets_checked == 12870 and report.rank_ok
         assert 0 < sum(reached) < 12870 // 100
 
+    def test_cholesky_clears_most_batches(self, monkeypatch):
+        # after the first batch sets a worst-ratio bound, the Cholesky
+        # certificate must keep almost all of the 156 batches of C(16, 8)
+        # subsets away from the eigensolve
+        eigvalsh = np.linalg.eigvalsh
+        batches = []
+
+        def counted(a, *args, **kwargs):
+            batches.append(len(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        report = validate(construct_random_orthonormal(16, 8, Rng(23)))
+        assert report.subsets_checked == 12870 and report.rank_ok
+        assert 0 < len(batches) < 16
+
     def test_memory_stays_bounded(self):
         # stacking all C(16, 8) = 12870 subsets at once would take ~13 MiB
         enc = construct_random_orthonormal(16, 8, Rng(23))
@@ -279,6 +322,23 @@ class TestValidateBatches:
             tracemalloc.stop()
         assert report.subsets_checked == 12870
         assert peak < 4 * 2**20
+
+
+class TestCholeskyClear:
+    # l x l matrices U diag(sigma) V^H with singular values from 1 down to
+    # rho, so every true ratio is rho and phi's sigma_max caps it tightly
+    @pytest.mark.parametrize("scale", [1e-100, 1.0, 1e100])
+    @pytest.mark.parametrize(
+        "l, rho",
+        [(1, 1.0)] + [(l, rho) for l in (2, 8, 32) for rho in (1.0, 1e-3, 1e-8)],
+    )
+    def test_sound_at_the_boundary(self, l, rho, scale):
+        enc = EncodingMatrix(scale * with_spectrum(l, np.geomspace(1.0, rho, l), 40 + l).phi)
+        screened, cap = coding._unit_scaled(enc)
+        gram = (screened.conj().T @ screened)[None]
+        assert not coding._cleared(gram, rho * (1 + 1e-6), cap)
+        if rho >= 1e-6:
+            assert coding._cleared(gram, rho / 2, cap)
 
 
 class TestGramSpectrum:
@@ -296,7 +356,7 @@ class TestGramSpectrum:
     def test_sums_to_trace(self):
         enc = skewed_two_by_two()
         assert gram_spectrum(enc).sum() == pytest.approx(
-            np.trace(enc.gram).real, rel=1e-12
+            np.trace(gram(enc)).real, rel=1e-12
         )
 
     def test_ascending_order(self):

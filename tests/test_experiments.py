@@ -82,7 +82,7 @@ class TestBuildEncoding:
         plan = ExperimentPlan(config=cfg, construction=Construction.REPETITION)
         enc = build_encoding(plan)
         assert enc.l_tilde == 15
-        assert np.allclose(enc.gram, np.eye(5), atol=1e-14)
+        assert np.allclose(enc.phi.conj().T @ enc.phi, np.eye(5), atol=1e-14)
 
     def test_custom_from_file(self, tmp_path):
         enc = construct_random_orthonormal(10, 5, Rng(6))
