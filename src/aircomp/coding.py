@@ -42,7 +42,7 @@ DEFAULT_MAX_EXHAUSTIVE_SUBSETS = 100_000
 DEFAULT_SAMPLE_COUNT = 1_000
 
 # Bytes of one ``validate`` batch: the stacked l x l row-subset matrices,
-# their conjugates, Gram matrices and Gram eigenvalues (the Cholesky clear's
+# their conjugates, Gram matrices and singular values (the Cholesky clear's
 # shifted Grams and factors come on top). Large enough that LAPACK, not
 # Python, sets the pace, and small enough that memory stays bounded
 # whatever the subset count.
@@ -74,9 +74,12 @@ class ValidationReport:
 
     rank_mode: RankMode
     subsets_checked: int
-    rank_ok: bool
     worst_min_singular_ratio: float
     gram_spectrum: list[float]
+
+    @property
+    def rank_ok(self) -> bool:
+        return self.worst_min_singular_ratio > RANK_TOLERANCE
 
     @property
     def trace(self) -> float:
@@ -98,14 +101,18 @@ class EncodingMatrix:
     """Tall encoding matrix shared by every transmitter.
 
     Rows are channel uses (l_tilde), columns are source dimensions (l);
-    both are read from ``phi``. Instances are treated as immutable once
-    built. One thin SVD of ``phi``, cached on first use, gives the Gram
-    spectrum, the rank verdict and the decoder.
+    both are read from ``phi``, and ``scale`` is its largest entry
+    magnitude (1 for a zero matrix). A nonzero phi whose largest entry is
+    subnormal is rejected, since dividing by it would overflow. Instances
+    are treated as immutable once built. One thin SVD of ``phi``, cached
+    on first use, gives the Gram spectrum, the rank verdict and the
+    decoder.
     """
 
     phi: np.ndarray
     l_tilde: int = field(init=False)
     l: int = field(init=False)
+    scale: float = field(init=False)
 
     def __post_init__(self):
         phi = np.asarray(self.phi, dtype=np.complex128)
@@ -119,7 +126,12 @@ class EncodingMatrix:
             )
         if not np.isfinite(phi).all():
             raise ValueError("encoding matrix entries must be finite")
+        if 0 < (largest := float(np.abs(phi).max())) < _TINY:
+            raise ValueError(
+                f"encoding matrix's largest entry {largest:.3g} is subnormal"
+            )
         self.phi = phi
+        self.scale = largest or 1.0
 
     @property
     def rate(self) -> float:
@@ -129,13 +141,12 @@ class EncodingMatrix:
     def svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Thin SVD ``(u, sigma, vh)`` of phi, sigma descending.
 
-        Factored at unit largest entry, the scaling ``validate`` screens
-        at, with sigma rescaled afterwards, so the factorization neither
+        Factored at unit largest entry, ``phi / scale`` as in ``validate``,
+        with sigma rescaled afterwards, so the factorization neither
         overflows nor underflows whatever the scale of phi.
         """
-        scale = float(np.abs(self.phi).max()) or 1.0
-        u, sigma, vh = np.linalg.svd(self.phi / scale, full_matrices=False)
-        return u, sigma * scale, vh
+        u, sigma, vh = np.linalg.svd(self.phi / self.scale, full_matrices=False)
+        return u, sigma * self.scale, vh
 
     def require_full_rank(self) -> None:
         """Raise RankDeficient unless sigma_min > RANK_TOLERANCE * sigma_max."""
@@ -231,30 +242,26 @@ def validate(
     memory stays bounded. The worst ratio is the least of the SVD ratios,
     and a computed SVD ratio lies within m = SCREEN_SAFETY (2l + 5) u of
     the true one, u being the unit roundoff: LAPACK Users' Guide §4.9
-    bounds each singular value's error by l u sigma_max, and 4u more
-    covers the rounding of the bounds below. With h the least upper bound
-    on a true ratio seen so far, a subset whose true ratio exceeds h + 2m
-    has a computed ratio above another subset's and can be left out. Each
-    batch forms its Gram matrices G = B^H B once and goes through up to
-    three stages:
+    bounds each singular value's error by l u sigma_max. With ``worst``
+    the least computed ratio so far, some true ratio is at most
+    h = worst + m, and a subset whose true ratio exceeds h + 2m has a
+    computed ratio above ``worst`` and can be left out. The first batch
+    goes straight to the SVD; each later one goes through two stages:
 
-    1. Cholesky clear: once h is finite, one stacked ``np.linalg.cholesky``
-       of G - tau I that completes proves every true ratio in the batch
-       above h + 2m, and the whole batch is skipped (``_cleared``, which
-       budgets tau; Higham, Accuracy and Stability of Numerical
-       Algorithms, 2002, Thm 10.3).
-    2. Eigenvalue interval: otherwise one stacked ``np.linalg.eigvalsh``
-       gives every subset a certified interval [lo, hi] around its true
-       ratio (``_ratio_bounds``); h takes the least hi, and a subset whose
-       lo - m exceeds h + m is skipped.
-    3. SVD: every other subset, NaN bounds included, goes through
-       ``np.linalg.svd``.
+    1. Cholesky clear: the batch forms its Gram matrices G = B^H B, and one
+       stacked ``np.linalg.cholesky`` of G - tau I that completes proves
+       every true ratio in the batch above r = worst + 3m (``_cleared``,
+       which budgets tau; Higham, Accuracy and Stability of Numerical
+       Algorithms, 2002, Thm 10.3). A batch that fails is narrowed with the
+       same test (``_uncleared``): while exactly one half of what remains
+       fails, only that half is kept.
+    2. SVD: every subset left goes through ``np.linalg.svd``.
 
     The report is therefore bit-identical to an SVD of every subset, one
-    at a time. When every subset is singular, nothing can be cleared or
-    skipped, and each batch pays a failed Cholesky and the eigensolve on
-    top of its SVDs: a 12x6 matrix with a zero column takes about 1.8 times
-    as long as with SVDs alone.
+    at a time. When every subset is singular, nothing can be cleared, and
+    each batch after the first pays three failed Cholesky calls on top of
+    its SVDs: a 12x6 matrix with a zero column takes about 1.3 times as
+    long as with SVDs alone.
     """
     if max_exhaustive_subsets < 0:
         raise ValueError("max_exhaustive_subsets must be non-negative")
@@ -285,29 +292,24 @@ def validate(
     # drawn from rng exactly as one at a time would draw them.
     batch = max(1, SVD_BATCH_BYTES // (3 * enc.phi.itemsize * l * l + 8 * l))
     flat = itertools.chain.from_iterable(subsets)
-    worst = least_hi = math.inf
+    worst = math.inf
     while (rows := np.fromiter(itertools.islice(flat, batch * l), np.intp)).size:
         rows = rows.reshape(-1, l)
-        stack = screened[rows]
-        gram = np.matmul(stack.conj().transpose(0, 2, 1), stack)
-        if least_hi < math.inf and _cleared(gram, least_hi + 2 * margin, cap):
-            continue
-        lo, hi = _ratio_bounds(gram)
-        least_hi = np.fmin.reduce(hi, initial=least_hi)  # NaN hi is no bound
-        svd = ~(lo - margin > least_hi + margin)  # NaN lo compares False
-        if not svd.any():
-            continue
-        sv = np.linalg.svd(enc.phi[rows[svd]], compute_uv=False)
+        if worst < math.inf:
+            stack = screened[rows]
+            gram = np.matmul(stack.conj().transpose(0, 2, 1), stack)
+            rows = rows[_uncleared(gram, worst + 3 * margin, cap)]
+            if not rows.size:
+                continue
+        sv = np.linalg.svd(enc.phi[rows], compute_uv=False)
         top = sv[:, 0]
         # a zero matrix has no largest singular value to divide by: ratio 0
         ratios = np.divide(sv[:, -1], top, out=np.zeros_like(top), where=top > 0)
         worst = min(worst, float(ratios.min()))
-    rank_ok = worst > RANK_TOLERANCE
 
     return ValidationReport(
         rank_mode=mode,
         subsets_checked=count,
-        rank_ok=rank_ok,
         worst_min_singular_ratio=worst,
         gram_spectrum=gram_spectrum(enc).tolist(),
     )
@@ -322,7 +324,7 @@ def _unit_scaled(enc: EncodingMatrix) -> tuple[np.ndarray, float]:
     by SCREEN_SAFETY (l_tilde + l) u for its error (LAPACK Users' Guide
     §4.9), bounds the Gram eigenvalues of every subset of phi / s.
     """
-    s = float(np.abs(enc.phi).max()) or 1.0
+    s = enc.scale
     widen = 1 + SCREEN_SAFETY * (enc.l_tilde + enc.l) * _U
     return enc.phi / s, float(enc.svd[1][0] / s) ** 2 * widen
 
@@ -331,17 +333,20 @@ def _cleared(gram: np.ndarray, r: float, cap: float) -> bool:
     """True when every stacked Gram is certified to have a true ratio above r.
 
     ``gram`` holds the computed Gram matrices of row subsets of phi / s,
-    rounded (see ``_ratio_bounds``), and ``cap`` bounds every subset's true
-    lambda_max. Per subset, with F = Re trace of its computed Gram, the
-    shift is tau = r^2 cap + SCREEN_SAFETY (3l + 9) u F + l^2 tiny. When
+    and ``cap`` bounds every subset's true lambda_max. Per subset, with
+    F = Re trace of its computed Gram, the shift is
+    tau = r^2 cap + SCREEN_SAFETY (3l + 9) u F + l^2 tiny. When
     ``np.linalg.cholesky`` of every computed Gram minus tau I completes
     with a finite factor, each true Gram has lambda_min above tau less four
-    errors, each a multiple of u F:
+    errors, each a multiple of u F, 3 + 2 (l + 2) + (l + 1) + 1 = 3l + 9 in
+    all:
 
-    - 3 for rounding phi / s and 2 (l + 2) for the Gram product, as in
-      ``_ratio_bounds``;
-    - l + 1 for Cholesky's backward error (Higham, Accuracy and Stability
-      of Numerical Algorithms, 2002, Thm 10.3: R^H R is within
+    - 3 for rounding phi / s, which moves the Gram eigenvalues by at most
+      3 u F;
+    - 2 (l + 2) for the Gram product, which is within 2 (l + 2) u F of
+      the exact one in norm (Higham, Accuracy and Stability of Numerical
+      Algorithms, 2002, §3.5, with §3.6 for complex products);
+    - l + 1 for Cholesky's backward error (ibid., Thm 10.3: R^H R is within
       gamma_(l+1) |R^H| |R| of the shifted matrix, whose trace is at most
       F);
     - 1 for rounding the shift.
@@ -364,37 +369,27 @@ def _cleared(gram: np.ndarray, r: float, cap: float) -> bool:
         return False
 
 
-def _ratio_bounds(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """[lo, hi] around the true sigma_min / sigma_max of each stacked subset.
+def _uncleared(gram: np.ndarray, r: float, cap: float) -> slice:
+    """The slice of the stack that ``_cleared`` cannot clear at r.
 
-    ``gram`` holds the computed Gram matrices B~^H B~ of row subsets B~ of
-    phi / s, rounded, for some scale s. For one subset B of phi / s, with
-    Gram G = B^H B and F = ||B||_F^2 <= l lambda_max(G), Weyl's inequality
-    puts each computed eigenvalue within (3l + 8) u F of the true one,
-    summing three errors (u is the unit roundoff):
-
-    - rounding phi / s moves the eigenvalues by at most 3 u F;
-    - the computed Gram is within 2 (l + 2) u F of G in norm (Higham,
-      Accuracy and Stability of Numerical Algorithms, §3.5, with §3.6 for
-      complex products);
-    - ``eigvalsh`` returns the exact eigenvalues of a matrix within
-      l u ||G|| of the computed Gram (LAPACK Users' Guide §4.7, taking its
-      p(l) as l).
-
-    The bounds widen (3l + 8) l u lambda_max by SCREEN_SAFETY, which also
-    covers second-order terms, and add l^2 times the smallest normal float
-    for gradual underflow. The true ratio is sqrt(lambda_min / lambda_max).
-    A zero or non-finite top eigenvalue gives lo = 0 or NaN and hi = inf or
-    NaN, so such a matrix is never skipped and never bounds another.
+    Each Gram factors on its own, so a stack clears exactly when all its
+    Grams do. While exactly one half of what remains fails, only that half
+    is kept, which isolates a lone failing subset; once both halves fail,
+    all that remains is returned, so a batch of singular subsets costs
+    three Cholesky calls, not one per subset.
     """
-    l = gram.shape[-1]
-    lam = np.linalg.eigvalsh(gram)
-    low, top = lam[:, 0], lam[:, -1]
-    delta = SCREEN_SAFETY * (3 * l + 8) * l * _U * top + l * l * _TINY
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lo = np.sqrt(np.maximum(low - delta, 0) / (top + delta))
-        hi = np.sqrt(np.maximum(low + delta, 0) / np.maximum(top - delta, 0))
-    return lo, hi
+    if _cleared(gram, r, cap):
+        return slice(0, 0)
+    lo, hi = 0, len(gram)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _cleared(gram[lo:mid], r, cap):
+            lo = mid
+        elif _cleared(gram[mid:hi], r, cap):
+            hi = mid
+        else:
+            break
+    return slice(lo, hi)
 
 
 def gram_spectrum(enc: EncodingMatrix) -> np.ndarray:

@@ -164,6 +164,36 @@ class TestCheck:
         assert_usage_error_before_output(capsys, code)
 
 
+class TestSubnormalMatrix:
+    # an orthonormal 10x5 matrix times 1e-309 failed its SVD, and times
+    # 1e-308 was checked as a zero matrix; every entry is subnormal in both
+    @pytest.mark.parametrize("scale", [1e-309, 1e-308])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check"],
+            ["theory", "--l", "5", "--l-tilde", "10"],
+            ["simulate", "--trials", "3", "--out", "run", "--construction", "custom"],
+        ],
+        ids=["check", "theory", "simulate"],
+    )
+    def test_is_usage_error_before_output(
+        self, tmp_path, monkeypatch, capsys, scale, argv
+    ):
+        monkeypatch.chdir(tmp_path)
+        phi = scale * coding.construct_random_orthonormal(10, 5, Rng(3)).phi
+        blob = {"rows": 10, "cols": 5, "re": phi.real.ravel().tolist(),
+                "im": phi.imag.ravel().tolist()}
+        with open("tiny.json", "w") as fh:
+            json.dump(blob, fh)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli(*argv, "--matrix", "tiny.json")
+        assert_usage_error_before_output(
+            capsys, code, "run.trials.csv", "run.report.json"
+        )
+
+
 class TestTheory:
     def test_reference_values(self, capsys):
         code = run_cli("theory", "--l", "5", "--l-tilde", "10", "--snr-db", "10")

@@ -177,9 +177,23 @@ def set_svd_batch(monkeypatch, enc, batch):
     """Make validate take ``batch`` subsets per batch (None: the default)."""
     if batch is not None:
         # validate's working set per subset: the subset, its conjugate and
-        # its Gram matrix, plus the Gram eigenvalues
+        # its Gram matrix, plus the singular values
         size = batch * (3 * enc.phi.itemsize * enc.l * enc.l + 8 * enc.l)
         monkeypatch.setattr(coding, "SVD_BATCH_BYTES", size)
+
+
+def count_stacks(monkeypatch, name):
+    """Patch ``np.linalg.name`` to record the size of each stacked call."""
+    original = getattr(np.linalg, name)
+    sizes = []
+
+    def counted(a, *args, **kwargs):
+        if a.ndim == 3:
+            sizes.append(len(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, counted)
+    return sizes
 
 
 def with_row_near(enc, row, source, scale, seed):
@@ -296,20 +310,25 @@ class TestValidateBatches:
         assert 0 < sum(reached) < 12870 // 100
 
     def test_cholesky_clears_most_batches(self, monkeypatch):
-        # after the first batch sets a worst-ratio bound, the Cholesky
-        # certificate must keep almost all of the 156 batches of C(16, 8)
-        # subsets away from the eigensolve
-        eigvalsh = np.linalg.eigvalsh
-        batches = []
-
-        def counted(a, *args, **kwargs):
-            batches.append(len(a))
-            return eigvalsh(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        # after the first batch sets a worst ratio, the Cholesky certificate
+        # must keep almost all of the 156 batches of C(16, 8) subsets away
+        # from the SVD
+        stacks = count_stacks(monkeypatch, "svd")
         report = validate(construct_random_orthonormal(16, 8, Rng(23)))
         assert report.subsets_checked == 12870 and report.rank_ok
-        assert 0 < len(batches) < 16
+        assert 0 < len(stacks) < 16
+
+    def test_singular_batches_cost_three_cholesky_calls(self, monkeypatch):
+        # every subset of a matrix with a zero column is singular, so no
+        # batch clears; narrowing gives up once both halves fail, instead
+        # of halving down to single subsets
+        svds = count_stacks(monkeypatch, "svd")
+        choleskys = count_stacks(monkeypatch, "cholesky")
+        report = validate(with_zero_column(construct_random_orthonormal(12, 6, Rng(33))))
+        assert report.worst_min_singular_ratio == 0.0
+        assert sum(svds) == 924
+        # the first batch has no worst ratio yet and skips the Cholesky
+        assert len(svds) > 2 and len(choleskys) <= 3 * (len(svds) - 1)
 
     def test_memory_stays_bounded(self):
         # stacking all C(16, 8) = 12870 subsets at once would take ~13 MiB
@@ -339,6 +358,36 @@ class TestCholeskyClear:
         assert not coding._cleared(gram, rho * (1 + 1e-6), cap)
         if rho >= 1e-6:
             assert coding._cleared(gram, rho / 2, cap)
+
+
+class TestUncleared:
+    # identity Grams clear at r = 1/2; zero Grams never do
+    @staticmethod
+    def stack(n, failing):
+        gram = np.tile(np.eye(3, dtype=np.complex128), (n, 1, 1))
+        gram[list(failing)] = 0
+        return gram
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 8])
+    def test_finds_a_lone_failure_anywhere(self, n):
+        for i in range(n):
+            assert coding._uncleared(self.stack(n, [i]), 0.5, 1.0) == slice(i, i + 1)
+
+    @pytest.mark.parametrize(
+        "n, failing, kept",
+        [
+            (8, [], (0, 0)),
+            # both halves fail: the whole stack goes to the SVD
+            (2, [0, 1], (0, 2)),
+            (7, [2, 3], (0, 7)),
+            (8, [0, 7], (0, 8)),
+            (8, range(8), (0, 8)),
+            # [0, 8) -> [0, 4), whose quarters [0, 2) and [2, 4) both fail
+            (8, [1, 2], (0, 4)),
+        ],
+    )
+    def test_keeps_the_stack_once_both_halves_fail(self, n, failing, kept):
+        assert coding._uncleared(self.stack(n, failing), 0.5, 1.0) == slice(*kept)
 
 
 class TestGramSpectrum:
