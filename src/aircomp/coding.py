@@ -23,6 +23,7 @@ from enum import Enum
 from functools import cached_property
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .analysis import DistortionLaw
 from .errors import InvalidShape, RankDeficient
@@ -54,6 +55,9 @@ SCREEN_SAFETY = 16
 
 _U = np.finfo(np.float64).eps / 2
 _TINY = np.finfo(np.float64).tiny
+
+# Lower Cholesky factor of each stacked matrix, NaN where it fails
+_cholesky = _umath_linalg.cholesky_lo
 
 
 class Construction(str, Enum):
@@ -248,20 +252,19 @@ def validate(
     computed ratio above ``worst`` and can be left out. The first batch
     goes straight to the SVD; each later one goes through two stages:
 
-    1. Cholesky clear: the batch forms its Gram matrices G = B^H B, and one
-       stacked ``np.linalg.cholesky`` of G - tau I that completes proves
-       every true ratio in the batch above r = worst + 3m (``_cleared``,
-       which budgets tau; Higham, Accuracy and Stability of Numerical
-       Algorithms, 2002, Thm 10.3). A batch that fails is narrowed with the
-       same test (``_uncleared``): while exactly one half of what remains
-       fails, only that half is kept.
-    2. SVD: every subset left goes through ``np.linalg.svd``.
+    1. Cholesky clear: the batch forms its Gram matrices G = B^H B, and a
+       Cholesky factorization of G - tau I that completes proves the
+       subset's true ratio above r = worst + 3m (``_cleared``, which
+       budgets tau; Higham, Accuracy and Stability of Numerical
+       Algorithms, 2002, Thm 10.3). One stacked call gives each subset its
+       own verdict.
+    2. SVD: every subset not cleared goes through ``np.linalg.svd``.
 
     The report is therefore bit-identical to an SVD of every subset, one
     at a time. When every subset is singular, nothing can be cleared, and
-    each batch after the first pays three failed Cholesky calls on top of
-    its SVDs: a 12x6 matrix with a zero column takes about 1.3 times as
-    long as with SVDs alone.
+    each batch after the first pays one failed Cholesky call on top of its
+    SVDs: a 12x6 matrix with a zero column takes about 1.2 times as long
+    as with SVDs alone.
     """
     if max_exhaustive_subsets < 0:
         raise ValueError("max_exhaustive_subsets must be non-negative")
@@ -298,7 +301,7 @@ def validate(
         if worst < math.inf:
             stack = screened[rows]
             gram = np.matmul(stack.conj().transpose(0, 2, 1), stack)
-            rows = rows[_uncleared(gram, worst + 3 * margin, cap)]
+            rows = rows[~_cleared(gram, worst + 3 * margin, cap)]
             if not rows.size:
                 continue
         sv = np.linalg.svd(enc.phi[rows], compute_uv=False)
@@ -329,17 +332,16 @@ def _unit_scaled(enc: EncodingMatrix) -> tuple[np.ndarray, float]:
     return enc.phi / s, float(enc.svd[1][0] / s) ** 2 * widen
 
 
-def _cleared(gram: np.ndarray, r: float, cap: float) -> bool:
-    """True when every stacked Gram is certified to have a true ratio above r.
+def _cleared(gram: np.ndarray, r: float, cap: float) -> np.ndarray:
+    """Per stacked Gram, whether its true ratio is certified to exceed r.
 
     ``gram`` holds the computed Gram matrices of row subsets of phi / s,
     and ``cap`` bounds every subset's true lambda_max. Per subset, with
     F = Re trace of its computed Gram, the shift is
-    tau = r^2 cap + SCREEN_SAFETY (3l + 9) u F + l^2 tiny. When
-    ``np.linalg.cholesky`` of every computed Gram minus tau I completes
-    with a finite factor, each true Gram has lambda_min above tau less four
-    errors, each a multiple of u F, 3 + 2 (l + 2) + (l + 1) + 1 = 3l + 9 in
-    all:
+    tau = r^2 cap + SCREEN_SAFETY (3l + 9) u F + l^2 tiny. When the
+    Cholesky factorization of a computed Gram minus tau I completes with a
+    finite factor, the true Gram has lambda_min above tau less four errors,
+    each a multiple of u F, 3 + 2 (l + 2) + (l + 1) + 1 = 3l + 9 in all:
 
     - 3 for rounding phi / s, which moves the Gram eigenvalues by at most
       3 u F;
@@ -354,8 +356,11 @@ def _cleared(gram: np.ndarray, r: float, cap: float) -> bool:
     SCREEN_SAFETY covers second-order terms and l^2 times the smallest
     normal float gradual underflow, so lambda_min > r^2 cap >= r^2
     lambda_max, and the true ratio sqrt(lambda_min / lambda_max) exceeds r.
-    numpy raises LinAlgError for the whole stack when one factorization
-    fails, and then nothing is cleared.
+
+    ``np.linalg.cholesky`` raises for the whole stack when one
+    factorization fails, so this calls the gufunc behind it
+    (``_cholesky``), which runs the same LAPACK zpotrf on each matrix and
+    fills a failed factor with NaN.
     """
     l = gram.shape[-1]
     f = np.trace(gram, axis1=1, axis2=2).real
@@ -363,33 +368,8 @@ def _cleared(gram: np.ndarray, r: float, cap: float) -> bool:
     shifted = gram.copy()
     diag = np.arange(l)
     shifted[:, diag, diag] -= tau[:, None]
-    try:
-        return bool(np.isfinite(np.linalg.cholesky(shifted)).all())
-    except np.linalg.LinAlgError:
-        return False
-
-
-def _uncleared(gram: np.ndarray, r: float, cap: float) -> slice:
-    """The slice of the stack that ``_cleared`` cannot clear at r.
-
-    Each Gram factors on its own, so a stack clears exactly when all its
-    Grams do. While exactly one half of what remains fails, only that half
-    is kept, which isolates a lone failing subset; once both halves fail,
-    all that remains is returned, so a batch of singular subsets costs
-    three Cholesky calls, not one per subset.
-    """
-    if _cleared(gram, r, cap):
-        return slice(0, 0)
-    lo, hi = 0, len(gram)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if _cleared(gram[lo:mid], r, cap):
-            lo = mid
-        elif _cleared(gram[mid:hi], r, cap):
-            hi = mid
-        else:
-            break
-    return slice(lo, hi)
+    with np.errstate(all="ignore"):
+        return np.isfinite(_cholesky(shifted)).all(axis=(1, 2))
 
 
 def gram_spectrum(enc: EncodingMatrix) -> np.ndarray:

@@ -196,6 +196,19 @@ def count_stacks(monkeypatch, name):
     return sizes
 
 
+def record_choleskys(monkeypatch):
+    """Patch ``coding._cholesky`` to record each stack it factors."""
+    original = coding._cholesky
+    stacks = []
+
+    def recorded(a, *args, **kwargs):
+        stacks.append(a)
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(coding, "_cholesky", recorded)
+    return stacks
+
+
 def with_row_near(enc, row, source, scale, seed):
     """``enc`` with ``row`` replaced by row ``source`` plus a ``scale`` nudge."""
     phi = enc.phi.copy()
@@ -318,17 +331,30 @@ class TestValidateBatches:
         assert report.subsets_checked == 12870 and report.rank_ok
         assert 0 < len(stacks) < 16
 
-    def test_singular_batches_cost_three_cholesky_calls(self, monkeypatch):
+    def test_singular_batches_cost_one_cholesky_call(self, monkeypatch):
         # every subset of a matrix with a zero column is singular, so no
-        # batch clears; narrowing gives up once both halves fail, instead
-        # of halving down to single subsets
+        # subset clears, and each batch after the first (which has no worst
+        # ratio yet) costs one stacked Cholesky call
         svds = count_stacks(monkeypatch, "svd")
-        choleskys = count_stacks(monkeypatch, "cholesky")
+        choleskys = record_choleskys(monkeypatch)
         report = validate(with_zero_column(construct_random_orthonormal(12, 6, Rng(33))))
         assert report.worst_min_singular_ratio == 0.0
         assert sum(svds) == 924
-        # the first batch has no worst ratio yet and skips the Cholesky
-        assert len(svds) > 2 and len(choleskys) <= 3 * (len(svds) - 1)
+        assert len(svds) > 2 and len(choleskys) == len(svds) - 1
+        assert [len(c) for c in choleskys] == svds[1:]
+
+    def test_only_uncleared_subsets_reach_the_svd(self, monkeypatch):
+        # rows {e1, e2, e3, e1, e2, e3} / sqrt(2): a subset is singular
+        # exactly when it holds a repeated row. In batches of 10, the second
+        # batch (subsets 10-19 in lexicographic order) has singular subsets
+        # 11, 12, 13 in its first half and 15, 17, 18 in its second; those
+        # six alone go to the SVD, the four orthonormal ones are cleared
+        enc = construct_repetition(3, 2)
+        set_svd_batch(monkeypatch, enc, 10)
+        svds = count_stacks(monkeypatch, "svd")
+        report = validate(enc)
+        assert report.subsets_checked == 20 and not report.rank_ok
+        assert svds == [10, 6]
 
     def test_memory_stays_bounded(self):
         # stacking all C(16, 8) = 12870 subsets at once would take ~13 MiB
@@ -359,35 +385,30 @@ class TestCholeskyClear:
         if rho >= 1e-6:
             assert coding._cleared(gram, rho / 2, cap)
 
-
-class TestUncleared:
-    # identity Grams clear at r = 1/2; zero Grams never do
-    @staticmethod
-    def stack(n, failing):
-        gram = np.tile(np.eye(3, dtype=np.complex128), (n, 1, 1))
-        gram[list(failing)] = 0
-        return gram
-
-    @pytest.mark.parametrize("n", [1, 2, 7, 8])
-    def test_finds_a_lone_failure_anywhere(self, n):
-        for i in range(n):
-            assert coding._uncleared(self.stack(n, [i]), 0.5, 1.0) == slice(i, i + 1)
-
-    @pytest.mark.parametrize(
-        "n, failing, kept",
-        [
-            (8, [], (0, 0)),
-            # both halves fail: the whole stack goes to the SVD
-            (2, [0, 1], (0, 2)),
-            (7, [2, 3], (0, 7)),
-            (8, [0, 7], (0, 8)),
-            (8, range(8), (0, 8)),
-            # [0, 8) -> [0, 4), whose quarters [0, 2) and [2, 4) both fail
-            (8, [1, 2], (0, 4)),
-        ],
-    )
-    def test_keeps_the_stack_once_both_halves_fail(self, n, failing, kept):
-        assert coding._uncleared(self.stack(n, failing), 0.5, 1.0) == slice(*kept)
+    def test_verdicts_match_numpy_cholesky_one_matrix_at_a_time(self, monkeypatch):
+        # guards the private gufunc behind np.linalg.cholesky: each Gram's
+        # verdict must be whether the public call completes on its own
+        b = sample_complex_gaussian(Rng(41), 9, 1.0).reshape(3, 3)
+        gram = np.stack([
+            b.conj().T @ b,  # positive definite
+            np.zeros((3, 3)),
+            np.diag([1.0, -1.0, 1.0]),  # indefinite
+            np.diag([1.0, 1.0, 1e-9]),  # below the shift at r = 1e-4
+            np.diag([1.0, 1.0, 1e-7]),  # just above it
+        ]).astype(np.complex128)
+        choleskys = record_choleskys(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mask = coding._cleared(gram, 1e-4, 1.0)
+            (shifted,) = choleskys
+            expected = []
+            for m in shifted:
+                try:
+                    expected.append(bool(np.isfinite(np.linalg.cholesky(m)).all()))
+                except np.linalg.LinAlgError:
+                    expected.append(False)
+        assert mask.dtype == bool
+        assert mask.tolist() == expected == [True, False, False, False, True]
 
 
 class TestGramSpectrum:
