@@ -52,7 +52,8 @@ class DistortionLaw:
     ``shape``, ``scale`` and ``cdf`` are the mean-matched Gamma law (shape
     l, scale mean / l), which is exact when all eigenvalues are equal, as
     for orthonormal columns, and a proxy otherwise. The moments are
-    computed once, at construction.
+    computed once, at construction, and a mean or variance beyond the float
+    range raises ValueError.
     """
 
     spectrum: np.ndarray
@@ -71,9 +72,12 @@ class DistortionLaw:
         if not 0 < self.rho < math.inf:
             raise ValueError(f"rho must be positive and finite, got {self.rho}")
         shape = float(lam.size)
-        mean = float((1.0 / lam).sum() / (shape * self.rho))
-        weights = 1.0 / (self.rho * shape * lam)
-        variance = float((weights * weights).sum())
+        with np.errstate(over="ignore"):
+            mean = float((1.0 / lam).sum() / (shape * self.rho))
+            weights = 1.0 / (self.rho * shape * lam)
+            variance = float((weights * weights).sum())
+        if not math.isfinite(mean + variance):  # both are positive
+            raise ValueError(f"law overflows: mean {mean}, variance {variance}")
         for name, value in dict(
             spectrum=lam, mean=mean, shape=shape, scale=mean / shape, variance=variance
         ).items():

@@ -42,17 +42,18 @@ DEFAULT_MIN_GAIN_FLOOR = 1e-6
 # Consecutive redraw budget per coefficient before giving up.
 _REDRAW_LIMIT = 1000
 
-CONFIG_KEYS = (
-    "k_users",
-    "l",
-    "l_tilde",
-    "p_w",
-    "n0",
-    "snr_db",
-    "rician_kappa_db",
-    "min_gain_floor",
-    "master_seed",
-)
+# The config file's keys in file order, each with the rule that reads it.
+CONFIG_KEYS = {
+    "k_users": exact_int,
+    "l": exact_int,
+    "l_tilde": exact_int,
+    "p_w": finite_float,
+    "n0": finite_float,
+    "snr_db": finite_float,
+    "rician_kappa_db": finite_float,
+    "min_gain_floor": finite_float,
+    "master_seed": exact_int,
+}
 
 
 def db_to_linear(x_db: float) -> float:
@@ -142,18 +143,9 @@ class SystemConfig:
                 f"config file {path} keys mismatch: missing {missing}, "
                 f"unexpected {extra}"
             )
-        n0 = finite_float(blob["n0"], "n0")
-        return cls(
-            k_users=exact_int(blob["k_users"], "k_users"),
-            l=exact_int(blob["l"], "l"),
-            l_tilde=exact_int(blob["l_tilde"], "l_tilde"),
-            p_w=finite_float(blob["p_w"], "p_w"),
-            n0=n0,
-            p_x=n0 * db_to_linear(finite_float(blob["snr_db"], "snr_db")),
-            rician_kappa_db=finite_float(blob["rician_kappa_db"], "rician_kappa_db"),
-            min_gain_floor=finite_float(blob["min_gain_floor"], "min_gain_floor"),
-            master_seed=exact_int(blob["master_seed"], "master_seed"),
-        )
+        values = {key: read(blob[key], key) for key, read in CONFIG_KEYS.items()}
+        snr_db = values.pop("snr_db")
+        return cls(**values, p_x=values["n0"] * db_to_linear(snr_db))
 
     def to_json(self) -> dict:
         """The CONFIG_KEYS that from_json reads, in that order."""

@@ -113,12 +113,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_theory(args) -> int:
-    enc = None if args.matrix is None else coding.load_matrix(args.matrix)
-    if enc is not None and (enc.l_tilde, enc.l) != (args.l_tilde, args.l):
-        return _fail(
-            f"matrix file shape ({enc.l_tilde}, {enc.l}) does not match "
-            f"--l-tilde/--l ({args.l_tilde}, {args.l})"
-        )
+    shape = (args.l_tilde, args.l)
+    enc = None if args.matrix is None else coding.load_matrix(args.matrix, shape)
     rho_x = db_to_linear(args.snr_db)
     # Every value is computed before the first line is printed, so a
     # rejected input leaves stdout empty.
@@ -157,8 +153,6 @@ def cmd_regions(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    if args.threads < 1:
-        return _fail("--threads must be at least 1")
     if args.eta is not None and args.eta <= 0:
         return _fail("--eta must be positive")
     if args.assert_tolerance is not None and args.assert_tolerance < 0:
@@ -231,8 +225,6 @@ def cmd_dist_test(args) -> int:
     """
     if min(args.ks_trials, args.chernoff_trials, args.oracle_n) < 1000:
         return _fail("all sample sizes must be at least 1000")
-    if args.threads < 1:
-        return _fail("--threads must be at least 1")
 
     config = SystemConfig(master_seed=args.seed)
     base = ExperimentPlan(
@@ -244,8 +236,8 @@ def cmd_dist_test(args) -> int:
     report = experiments.summarize(ts)
     rows = [("gamma-law-ks", report.ks_statistic, 1.63 / math.sqrt(args.ks_trials))]
 
-    chern_plan = replace(base, trials=args.chernoff_trials)
-    samples = experiments.run_trials(chern_plan, workers=args.threads).samples
+    chern = replace(base, trials=args.chernoff_trials)
+    samples = experiments.run_trials(chern, workers=args.threads, enc=ts.enc).samples
     for eta in (0.5, 1.0, 2.0):
         freq = float(np.mean(samples >= (1.0 + eta) * report.theory_mean))
         bound = analysis.chernoff_tail(config.l, eta)
@@ -279,8 +271,6 @@ def cmd_dist_test(args) -> int:
 
 
 def cmd_figures(args) -> int:
-    if args.threads < 1:
-        return _fail("--threads must be at least 1")
     if args.trials is not None and args.trials < 1:
         return _fail("--trials must be at least 1")
     os.makedirs(args.out_dir, exist_ok=True)
@@ -334,89 +324,89 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parsers = []
+    for name, func, text in (
+        ("construct", cmd_construct, "build an orthonormal encoding matrix"),
+        ("check", cmd_check, "validate a matrix file"),
+        ("theory", cmd_theory, "closed-form distortion statistics"),
+        ("regions", cmd_regions, "rate-region boundaries per criterion"),
+        ("simulate", cmd_simulate, "run transmissions and summarize"),
+        ("dist-test", cmd_dist_test, "statistical certification suite"),
+        ("figures", cmd_figures, "reproduce the result tables"),
+    ):
+        parsers.append(sub.add_parser(name, help=text))
+        parsers[-1].set_defaults(func=func)
+    construct, check, theory, regions, simulate, dist_test, figures = parsers
 
-    p = sub.add_parser("construct", help="build an orthonormal encoding matrix")
-    p.add_argument("--l", type=int, required=True)
-    p.add_argument("--l-tilde", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    p.add_argument("--max-exhaustive", type=int, default=coding.DEFAULT_MAX_EXHAUSTIVE_SUBSETS)
-    p.add_argument("--samples", type=int, default=coding.DEFAULT_SAMPLE_COUNT)
-    p.add_argument("--strict", action="store_true")
-    p.set_defaults(func=cmd_construct)
+    # A flag that several subcommands share is declared once, in a loop over
+    # them, placed among each subcommand's own flags in its --help order.
+    construct.add_argument("--l", type=int, required=True)
+    construct.add_argument("--l-tilde", type=int, required=True)
+    check.add_argument("--matrix", required=True)
+    for p in (construct, check):
+        p.add_argument("--seed", type=int, default=0)
+    construct.add_argument("--out", required=True)
+    for p in (construct, check):
+        p.add_argument(
+            "--max-exhaustive", type=int, default=coding.DEFAULT_MAX_EXHAUSTIVE_SUBSETS
+        )
+        p.add_argument("--samples", type=int, default=coding.DEFAULT_SAMPLE_COUNT)
+        p.add_argument("--strict", action="store_true")
 
-    p = sub.add_parser("check", help="validate a matrix file")
-    p.add_argument("--matrix", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-exhaustive", type=int, default=coding.DEFAULT_MAX_EXHAUSTIVE_SUBSETS)
-    p.add_argument("--samples", type=int, default=coding.DEFAULT_SAMPLE_COUNT)
-    p.add_argument("--strict", action="store_true")
-    p.set_defaults(func=cmd_check)
+    theory.add_argument("--l", type=int, default=5)
+    theory.add_argument("--l-tilde", type=int, default=10)
+    regions.add_argument("--epsilon", type=_finite_float, required=True)
+    regions.add_argument("--delta", type=_finite_float, default=0.2)
+    regions.add_argument("--eta", type=_finite_float, default=1.0)
+    regions.add_argument("--snr-db", type=_finite_float, nargs="+", required=True)
+    for p in (theory, regions):
+        p.add_argument("--p-w", type=_finite_float, default=1.0)
+    theory.add_argument("--snr-db", type=_finite_float, default=10.0)
+    for p in (theory, regions):
+        p.add_argument("--min-gain", type=_finite_float, default=1.0)
+    theory.add_argument("--matrix", default=None)
 
-    p = sub.add_parser("theory", help="closed-form distortion statistics")
-    p.add_argument("--l", type=int, default=5)
-    p.add_argument("--l-tilde", type=int, default=10)
-    p.add_argument("--p-w", type=_finite_float, default=1.0)
-    p.add_argument("--snr-db", type=_finite_float, default=10.0)
-    p.add_argument("--min-gain", type=_finite_float, default=1.0)
-    p.add_argument("--matrix", default=None)
-    p.set_defaults(func=cmd_theory)
-
-    p = sub.add_parser("regions", help="rate-region boundaries per criterion")
-    p.add_argument("--epsilon", type=_finite_float, required=True)
-    p.add_argument("--delta", type=_finite_float, default=0.2)
-    p.add_argument("--eta", type=_finite_float, default=1.0)
-    p.add_argument("--snr-db", type=_finite_float, nargs="+", required=True)
-    p.add_argument("--p-w", type=_finite_float, default=1.0)
-    p.add_argument("--min-gain", type=_finite_float, default=1.0)
-    p.set_defaults(func=cmd_regions)
-
-    p = sub.add_parser("simulate", help="run transmissions and summarize")
-    p.add_argument("--config", default=None)
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument(
+    simulate.add_argument("--config", default=None)
+    simulate.add_argument("--trials", type=int, default=1000)
+    simulate.add_argument(
         "--mode",
         choices=[m.value for m in ChannelMode],
         default=ChannelMode.RICIAN_PER_TRIAL.value,
     )
-    p.add_argument(
+    simulate.add_argument(
         "--construction",
         choices=[c.value for c in Construction],
         default=Construction.RANDOM_ORTHONORMAL.value,
     )
-    p.add_argument("--matrix", default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--eta", type=_finite_float, default=None)
-    p.add_argument("--out", default=None)
-    p.add_argument("--assert-tolerance", type=_finite_float, default=None)
-    p.add_argument("--threads", type=int, default=1)
-    p.set_defaults(func=cmd_simulate)
+    simulate.add_argument("--matrix", default=None)
+    simulate.add_argument("--seed", type=int, default=None)
+    simulate.add_argument("--eta", type=_finite_float, default=None)
+    simulate.add_argument("--out", default=None)
+    simulate.add_argument("--assert-tolerance", type=_finite_float, default=None)
 
-    p = sub.add_parser("dist-test", help="statistical certification suite")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--ks-trials", type=int, default=10_000)
-    p.add_argument("--chernoff-trials", type=int, default=100_000)
-    p.add_argument("--oracle-n", type=int, default=10_000)
-    p.add_argument("--threads", type=int, default=1)
-    p.set_defaults(func=cmd_dist_test)
+    dist_test.add_argument("--seed", type=int, default=0)
+    dist_test.add_argument("--ks-trials", type=int, default=10_000)
+    dist_test.add_argument("--chernoff-trials", type=int, default=100_000)
+    dist_test.add_argument("--oracle-n", type=int, default=10_000)
 
-    p = sub.add_parser("figures", help="reproduce the result tables")
-    p.add_argument("--which", type=int, choices=[2, 3, 4], required=True)
-    p.add_argument("--out-dir", default="results")
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
-    p.set_defaults(func=cmd_figures)
+    figures.add_argument("--which", type=int, choices=[2, 3, 4], required=True)
+    figures.add_argument("--out-dir", default="results")
+    figures.add_argument("--trials", type=int, default=None)
+    figures.add_argument("--seed", type=int, default=0)
 
+    for p in (simulate, dist_test, figures):
+        p.add_argument("--threads", type=int, default=1)
     return parser
 
 
 def main(argv=None) -> int:
     """Run one subcommand; the one place that turns errors into exit 2."""
     args = build_parser().parse_args(argv)
+    if getattr(args, "threads", 1) < 1:
+        return _fail("--threads must be at least 1")
     try:
         return args.func(args)
-    except (OSError, ValueError, AirCompError) as exc:
+    except (OSError, ValueError, MemoryError, AirCompError) as exc:
         return _fail(str(exc))
 
 

@@ -26,7 +26,7 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .analysis import DistortionLaw
-from .errors import InvalidShape, RankDeficient
+from .errors import InvalidShape, RankDeficient, ShapeMismatch
 from .numerics import (
     RANK_TOLERANCE,
     Rng,
@@ -414,12 +414,14 @@ def save_matrix(enc: EncodingMatrix, path) -> None:
         fh.write(json.dumps(blob) + "\n")
 
 
-def load_matrix(path) -> EncodingMatrix:
+def load_matrix(path, shape: tuple[int, int] | None = None) -> EncodingMatrix:
     """Read a matrix file and wrap it as a Custom encoding matrix.
 
-    The file is validated structurally here; run ``validate`` afterwards to
-    check the power/rank conditions (custom matrices are accepted even when
-    they violate them, with the report carrying the findings).
+    The file is validated structurally here, and its ``(rows, cols)`` must
+    equal ``shape`` = (l_tilde, l) when one is given (ShapeMismatch); run
+    ``validate`` afterwards to check the power/rank conditions (custom
+    matrices are accepted even when they violate them, with the report
+    carrying the findings).
     """
     with open(path, "r", encoding="utf-8") as fh:
         blob = json.load(fh)
@@ -432,6 +434,11 @@ def load_matrix(path) -> EncodingMatrix:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed matrix file {path}: {exc}") from exc
+    if shape is not None and (rows, cols) != tuple(shape):
+        raise ShapeMismatch(
+            f"matrix file shape ({rows}, {cols}) does not match "
+            f"(l_tilde, l) = ({shape[0]}, {shape[1]})"
+        )
     if re.size != rows * cols or im.size != rows * cols:
         raise ValueError(
             f"matrix file {path} carries {re.size}/{im.size} entries, "

@@ -20,7 +20,7 @@ from . import analysis, channel, coding
 from .analysis import Criterion, DistortionLaw
 from .channel import ChannelRealization, SystemConfig
 from .coding import Construction, EncodingMatrix
-from .errors import EmptySample, InvalidShape, NonIntegralBlocklength, ShapeMismatch
+from .errors import EmptySample, InvalidShape, NonIntegralBlocklength
 from .numerics import Rng, ks_distance
 
 CSV_HEADER = [
@@ -133,13 +133,7 @@ def build_encoding(plan: ExperimentPlan) -> EncodingMatrix:
                 "repetition construction needs l_tilde to be a multiple of l"
             )
         return coding.construct_repetition(config.l, config.l_tilde // config.l)
-    enc = coding.load_matrix(plan.matrix_path)
-    if enc.l != config.l or enc.l_tilde != config.l_tilde:
-        raise ShapeMismatch(
-            f"matrix file shape ({enc.l_tilde}, {enc.l}) does not match "
-            f"config ({config.l_tilde}, {config.l})"
-        )
-    return enc
+    return coding.load_matrix(plan.matrix_path, (config.l_tilde, config.l))
 
 
 def fixed_channel_for(plan: ExperimentPlan) -> ChannelRealization | None:

@@ -24,9 +24,6 @@ from .errors import EmptySample, RankDeficient
 # min_sv > RANK_TOLERANCE * max_sv.
 RANK_TOLERANCE = 1e-9
 
-# Stricter cutoff used as the orthonormalization precondition.
-_QR_RANK_TOLERANCE = 1e-12
-
 _U64 = (1 << 64) - 1
 
 # Philox's starting counter. Given as an array, numpy copies it straight
@@ -105,7 +102,7 @@ def qr_orthonormal(a) -> np.ndarray:
     if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
     sv = np.linalg.svd(a, compute_uv=False)
-    if a.shape[0] < a.shape[1] or sv[-1] <= _QR_RANK_TOLERANCE * sv[0]:
+    if a.shape[0] < a.shape[1] or not sv[-1] > RANK_TOLERANCE * sv[0]:
         raise RankDeficient(
             f"input of shape {a.shape} is not full column rank "
             f"(singular-value ratio {sv[-1] / sv[0]:.3e})"

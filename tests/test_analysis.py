@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -63,6 +64,15 @@ class TestDistortionLaw:
     def test_spectrum_domain(self, spectrum):
         with pytest.raises(ValueError):
             DistortionLaw(spectrum, 1.0)
+
+    # mean 1 / rho overflows at a subnormal rho; at rho = 1e-160 only the
+    # variance 1 / rho^2 does
+    @pytest.mark.parametrize("spectrum, rho", [([1.0] * 5, 2e-319), ([1.0], 1e-160)])
+    def test_moments_beyond_float_range_are_value_error(self, spectrum, rho):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflows"):
+                DistortionLaw(spectrum, rho)
 
 
 class TestGammaOpt:

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import os
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import aircomp
-from aircomp import coding, experiments
+from aircomp import cli, coding, experiments
 from aircomp.cli import main
 from aircomp.numerics import Rng
 
@@ -279,6 +280,20 @@ class TestTheory:
         coding.save_matrix(coding.EncodingMatrix(1e160 * enc.phi), "big.json")
         assert_usage_error_before_output(capsys, run_cli("theory", *flags))
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            # rho = 10 * 1e-320 / 0.5 is subnormal: mean and variance overflow
+            ["--min-gain", "1e-320"],
+            ["--p-w", "1e300", "--snr-db", "-100"],
+        ],
+    )
+    def test_overflowing_law_is_usage_error_before_output(self, capsys, flags):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli("theory", *flags)
+        assert_usage_error_before_output(capsys, code)
+
     def test_rank_deficient_matrix_is_usage_error_before_output(
         self, tmp_path, capsys
     ):
@@ -345,6 +360,112 @@ class TestRegions:
             "regions", "--epsilon", "0.02", "--eta", "1e-200", "--snr-db", "0"
         )
         assert_usage_error_before_output(capsys, code)
+
+
+_FF = cli._finite_float
+_MAX_EX = coding.DEFAULT_MAX_EXHAUSTIVE_SUBSETS
+_SAMPLES = coding.DEFAULT_SAMPLE_COUNT
+_MODES = ["fixed-unit", "rician-per-trial", "fixed-from-seed"]
+_CONSTRUCTIONS = ["random_orthonormal", "identity", "repetition", "custom"]
+
+# Per subcommand, each option's strings -> (dest, default, type, choices,
+# nargs, action, required), recorded from the parser before its shared
+# flags were declared in loops.
+PARSER_TABLE = {
+    "construct": {
+        ("--l",): ("l", None, int, None, None, "_StoreAction", True),
+        ("--l-tilde",): ("l_tilde", None, int, None, None, "_StoreAction", True),
+        ("--seed",): ("seed", 0, int, None, None, "_StoreAction", False),
+        ("--out",): ("out", None, None, None, None, "_StoreAction", True),
+        ("--max-exhaustive",): (
+            "max_exhaustive", _MAX_EX, int, None, None, "_StoreAction", False
+        ),
+        ("--samples",): ("samples", _SAMPLES, int, None, None, "_StoreAction", False),
+        ("--strict",): ("strict", False, None, None, 0, "_StoreTrueAction", False),
+    },
+    "check": {
+        ("--matrix",): ("matrix", None, None, None, None, "_StoreAction", True),
+        ("--seed",): ("seed", 0, int, None, None, "_StoreAction", False),
+        ("--max-exhaustive",): (
+            "max_exhaustive", _MAX_EX, int, None, None, "_StoreAction", False
+        ),
+        ("--samples",): ("samples", _SAMPLES, int, None, None, "_StoreAction", False),
+        ("--strict",): ("strict", False, None, None, 0, "_StoreTrueAction", False),
+    },
+    "theory": {
+        ("--l",): ("l", 5, int, None, None, "_StoreAction", False),
+        ("--l-tilde",): ("l_tilde", 10, int, None, None, "_StoreAction", False),
+        ("--p-w",): ("p_w", 1.0, _FF, None, None, "_StoreAction", False),
+        ("--snr-db",): ("snr_db", 10.0, _FF, None, None, "_StoreAction", False),
+        ("--min-gain",): ("min_gain", 1.0, _FF, None, None, "_StoreAction", False),
+        ("--matrix",): ("matrix", None, None, None, None, "_StoreAction", False),
+    },
+    "regions": {
+        ("--epsilon",): ("epsilon", None, _FF, None, None, "_StoreAction", True),
+        ("--delta",): ("delta", 0.2, _FF, None, None, "_StoreAction", False),
+        ("--eta",): ("eta", 1.0, _FF, None, None, "_StoreAction", False),
+        ("--snr-db",): ("snr_db", None, _FF, None, "+", "_StoreAction", True),
+        ("--p-w",): ("p_w", 1.0, _FF, None, None, "_StoreAction", False),
+        ("--min-gain",): ("min_gain", 1.0, _FF, None, None, "_StoreAction", False),
+    },
+    "simulate": {
+        ("--config",): ("config", None, None, None, None, "_StoreAction", False),
+        ("--trials",): ("trials", 1000, int, None, None, "_StoreAction", False),
+        ("--mode",): (
+            "mode", "rician-per-trial", None, _MODES, None, "_StoreAction", False
+        ),
+        ("--construction",): (
+            "construction", "random_orthonormal", None, _CONSTRUCTIONS, None,
+            "_StoreAction", False,
+        ),
+        ("--matrix",): ("matrix", None, None, None, None, "_StoreAction", False),
+        ("--seed",): ("seed", None, int, None, None, "_StoreAction", False),
+        ("--eta",): ("eta", None, _FF, None, None, "_StoreAction", False),
+        ("--out",): ("out", None, None, None, None, "_StoreAction", False),
+        ("--assert-tolerance",): (
+            "assert_tolerance", None, _FF, None, None, "_StoreAction", False
+        ),
+        ("--threads",): ("threads", 1, int, None, None, "_StoreAction", False),
+    },
+    "dist-test": {
+        ("--seed",): ("seed", 0, int, None, None, "_StoreAction", False),
+        ("--ks-trials",): ("ks_trials", 10000, int, None, None, "_StoreAction", False),
+        ("--chernoff-trials",): (
+            "chernoff_trials", 100000, int, None, None, "_StoreAction", False
+        ),
+        ("--oracle-n",): ("oracle_n", 10000, int, None, None, "_StoreAction", False),
+        ("--threads",): ("threads", 1, int, None, None, "_StoreAction", False),
+    },
+    "figures": {
+        ("--which",): ("which", None, int, [2, 3, 4], None, "_StoreAction", True),
+        ("--out-dir",): ("out_dir", "results", None, None, None, "_StoreAction", False),
+        ("--trials",): ("trials", None, int, None, None, "_StoreAction", False),
+        ("--seed",): ("seed", 0, int, None, None, "_StoreAction", False),
+        ("--threads",): ("threads", 1, int, None, None, "_StoreAction", False),
+    },
+}
+
+
+class TestParser:
+    def test_every_option_matches_the_table(self):
+        parser = cli.build_parser()
+        (sub,) = [
+            a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+        ]
+        assert list(sub.choices) == list(PARSER_TABLE)
+        for name, expected in PARSER_TABLE.items():
+            subparser = sub.choices[name]
+            found = {
+                tuple(a.option_strings): (
+                    a.dest, a.default, a.type, a.choices, a.nargs,
+                    type(a).__name__, a.required,
+                )
+                for a in subparser._actions
+                if not isinstance(a, argparse._HelpAction)
+            }
+            assert found == expected, name
+            func = "cmd_" + name.replace("-", "_")
+            assert subparser.get_default("func") is getattr(cli, func)
 
 
 class TestImports:
@@ -687,6 +808,32 @@ class TestSimulate:
         ).read_bytes()
 
 
+class TestOversizeInput:
+    # 2^44 complex entries are 256 TiB, beyond a 47-bit user address space,
+    # so no host can grant the allocation and it fails at once
+    def test_simulate_is_usage_error(self, tmp_path, capsys):
+        config = {
+            "k_users": 2**44, "l": 1, "l_tilde": 1, "p_w": 1.0, "n0": 1.0,
+            "snr_db": 10.0, "rician_kappa_db": 5.0, "min_gain_floor": 1e-6,
+            "master_seed": 0,
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        code = run_cli(
+            "simulate", "--config", str(path), "--mode", "fixed-unit",
+            "--trials", "2",
+        )
+        assert_usage_error_before_output(capsys, code)
+
+    def test_construct_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        code = run_cli(
+            "construct", "--l", str(2**22), "--l-tilde", str(2**22),
+            "--out", str(out),
+        )
+        assert_usage_error_before_output(capsys, code, out)
+
+
 class TestDistTest:
     def test_small_suite_passes(self, capsys):
         code = run_cli(
@@ -705,9 +852,9 @@ class TestDistTest:
             "dist-test", "--ks-trials", "1000", "--chernoff-trials", "1000",
             "--oracle-n", "1000",
         )
-        # the KS trials and the Chernoff trials; the skewed oracle matrix
-        # is built directly
-        assert len(builds) == 2
+        # once for the KS trials, whose matrix the Chernoff trials reuse;
+        # the skewed oracle matrix is built directly
+        assert len(builds) == 1
 
     def test_tiny_sizes_rejected(self):
         assert run_cli("dist-test", "--ks-trials", "10") == 2

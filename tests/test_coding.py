@@ -21,7 +21,7 @@ from aircomp.coding import (
     save_matrix,
     validate,
 )
-from aircomp.errors import InvalidShape, RankDeficient
+from aircomp.errors import InvalidShape, RankDeficient, ShapeMismatch
 from aircomp.numerics import Rng, sample_complex_gaussian
 
 
@@ -539,6 +539,23 @@ class TestMatrixFile:
         path.write_text('{"rows": 2, "cols": 2, "re": [1, 0], "im": [0, 0]}')
         with pytest.raises(ValueError):
             load_matrix(path)
+
+    def test_shape_is_checked_before_any_matrix_is_built(
+        self, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "phi.json"
+        save_matrix(construct_random_orthonormal(6, 3, Rng(14)), path)
+        built = []
+        monkeypatch.setattr(
+            coding, "EncodingMatrix",
+            lambda phi: built.append(phi) or EncodingMatrix(phi),
+        )
+        with pytest.raises(ShapeMismatch, match=r"^matrix file shape \(6, 3\)"):
+            load_matrix(path, (10, 5))
+        assert built == []
+        assert load_matrix(path, (6, 3)).phi.shape == (6, 3)
+        assert load_matrix(path).phi.shape == (6, 3)
+        assert len(built) == 2
 
     def test_wide_matrix_rejected(self, tmp_path):
         path = tmp_path / "wide.json"

@@ -8,6 +8,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aircomp import coding
 from aircomp.errors import EmptySample, RankDeficient
 from aircomp.numerics import (
     Rng,
@@ -106,6 +107,19 @@ class TestQrOrthonormal:
     def test_wide_matrix_rejected(self):
         with pytest.raises(RankDeficient):
             qr_orthonormal([[1.0, 0.0]])
+
+    def test_applies_the_one_rank_rule(self):
+        # singular values 1, 1e-5 and 1e-10: a ratio of 1e-10 fails
+        # sigma_min > RANK_TOLERANCE * sigma_max, as EncodingMatrix's check does
+        u, _ = np.linalg.qr(random_complex(Rng(5), 6, 3))
+        v, _ = np.linalg.qr(random_complex(Rng(6), 3, 3))
+        a = (u * [1.0, 1e-5, 1e-10]) @ v.conj().T
+        sv = np.linalg.svd(a, compute_uv=False)
+        assert sv[-1] / sv[0] == pytest.approx(1e-10, rel=1e-3)
+        with pytest.raises(RankDeficient):
+            coding.EncodingMatrix(a).require_full_rank()
+        with pytest.raises(RankDeficient):
+            qr_orthonormal(a)
 
     @settings(max_examples=30, deadline=None)
     @given(
