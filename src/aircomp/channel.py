@@ -257,7 +257,7 @@ def encode_and_precode(
         raise ShapeMismatch(
             f"source vector of shape {w_k.shape} does not match l={enc.l}"
         )
-    return (math.sqrt(p) / h_k) * enc.phi_matvec(w_k)
+    return (math.sqrt(p) / h_k) * enc.phi.dot(w_k)
 
 
 def superpose(
@@ -291,7 +291,7 @@ def decode_sum(enc: EncodingMatrix, y: np.ndarray, p: float) -> np.ndarray:
             f"received vector of shape {y.shape} does not match "
             f"l_tilde={enc.l_tilde}"
         )
-    return enc.decoder_matvec(y) / math.sqrt(p)
+    return enc.decoder.dot(y) / math.sqrt(p)
 
 
 def run_round(

@@ -20,7 +20,7 @@ from dataclasses import asdict, replace
 import numpy as np
 
 from . import analysis, coding, experiments
-from .channel import SystemConfig, all_ones_channel, db_to_linear
+from .channel import SystemConfig, all_ones_channel, db_to_linear, max_power_scaling
 from .coding import Construction
 from .errors import AirCompError
 from .experiments import ChannelMode, ExperimentPlan, format_field
@@ -169,8 +169,15 @@ def cmd_simulate(args) -> int:
     )
     # A matrix that cannot be built or loaded, or whose spectrum no law
     # accepts, fails before any output exists and before any trial runs.
+    # In the fixed modes every trial runs at one power scaling p, so the
+    # law at p / n0 is the run's law; under per-trial fading that law is
+    # known only after the trials.
     enc = experiments.build_encoding(plan)
-    coding.distortion_law(enc, 1.0)
+    fixed = experiments.fixed_channel_for(plan)
+    rho = 1.0
+    if fixed is not None:
+        rho = max_power_scaling(fixed.min_gain, config) / config.n0
+    coding.distortion_law(enc, rho)
     if args.out:
         # Fail before the run, not after it, when an output cannot be written.
         # Append mode checks writability without emptying an earlier result.

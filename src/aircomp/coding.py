@@ -164,36 +164,11 @@ class EncodingMatrix:
 
         Its error grows like kappa u, not the kappa^2 u of a solve with the
         Gram matrix (Higham, Accuracy and Stability of Numerical
-        Algorithms, ch. 20). The product is C-contiguous, so
-        ``decoder_matvec`` can take ``dot``.
+        Algorithms, ch. 20).
         """
         self.require_full_rank()
         u, sigma, vh = self.svd
         return (vh.conj().T / sigma) @ u.conj().T
-
-    @cached_property
-    def phi_matvec(self):
-        """``v -> phi @ v``, bit for bit, through the cheapest call (``_matvec``)."""
-        return _matvec(self.phi)
-
-    @cached_property
-    def decoder_matvec(self):
-        """``v -> decoder @ v``, bit for bit, through the cheapest call."""
-        return _matvec(self.decoder)
-
-
-def _matvec(m: np.ndarray):
-    """``m.dot`` where it gives the bits of ``m @ v``, else ``m.__matmul__``.
-
-    For a C-contiguous matrix with both dimensions at least 2, ``m @ v``
-    and ``m.dot(v)`` make the same BLAS zgemv call, and ``dot`` skips the
-    ufunc dispatch (0.9 against 1.6 us at 10x5). Elsewhere matmul may take
-    another path: an ``n x 1`` matrix goes through its own loop, which
-    rounds differently from ``dot``.
-    """
-    if m.flags.c_contiguous and min(m.shape) >= 2:
-        return m.dot
-    return m.__matmul__
 
 
 def construct_random_orthonormal(l_tilde: int, l: int, rng: Rng) -> EncodingMatrix:

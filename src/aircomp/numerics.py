@@ -103,9 +103,9 @@ def qr_orthonormal(a) -> np.ndarray:
         raise ValueError("matrix entries must be finite")
     sv = np.linalg.svd(a, compute_uv=False)
     if a.shape[0] < a.shape[1] or not sv[-1] > RANK_TOLERANCE * sv[0]:
+        ratio = f" (singular-value ratio {sv[-1] / sv[0]:.3e})" if sv[0] else ""
         raise RankDeficient(
-            f"input of shape {a.shape} is not full column rank "
-            f"(singular-value ratio {sv[-1] / sv[0]:.3e})"
+            f"input of shape {a.shape} is not full column rank{ratio}"
         )
     q, r = np.linalg.qr(a, mode="reduced")
     phases = np.diagonal(r).copy()

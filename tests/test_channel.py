@@ -328,62 +328,57 @@ def bits(a):
     return np.ascontiguousarray(a).view(np.uint64)
 
 
-class TestMatvecRule:
-    """encode_and_precode and decode_sum give the bits of ``m @ v``.
+class TestMatrixProducts:
+    """encode_and_precode and decode_sum agree with ``m @ v`` up to rounding.
 
-    They call ``m.dot`` where it makes the same BLAS zgemv call as
-    ``m @ v`` (C-contiguous, both dimensions at least 2) and ``@``
-    elsewhere. The comparisons run on whatever BLAS and SIMD kernels this
-    machine has, so they also check that premise on every CI runner.
+    Two computations of a complex product ``m @ v`` with inner length n
+    each lie within about sqrt(2) (n + 2) u of the exact one, entrywise
+    relative to ``|m| @ |v|`` (Higham, Accuracy and Stability of Numerical
+    Algorithms, sec. 3.6), and multiplying both by one complex scalar adds
+    at most 2 sqrt(2) u of their size each. So the two results differ by
+    less than 4 (n + 4) u, relative to ``|s| |m| @ |v|`` for the scalar s.
     """
 
     DRAWS = 50
 
-    def check(self, enc, seed):
-        rng = Rng(seed)
-        h = sample_complex_gaussian(rng, self.DRAWS, 1.0) + 1.0
-        w = sample_complex_gaussian(rng, self.DRAWS * enc.l, 1.0)
-        y = sample_complex_gaussian(rng, self.DRAWS * enc.l_tilde, 1.0)
-        p = 7.3
-        for i in range(self.DRAWS):
-            w_i = w[i * enc.l:(i + 1) * enc.l]
-            y_i = y[i * enc.l_tilde:(i + 1) * enc.l_tilde]
-            expected = (math.sqrt(p) / h[i]) * (enc.phi @ w_i)
-            assert np.array_equal(
-                bits(encode_and_precode(enc, w_i, h[i], p)), bits(expected)
-            )
-            expected = (enc.decoder @ y_i) / math.sqrt(p)
-            assert np.array_equal(bits(decode_sum(enc, y_i, p)), bits(expected))
+    @staticmethod
+    def assert_close(got, scalar, m, v):
+        bound = 4 * (m.shape[1] + 4) * np.finfo(float).eps
+        size = abs(scalar) * (np.abs(m) @ np.abs(v))
+        assert np.all(np.abs(got - scalar * (m @ v)) <= bound * size)
 
-    @pytest.mark.parametrize("l_tilde, l", [(2, 2), (10, 5), (80, 40), (3, 1)])
-    def test_bits_equal_matmul(self, l_tilde, l):
-        phi = sample_complex_gaussian(Rng(l_tilde, l), l_tilde * l, 1.0)
-        enc = EncodingMatrix(phi.reshape(l_tilde, l))
-        self.check(enc, seed=l_tilde * 100 + l)
-
-    @pytest.mark.parametrize("l_tilde, l", [(2, 2), (10, 5), (80, 40)])
-    def test_dot_where_both_dimensions_reach_two(self, l_tilde, l):
-        enc = construct_random_orthonormal(l_tilde, l, Rng(l_tilde))
-        assert enc.phi_matvec.__name__ == "dot"
-        assert enc.decoder_matvec.__name__ == "dot"
-
-    def test_single_column_keeps_matmul(self):
-        # 3x1 encode, 1x3 decoder: matmul skips zgemv here, so dot would
-        # round differently (the simulate-rician-l1 golden digest)
-        enc = construct_random_orthonormal(3, 1, Rng(38))
-        assert enc.decoder.shape == (1, 3)
-        assert enc.phi_matvec.__name__ == "__matmul__"
-        assert enc.decoder_matvec.__name__ == "__matmul__"
-        self.check(enc, seed=39)
-
-    @pytest.mark.parametrize("layout", ["fortran", "strided"])
-    def test_non_contiguous_phi_keeps_matmul(self, layout):
-        a = sample_complex_gaussian(Rng(40), 10 * 10, 1.0).reshape(10, 10)
-        phi = np.asfortranarray(a[:, :5]) if layout == "fortran" else a[:, ::2]
+    @pytest.mark.parametrize(
+        "layout, l_tilde, l",
+        [
+            ("c", 2, 2),
+            ("c", 10, 5),
+            ("c", 80, 40),
+            ("c", 3, 1),
+            ("fortran", 10, 5),
+            ("strided", 10, 5),
+        ],
+    )
+    def test_within_rounding_of_matmul(self, layout, l_tilde, l):
+        width = l if layout == "c" else 2 * l
+        a = sample_complex_gaussian(Rng(l_tilde, l), l_tilde * width, 1.0)
+        a = a.reshape(l_tilde, width)
+        phi = {
+            "c": a,
+            "fortran": np.asfortranarray(a[:, :l]),
+            "strided": a[:, ::2],
+        }[layout]
         enc = EncodingMatrix(phi)
-        assert not enc.phi.flags.c_contiguous
-        assert enc.phi_matvec.__name__ == "__matmul__"
-        self.check(enc, seed=41)
+        assert enc.phi.flags.c_contiguous == (layout == "c")
+        rng = Rng(l_tilde * 100 + l)
+        h = sample_complex_gaussian(rng, self.DRAWS, 1.0) + 1.0
+        w = sample_complex_gaussian(rng, self.DRAWS * l, 1.0).reshape(-1, l)
+        y = sample_complex_gaussian(rng, self.DRAWS * l_tilde, 1.0)
+        p = 7.3
+        for h_i, w_i, y_i in zip(h, w, y.reshape(-1, l_tilde)):
+            got = encode_and_precode(enc, w_i, h_i, p)
+            self.assert_close(got, math.sqrt(p) / h_i, enc.phi, w_i)
+            got = decode_sum(enc, y_i, p)
+            self.assert_close(got, 1 / math.sqrt(p), enc.decoder, y_i)
 
 
 class TestRunRound:

@@ -736,6 +736,31 @@ class TestSimulate:
         assert not (tmp_path / "run.report.json").exists()
         assert runs == []
 
+    @pytest.mark.parametrize("mode", ["fixed-unit", "fixed-from-seed"])
+    def test_fixed_mode_law_overflow_fails_before_trials(
+        self, tmp_path, capsys, monkeypatch, mode
+    ):
+        # every trial runs at p ~ 1e-299, so the run's law overflows, while
+        # the law at rho = 1 would not
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({
+            "k_users": 10, "l": 5, "l_tilde": 10, "p_w": 1.0, "n0": 1.0,
+            "snr_db": -2990, "rician_kappa_db": 5.0, "min_gain_floor": 1e-6,
+            "master_seed": 0,
+        }))
+        runs = count_calls(monkeypatch, experiments, "run_trials")
+        prefix = str(tmp_path / "run")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli(
+                "simulate", "--config", str(cfg_path), "--mode", mode,
+                "--trials", "20", "--out", prefix,
+            )
+        assert_usage_error_before_output(
+            capsys, code, prefix + ".trials.csv", prefix + ".report.json"
+        )
+        assert runs == []
+
     @pytest.mark.parametrize(
         "flags",
         [

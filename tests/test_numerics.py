@@ -1,5 +1,6 @@
 import math
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -103,6 +104,12 @@ class TestQrOrthonormal:
     def test_rank_deficient_rejected(self):
         with pytest.raises(RankDeficient):
             qr_orthonormal([[1.0, 1.0], [1.0, 1.0]])
+
+    def test_zero_matrix_rejected_without_warning(self):
+        # sv[0] == 0: the message must not format the ratio 0 / 0
+        with warnings.catch_warnings(), pytest.raises(RankDeficient):
+            warnings.simplefilter("error")
+            qr_orthonormal(np.zeros((3, 2)))
 
     def test_wide_matrix_rejected(self):
         with pytest.raises(RankDeficient):
