@@ -170,20 +170,19 @@ def cmd_simulate(args) -> int:
     # A matrix that cannot be built or loaded, or whose spectrum no law
     # accepts, fails before any output exists and before any trial runs.
     # In the fixed modes every trial runs at one power scaling p, so the
-    # law at p / n0 is the run's law; under per-trial fading that law is
-    # known only after the trials.
+    # law at p / n0 is the run's law. Under per-trial fading the run's law
+    # averages the drawn scalings, each at or above the gain floor's, so
+    # the law at the floor's scaling bounds it.
     enc = experiments.build_encoding(plan)
     fixed = experiments.fixed_channel_for(plan)
-    rho = 1.0
-    if fixed is not None:
-        rho = max_power_scaling(fixed.min_gain, config) / config.n0
-    coding.distortion_law(enc, rho)
+    min_gain = config.min_gain_floor if fixed is None else fixed.min_gain
+    coding.distortion_law(enc, max_power_scaling(min_gain, config) / config.n0)
     if args.out:
         # Fail before the run, not after it, when an output cannot be written.
         # Append mode checks writability without emptying an earlier result.
         for suffix in (".trials.csv", ".report.json"):
             open(args.out + suffix, "a", encoding="utf-8").close()
-    ts = experiments.run_trials(plan, workers=args.threads, enc=enc)
+    ts = experiments.run_trials(plan, workers=args.threads, enc=enc, fixed=fixed)
     report = experiments.summarize(ts, eta=args.eta)
     ratio = report.mean / report.theory_mean
 

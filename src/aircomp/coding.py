@@ -34,6 +34,7 @@ from .numerics import (
     finite_float,
     qr_orthonormal,
     sample_complex_gaussian,
+    sample_subsets,
 )
 
 # Relative slack on the power constraint trace(phi^H phi) = l.
@@ -211,11 +212,13 @@ def validate(
 
     All C(l_tilde, l) row subsets are tested when there are at most
     ``max_exhaustive_subsets`` of them (which must be non-negative);
-    otherwise ``sample_count`` subsets are drawn uniformly (requires
-    ``rng``). A subset passes when its min/max singular-value ratio exceeds
-    the rank tolerance. The report carries the Gram spectrum, which fully
-    determines the distortion law downstream and whose sum is the power
-    constraint's trace.
+    otherwise ``sample_count`` subsets are drawn uniformly from ``rng``
+    (required then) by ``sample_subsets``, one call per batch, which
+    draws the same subsets whatever the batch size. A subset passes when
+    its min/max singular-value ratio exceeds the rank tolerance. The
+    report carries the Gram spectrum, which fully determines the
+    distortion law downstream and whose sum is the power constraint's
+    trace.
 
     Subsets go in batches of about ``SVD_BATCH_BYTES`` of working set, so
     memory stays bounded. The worst ratio is the least of the SVD ratios,
@@ -244,35 +247,43 @@ def validate(
     if max_exhaustive_subsets < 0:
         raise ValueError("max_exhaustive_subsets must be non-negative")
 
-    total = math.comb(enc.l_tilde, enc.l)
+    l = enc.l
+    total = math.comb(enc.l_tilde, l)
     # exhaustive whenever it is no more work than sampling, so sampled
     # reports always check strictly fewer subsets than exist
     if total <= max(max_exhaustive_subsets, sample_count):
         mode = RankMode.EXHAUSTIVE
-        subsets = itertools.combinations(range(enc.l_tilde), enc.l)
         count = total
+        flat = itertools.chain.from_iterable(
+            itertools.combinations(range(enc.l_tilde), l)
+        )
+
+        def draw(n):
+            return np.fromiter(itertools.islice(flat, n * l), np.intp).reshape(n, l)
     else:
         if rng is None:
             raise ValueError("sampled rank validation requires an rng")
         if sample_count < 1:
             raise ValueError("sample_count must be positive")
         mode = RankMode.SAMPLED
-        subsets = (
-            tuple(sorted(rng.gen.choice(enc.l_tilde, size=enc.l, replace=False)))
-            for _ in range(sample_count)
-        )
         count = sample_count
+        # each subset is cut from a shuffle of all l_tilde row indices, so
+        # a tall phi draws its batch in pieces that keep those shuffles
+        # within SVD_BATCH_BYTES; the subsets do not depend on the pieces
+        piece = max(1, SVD_BATCH_BYTES // (8 * enc.l_tilde))
 
-    l = enc.l
+        def draw(n):
+            return np.concatenate([
+                sample_subsets(rng, min(piece, n - a), enc.l_tilde, l)
+                for a in range(0, n, piece)
+            ])
+
     margin = SCREEN_SAFETY * (2 * l + 5) * _U
     screened, cap = _unit_scaled(enc)
-    # Batches are read in the iterator's order, so sampled subsets are
-    # drawn from rng exactly as one at a time would draw them.
     batch = max(1, SVD_BATCH_BYTES // (3 * enc.phi.itemsize * l * l + 8 * l))
-    flat = itertools.chain.from_iterable(subsets)
     worst = math.inf
-    while (rows := np.fromiter(itertools.islice(flat, batch * l), np.intp)).size:
-        rows = rows.reshape(-1, l)
+    for start in range(0, count, batch):
+        rows = draw(min(batch, count - start))
         if worst < math.inf:
             stack = screened[rows]
             gram = np.matmul(stack.conj().transpose(0, 2, 1), stack)

@@ -179,19 +179,24 @@ def _run_range(enc, config, fixed, start, stop):
 
 
 def run_trials(
-    plan: ExperimentPlan, workers: int = 1, enc: EncodingMatrix | None = None
+    plan: ExperimentPlan,
+    workers: int = 1,
+    enc: EncodingMatrix | None = None,
+    fixed: ChannelRealization | None = None,
 ) -> TrialSet:
     """Execute the plan's transmissions at the maximal power scaling.
 
     The channel is held fixed across trials in the fixed modes and redrawn
     per trial otherwise; the power scaling is recomputed whenever the
     channel changes. At most ``os.cpu_count()`` worker processes start, and
-    results are identical for any worker count. ``enc`` is the plan's
-    matrix when the caller already holds ``build_encoding(plan)``.
+    results are identical for any worker count. ``enc`` and ``fixed`` are
+    the plan's matrix and channel when the caller already holds
+    ``build_encoding(plan)`` and ``fixed_channel_for(plan)``.
     """
     if enc is None:
         enc = build_encoding(plan)
-    fixed = fixed_channel_for(plan)
+    if fixed is None:
+        fixed = fixed_channel_for(plan)
     config = plan.config
 
     if workers < 1:

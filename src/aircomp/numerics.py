@@ -1,12 +1,13 @@
 """Complex linear-algebra and statistics kernels.
 
 Domain-free building blocks: seeded random streams, orthonormalization,
-circularly symmetric Gaussian sampling, the regularized lower incomplete
-gamma function, a one-sample Kolmogorov-Smirnov statistic, the rank rule,
-and the rules for counts and numbers read from input files. Spectra and
-pseudo-inverses of an encoding matrix come from its one cached SVD
-(``coding.EncodingMatrix.svd``). Matrix routines operate on complex128
-numpy arrays; callers own the domain semantics of rows and columns.
+circularly symmetric Gaussian sampling, uniform random subsets, the
+regularized lower incomplete gamma function, a one-sample
+Kolmogorov-Smirnov statistic, the rank rule, and the rules for counts and
+numbers read from input files. Spectra and pseudo-inverses of an encoding
+matrix come from its one cached SVD (``coding.EncodingMatrix.svd``).
+Matrix routines operate on complex128 numpy arrays; callers own the domain
+semantics of rows and columns.
 """
 
 from __future__ import annotations
@@ -128,6 +129,20 @@ def sample_complex_gaussian(rng: Rng, n: int, variance: float) -> np.ndarray:
     z *= math.sqrt(variance / 2.0)
     # one contiguous copy interleaves the (re, im) pairs
     return np.ascontiguousarray(z.T).view(np.complex128)[:, 0]
+
+
+def sample_subsets(rng: Rng, n: int, size: int, k: int) -> np.ndarray:
+    """n uniform k-subsets of range(size), one per row, each sorted ascending.
+
+    Row i holds the first k entries of a uniform shuffle of range(size)
+    (numpy's ``permuted``, one Fisher-Yates shuffle per row), so every
+    k-subset is equally likely. Rows read the stream one after another, so
+    n rows drawn at once equal the same rows drawn in any split of n.
+    """
+    if not 0 <= k <= size:
+        raise ValueError(f"need 0 <= k <= size, got k={k}, size={size}")
+    rows = rng.gen.permuted(np.tile(np.arange(size), (n, 1)), axis=1)
+    return np.sort(rows[:, :k], axis=1)
 
 
 def regularized_lower_gamma(shape: float, x: float) -> float:

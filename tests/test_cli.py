@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import aircomp
-from aircomp import cli, coding, experiments
+from aircomp import channel, cli, coding, experiments
 from aircomp.cli import main
 from aircomp.numerics import Rng
 
@@ -736,12 +736,15 @@ class TestSimulate:
         assert not (tmp_path / "run.report.json").exists()
         assert runs == []
 
-    @pytest.mark.parametrize("mode", ["fixed-unit", "fixed-from-seed"])
-    def test_fixed_mode_law_overflow_fails_before_trials(
+    @pytest.mark.parametrize(
+        "mode", ["fixed-unit", "fixed-from-seed", "rician-per-trial"]
+    )
+    def test_law_overflow_fails_before_trials(
         self, tmp_path, capsys, monkeypatch, mode
     ):
         # every trial runs at p ~ 1e-299, so the run's law overflows, while
-        # the law at rho = 1 would not
+        # the law at rho = 1 would not; per-trial fading checks the law at
+        # the gain floor's power scaling, which bounds every realized law
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps({
             "k_users": 10, "l": 5, "l_tilde": 10, "p_w": 1.0, "n0": 1.0,
@@ -760,6 +763,13 @@ class TestSimulate:
             capsys, code, prefix + ".trials.csv", prefix + ".report.json"
         )
         assert runs == []
+
+    def test_fixed_from_seed_draws_its_channel_once(self, capsys, monkeypatch):
+        draws = count_calls(monkeypatch, channel, "sample_rician")
+        code = run_cli("simulate", "--mode", "fixed-from-seed", "--trials", "20")
+        capsys.readouterr()
+        assert code == 0
+        assert len(draws) == 1
 
     @pytest.mark.parametrize(
         "flags",

@@ -22,7 +22,7 @@ from aircomp.coding import (
     validate,
 )
 from aircomp.errors import InvalidShape, RankDeficient, ShapeMismatch
-from aircomp.numerics import Rng, sample_complex_gaussian
+from aircomp.numerics import Rng, sample_complex_gaussian, sample_subsets
 
 
 def skewed_two_by_two():
@@ -162,8 +162,9 @@ def reference_rank_check(enc, max_exhaustive_subsets, sample_count, rng):
         subsets = itertools.combinations(range(enc.l_tilde), enc.l)
     else:
         mode, count = RankMode.SAMPLED, sample_count
+        # one subset per call: validate's batched draws must give the same
         subsets = [
-            tuple(sorted(rng.gen.choice(enc.l_tilde, size=enc.l, replace=False)))
+            sample_subsets(rng, 1, enc.l_tilde, enc.l)[0]
             for _ in range(sample_count)
         ]
     worst = math.inf
@@ -276,12 +277,14 @@ class TestValidateBatches:
              100_000, 1000),
             (EncodingMatrix(1e100 * construct_random_orthonormal(16, 8, Rng(32)).phi),
              100_000, 1000),
+            # so tall that validate draws its subsets one per call
+            (construct_random_orthonormal(40_000, 2, Rng(34)), 10, 50),
         ],
         ids=[
             "exhaustive", "repetition", "sampled", "near-dependent-1e-8",
             "near-dependent-1e-12", "zero-column", "ties", "l-is-1",
             "l-is-l-tilde", "sampled-64x32", "spread-spectrum", "one-big-row",
-            "orthonormal-times-1e100",
+            "orthonormal-times-1e100", "sampled-tall",
         ],
     )
     def test_matches_one_subset_at_a_time(
@@ -366,6 +369,19 @@ class TestValidateBatches:
         finally:
             tracemalloc.stop()
         assert report.subsets_checked == 12870
+        assert peak < 4 * 2**20
+
+    def test_tall_sampled_draw_stays_bounded(self):
+        # 200 subsets of a 5000x1 matrix fit one batch, and shuffling all
+        # 5000 row indices for each at once would take ~8 MiB
+        enc = EncodingMatrix(np.ones((5000, 1)) / math.sqrt(5000))
+        tracemalloc.start()
+        try:
+            report = validate(enc, 10, 200, rng=Rng(4, 99))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.rank_mode is RankMode.SAMPLED and report.rank_ok
         assert peak < 4 * 2**20
 
 

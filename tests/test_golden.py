@@ -76,7 +76,7 @@ GOLDEN = {
     'check-16x8:exit': '0',
     'check-16x8:stdout': '20e7a22758896b8d5de5e31687dfa44cbc3fe33124d60f52a05a0ef4fc712ad0',
     'check-sampled:exit': '0',
-    'check-sampled:stdout': '87cdfce49060ad9bc84d122b5d840181567bb628a263e83fdc44c6f665426ea0',
+    'check-sampled:stdout': 'a3ba3a60c0fd2d14f88941f7a0cf4d8d9ef7a8a67cb8148d766b1216e579a6c5',
     'check:exit': '0',
     'check:stdout': 'd7ea908a7cb16b5736034a2a7cb86087215dc1063cd7ad0b317c22898c3d8157',
     'construct-16x8:exit': '0',

@@ -1,3 +1,4 @@
+import itertools
 import math
 import pickle
 import warnings
@@ -17,6 +18,7 @@ from aircomp.numerics import (
     qr_orthonormal,
     regularized_lower_gamma,
     sample_complex_gaussian,
+    sample_subsets,
 )
 
 U64 = (1 << 64) - 1
@@ -178,6 +180,47 @@ class TestSampleComplexGaussian:
     def test_zero_variance_rejected(self):
         with pytest.raises(ValueError):
             sample_complex_gaussian(Rng(15), 4, 0.0)
+
+
+class TestSampleSubsets:
+    def test_uniform_over_six_choose_three(self):
+        # Pearson chi-square over all C(6, 3) = 20 subsets at 10000 expected
+        # draws each, gated at its upper 1e-6 point with 19 degrees of
+        # freedom: a uniform sampler fails one seed in about a million
+        n = 200_000
+        rows = sample_subsets(Rng(16), n, 6, 3)
+        masks = (1 << rows).sum(axis=1)
+        cells = {sum(1 << i for i in c) for c in itertools.combinations(range(6), 3)}
+        keys, counts = np.unique(masks, return_counts=True)
+        assert set(keys.tolist()) == cells
+        expected = n / len(cells)
+        chi2 = float(((counts - expected) ** 2 / expected).sum())
+        assert chi2 < scipy.stats.chi2.isf(1e-6, len(cells) - 1)
+
+    @pytest.mark.parametrize(
+        "n, size, k", [(500, 10, 5), (200, 64, 32), (300, 7, 3), (50, 9, 1), (50, 6, 6)]
+    )
+    def test_rows_sorted_distinct_and_in_range(self, n, size, k):
+        rows = sample_subsets(Rng(17), n, size, k)
+        assert rows.shape == (n, k)
+        assert np.issubdtype(rows.dtype, np.integer)
+        # strictly increasing: sorted, with no entry repeated
+        assert (np.diff(rows, axis=1) > 0).all()
+        assert rows.min() >= 0 and rows.max() < size
+
+    @pytest.mark.parametrize("size, k", [(10, 5), (64, 32), (7, 3)])
+    @pytest.mark.parametrize("split", [1, 3, 7])
+    def test_rows_do_not_depend_on_the_split(self, size, k, split):
+        whole = sample_subsets(Rng(18, 5), 40, size, k)
+        rng = Rng(18, 5)
+        parts = [sample_subsets(rng, min(split, 40 - a), size, k)
+                 for a in range(0, 40, split)]
+        assert np.array_equal(np.concatenate(parts), whole)
+
+    @pytest.mark.parametrize("k", [-1, 7])
+    def test_subset_size_out_of_range_rejected(self, k):
+        with pytest.raises(ValueError, match="k <= size"):
+            sample_subsets(Rng(19), 4, 6, k)
 
 
 class TestRegularizedLowerGamma:
