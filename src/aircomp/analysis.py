@@ -53,7 +53,7 @@ class DistortionLaw:
     l, scale mean / l), which is exact when all eigenvalues are equal, as
     for orthonormal columns, and a proxy otherwise. The moments are
     computed once, at construction, and a mean or variance beyond the float
-    range raises ValueError.
+    range, above or below (one that rounds to 0), raises ValueError.
     """
 
     spectrum: np.ndarray
@@ -76,8 +76,10 @@ class DistortionLaw:
             mean = float((1.0 / lam).sum() / (shape * self.rho))
             weights = 1.0 / (self.rho * shape * lam)
             variance = float((weights * weights).sum())
-        if not math.isfinite(mean + variance):  # both are positive
+        if not math.isfinite(mean + variance):  # neither is negative
             raise ValueError(f"law overflows: mean {mean}, variance {variance}")
+        if not (mean > 0.0 and variance > 0.0):
+            raise ValueError(f"law underflows: mean {mean}, variance {variance}")
         for name, value in dict(
             spectrum=lam, mean=mean, shape=shape, scale=mean / shape, variance=variance
         ).items():

@@ -23,10 +23,8 @@ from . import analysis, coding, experiments
 from .channel import SystemConfig, all_ones_channel, db_to_linear, max_power_scaling
 from .coding import Construction
 from .errors import AirCompError
-from .experiments import ChannelMode, ExperimentPlan, format_field
+from .experiments import ChannelMode, ExperimentPlan, Purpose, format_field, stream_id
 from .numerics import Rng
-
-_VALIDATE_STREAM = experiments.stream_id(experiments._STREAM_VALIDATE)
 
 ORTHONORMAL_TOLERANCE = 1e-10
 
@@ -60,7 +58,7 @@ def _validate(enc: coding.EncodingMatrix, args) -> coding.ValidationReport:
         enc,
         max_exhaustive_subsets=args.max_exhaustive,
         sample_count=args.samples,
-        rng=Rng(args.seed, _VALIDATE_STREAM),
+        rng=Rng(args.seed, stream_id(Purpose.VALIDATE)),
     )
 
 
@@ -81,7 +79,9 @@ def _print_validation(report: coding.ValidationReport) -> None:
 
 
 def cmd_construct(args) -> int:
-    enc = coding.construct_random_orthonormal(args.l_tilde, args.l, Rng(args.seed))
+    # the construction stream, so that simulate --seed S runs this matrix
+    rng = Rng(args.seed, stream_id(Purpose.CONSTRUCT))
+    enc = coding.construct_random_orthonormal(args.l_tilde, args.l, rng)
     report = _validate(enc, args)
     gram = enc.phi.conj().T @ enc.phi
     gram_error = float(np.max(np.abs(gram - np.eye(enc.l))))
@@ -232,18 +232,24 @@ def cmd_dist_test(args) -> int:
     if min(args.ks_trials, args.chernoff_trials, args.oracle_n) < 1000:
         return _fail("all sample sizes must be at least 1000")
 
+    # One run draws every trial under --seed, each index once: the KS row
+    # reads trials [0, ks), the Chernoff rows [ks, ks + chernoff), and the
+    # two oracle tests the next two ranges of oracle_n.
+    ks, chernoff, n = args.ks_trials, args.chernoff_trials, args.oracle_n
     config = SystemConfig(master_seed=args.seed)
-    base = ExperimentPlan(
+    plan = ExperimentPlan(
         config=config,
-        trials=args.ks_trials,
+        trials=ks + chernoff,
         channel_mode=ChannelMode.FIXED_UNIT_MIN_GAIN,
     )
-    ts = experiments.run_trials(base, workers=args.threads)
-    report = experiments.summarize(ts)
-    rows = [("gamma-law-ks", report.ks_statistic, 1.63 / math.sqrt(args.ks_trials))]
+    ts = experiments.run_trials(plan, workers=args.threads)
+    ks_part = replace(
+        ts, samples=ts.samples[:ks], channel_min_gains=ts.channel_min_gains[:ks]
+    )
+    report = experiments.summarize(ks_part)
+    rows = [("gamma-law-ks", report.ks_statistic, 1.63 / math.sqrt(ks))]
 
-    chern = replace(base, trials=args.chernoff_trials)
-    samples = experiments.run_trials(chern, workers=args.threads, enc=ts.enc).samples
+    samples = ts.samples[ks:]
     for eta in (0.5, 1.0, 2.0):
         freq = float(np.mean(samples >= (1.0 + eta) * report.theory_mean))
         bound = analysis.chernoff_tail(config.l, eta)
@@ -252,16 +258,19 @@ def cmd_dist_test(args) -> int:
 
     skew = coding.EncodingMatrix(np.diag([math.sqrt(0.5), math.sqrt(1.5)]))
     skew_config = SystemConfig(
-        k_users=3, l=2, l_tilde=2, p_x=10.0, master_seed=args.seed + 2
+        k_users=3, l=2, l_tilde=2, p_x=10.0, master_seed=args.seed
     )
-    for name, enc, oracle_config in (
-        ("orthonormal", ts.enc, replace(config, master_seed=args.seed + 1)),
-        ("skewed", skew, skew_config),
+    for name, enc, oracle_config, first in (
+        ("orthonormal", ts.enc, config, ks + chernoff),
+        ("skewed", skew, skew_config, ks + chernoff + n),
     ):
         stat = experiments.oracle_equivalence_test(
-            enc, oracle_config, all_ones_channel(oracle_config.k_users), args.oracle_n
+            enc,
+            oracle_config,
+            all_ones_channel(oracle_config.k_users),
+            range(first, first + n),
         )
-        rows.append((f"oracle-ks-{name}", stat, 1.63 * math.sqrt(2.0 / args.oracle_n)))
+        rows.append((f"oracle-ks-{name}", stat, 1.63 * math.sqrt(2.0 / n)))
 
     for name, stat, critical in rows:
         print(

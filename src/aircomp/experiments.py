@@ -1,7 +1,8 @@
 """Monte Carlo harness: trial execution, summaries, and figure sweeps.
 
-Trials are independently seeded from (master_seed, trial_index) through
-purpose-tagged Philox streams, so any run is reproducible bit-for-bit and
+Every draw comes from a Philox stream keyed by (master_seed,
+stream_id(purpose, index)) under the one ``Purpose`` table, and trial i
+draws from index i, so any run is reproducible bit-for-bit and
 independent of execution order or worker count. Sweeps emit rows for one
 fixed CSV schema (see CSV_HEADER); fields that do not apply to a row are
 left empty.
@@ -12,7 +13,7 @@ from __future__ import annotations
 import csv
 import os
 from dataclasses import dataclass, replace
-from enum import Enum
+from enum import Enum, IntEnum
 
 import numpy as np
 
@@ -40,12 +41,20 @@ CSV_HEADER = [
     "bound",
 ]
 
-# Purpose tags for flat Philox streams under one master seed.
-_STREAM_TRIAL = 1
-_STREAM_CHANNEL = 2
-_STREAM_CONSTRUCT = 3
-_STREAM_ORACLE = 4
-_STREAM_VALIDATE = 5
+
+class Purpose(IntEnum):
+    """What a stream draws: every draw is Rng(seed, stream_id(purpose, index)).
+
+    The index is the trial for TRIAL and CHANNEL (CHANNEL's index 0 is also
+    fixed-from-seed's channel), the first trial of the oracle test's range
+    for ORACLE, and 0 for CONSTRUCT and VALIDATE.
+    """
+
+    TRIAL = 1  # a trial's sources and noise
+    CHANNEL = 2  # a trial's Rician channel
+    CONSTRUCT = 3  # the random orthonormal matrix
+    ORACLE = 4  # the oracle test's spectrum sampler
+    VALIDATE = 5  # validate's sampled row subsets
 
 
 def stream_id(purpose: int, index: int = 0) -> int:
@@ -121,7 +130,7 @@ def build_encoding(plan: ExperimentPlan) -> EncodingMatrix:
     """Materialize the plan's encoding matrix (seeded from the config)."""
     config = plan.config
     if plan.construction is Construction.RANDOM_ORTHONORMAL:
-        rng = Rng(config.master_seed, stream_id(_STREAM_CONSTRUCT))
+        rng = Rng(config.master_seed, stream_id(Purpose.CONSTRUCT))
         return coding.construct_random_orthonormal(config.l_tilde, config.l, rng)
     if plan.construction is Construction.IDENTITY:
         if config.l_tilde != config.l:
@@ -140,7 +149,7 @@ def fixed_channel_for(plan: ExperimentPlan) -> ChannelRealization | None:
     if plan.channel_mode is ChannelMode.FIXED_UNIT_MIN_GAIN:
         return channel.all_ones_channel(plan.config.k_users)
     if plan.channel_mode is ChannelMode.FIXED_FROM_SEED:
-        rng = Rng(plan.config.master_seed, stream_id(_STREAM_CHANNEL, 0))
+        rng = Rng(plan.config.master_seed, stream_id(Purpose.CHANNEL, 0))
         return channel.sample_rician(plan.config, rng)
     return None
 
@@ -157,12 +166,12 @@ def _run_range(enc, config, fixed, start, stop):
         # Checking both ends checks every index in between; the loop then
         # adds each index to its purpose's base key without stream_id. The
         # check comes first so that an out-of-range run allocates nothing.
-        stream_id(_STREAM_TRIAL, start)
-        stream_id(_STREAM_TRIAL, stop - 1)
+        stream_id(Purpose.TRIAL, start)
+        stream_id(Purpose.TRIAL, stop - 1)
     samples = np.empty(n)
     min_gains = np.empty(n)
-    trial_base = stream_id(_STREAM_TRIAL)
-    channel_base = stream_id(_STREAM_CHANNEL)
+    trial_base = stream_id(Purpose.TRIAL)
+    channel_base = stream_id(Purpose.CHANNEL)
     seed = config.master_seed
     run_round = channel.run_round
     sample_rician = channel.sample_rician
@@ -432,22 +441,29 @@ def oracle_equivalence_test(
     enc: EncodingMatrix,
     config: SystemConfig,
     channel_realization: ChannelRealization,
-    n: int,
+    trials: range,
 ) -> float:
     """Full pipeline vs direct spectrum sampler, as a two-sample KS distance.
 
-    Runs n transmissions at the maximal power scaling and draws n samples
-    from the weighted-exponential law implied by the Gram spectrum; the two
-    independent streams are keyed by ``config.master_seed`` under different
-    purpose tags, the pipeline's exactly as run_trials keys its trials.
+    Runs the transmissions ``trials`` (consecutive trial indices, keyed
+    exactly as run_trials keys them) at the maximal power scaling and draws
+    as many samples from the weighted-exponential law implied by the Gram
+    spectrum, from the oracle stream keyed by the range's first index. All
+    streams are keyed by ``config.master_seed``, so callers that give each
+    test its own index range draw no stream twice.
     """
+    if not isinstance(trials, range) or trials.step != 1:
+        raise ValueError(f"trials must be a range of consecutive indices: {trials!r}")
+    n = len(trials)
     if n < 1000:
         raise ValueError("need at least 1000 samples per side")
-    pipeline, _ = _run_range(enc, config, channel_realization, 0, n)
+    pipeline, _ = _run_range(
+        enc, config, channel_realization, trials.start, trials.stop
+    )
 
     p = channel.max_power_scaling(channel_realization.min_gain, config)
     law = coding.distortion_law(enc, p / config.n0)
-    oracle_rng = Rng(config.master_seed, stream_id(_STREAM_ORACLE))
+    oracle_rng = Rng(config.master_seed, stream_id(Purpose.ORACLE, trials.start))
     sample = analysis.sample_general_mse
     oracle = np.fromiter(
         (sample(law, oracle_rng) for _ in range(n)), dtype=float, count=n

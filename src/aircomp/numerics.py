@@ -152,7 +152,9 @@ def regularized_lower_gamma(shape: float, x: float) -> float:
     for the upper tail otherwise. Absolute error stays below 1e-14 for
     shapes up to 1e5 (against scipy's gammainc within 5 standard
     deviations of x = shape); the tests hold it to 1e-13. Monotone
-    nondecreasing in x with P(shape, 0) = 0.
+    nondecreasing in x with P(shape, 0) = 0 and P(shape, inf) = 1; it is 1
+    wherever the upper tail's prefactor x^shape e^-x / Gamma(shape)
+    underflows to 0.
     """
     if shape <= 0:
         raise ValueError("shape must be positive")
@@ -165,7 +167,14 @@ def regularized_lower_gamma(shape: float, x: float) -> float:
     max_iter = 500 + int(20.0 * math.sqrt(shape))
     if x < shape + 1.0:
         return _lower_gamma_series(shape, x, max_iter)
-    return 1.0 - _upper_gamma_continued_fraction(shape, x, max_iter)
+    if x == math.inf:
+        return 1.0
+    prefactor = _gamma_prefactor(shape, x)
+    if prefactor == 0.0:
+        # Far enough out that the fraction could settle one ulp from 1
+        # and never meet its stopping test; it would be multiplied by 0.
+        return 1.0
+    return 1.0 - _upper_gamma_continued_fraction(shape, x, max_iter) * prefactor
 
 
 def _gamma_prefactor(shape: float, x: float) -> float:
@@ -179,6 +188,9 @@ def _gamma_prefactor(shape: float, x: float) -> float:
     if shape < 30.0:
         return math.exp(shape * math.log(x) - x - math.lgamma(shape))
     t = (x - shape) / shape
+    if t == -1.0:
+        # x is below about shape * 2^-53, where x^shape / Gamma(shape) < 1e-400
+        return 0.0
     r = 1.0 / (shape * shape)
     tail = (1.0 / 12 - r * (1.0 / 360 - r * (1.0 / 1260 - r / 1680))) / shape
     return math.exp(
@@ -200,6 +212,7 @@ def _lower_gamma_series(shape: float, x: float, max_iter: int) -> float:
 
 
 def _upper_gamma_continued_fraction(shape: float, x: float, max_iter: int) -> float:
+    """Gamma(shape, x) e^x / x^shape; the caller applies the prefactor."""
     tiny = 1e-300
     b = x + 1.0 - shape
     c = 1.0 / tiny
@@ -218,7 +231,7 @@ def _upper_gamma_continued_fraction(shape: float, x: float, max_iter: int) -> fl
         delta = d * c
         h *= delta
         if abs(delta - 1.0) < 1e-16:
-            return h * _gamma_prefactor(shape, x)
+            return h
     raise RuntimeError("incomplete gamma continued fraction did not converge")
 
 

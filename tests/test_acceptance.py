@@ -23,7 +23,7 @@ from aircomp.coding import (
 from aircomp.experiments import (
     ChannelMode,
     ExperimentPlan,
-    _STREAM_TRIAL,
+    Purpose,
     oracle_equivalence_test,
     run_trials,
     stream_id,
@@ -109,7 +109,7 @@ def test_criterion_3_gamma_law(run_10db_half_rate):
 def test_criterion_4_oracle_equivalence():
     enc = coding.EncodingMatrix(np.diag([math.sqrt(0.5), math.sqrt(1.5)]))
     config = SystemConfig(k_users=3, l=2, l_tilde=2, p_x=10.0, master_seed=SEED)
-    stat = oracle_equivalence_test(enc, config, all_ones_channel(3), 10_000)
+    stat = oracle_equivalence_test(enc, config, all_ones_channel(3), range(10_000))
     assert report(
         4,
         "pipeline vs spectrum-law sampler, spectrum {0.5, 1.5}",
@@ -233,7 +233,7 @@ def test_criterion_9_uncoded_baseline_identity():
                 config,
                 ch,
                 p,
-                Rng(config.master_seed, stream_id(_STREAM_TRIAL, i)),
+                Rng(config.master_seed, stream_id(Purpose.TRIAL, i)),
             )
             for i in range(plan.trials)
         ]

@@ -66,13 +66,23 @@ class TestDistortionLaw:
             DistortionLaw(spectrum, 1.0)
 
     # mean 1 / rho overflows at a subnormal rho; at rho = 1e-160 only the
-    # variance 1 / rho^2 does
-    @pytest.mark.parametrize("spectrum, rho", [([1.0] * 5, 2e-319), ([1.0], 1e-160)])
+    # variance 1 / rho^2 does. Below: at rho = 1e170 the variance rounds to
+    # 0, and with eigenvalues of 1e200 at rho = 1e300 the mean does too.
+    @pytest.mark.parametrize(
+        "spectrum, rho",
+        [([1.0] * 5, 2e-319), ([1.0], 1e-160), ([1.0], 1e170), ([1e200] * 5, 1e300)],
+    )
     def test_moments_beyond_float_range_are_value_error(self, spectrum, rho):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="overflows"):
+            with pytest.raises(ValueError, match="law (over|under)flows"):
                 DistortionLaw(spectrum, rho)
+
+    def test_subnormal_variance_is_kept(self):
+        # at rho = 1e160 over a spectrum of 1e-2 the variance (1e-158)^2 is
+        # subnormal but positive, so the law is accepted
+        law = DistortionLaw([1e-2], 1e160)
+        assert 0.0 < law.variance < np.finfo(float).tiny
 
 
 class TestGammaOpt:

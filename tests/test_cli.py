@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import aircomp
-from aircomp import channel, cli, coding, experiments
+from aircomp import channel, cli, coding, experiments, numerics
 from aircomp.cli import main
 from aircomp.numerics import Rng
 
@@ -59,6 +59,19 @@ class TestConstruct:
         assert "rank_ok: true" in captured
         blob = json.loads(out.read_text())
         assert blob["rows"] == 10 and blob["cols"] == 5
+
+    def test_simulate_runs_the_matrix_construct_writes(self, tmp_path, capsys):
+        path = str(tmp_path / "phi.json")
+        run_cli("construct", "--l", "5", "--l-tilde", "10", "--seed", "11",
+                "--out", path)
+        capsys.readouterr()
+        outputs = []
+        for flags in ([], ["--construction", "custom", "--matrix", path]):
+            code = run_cli("simulate", "--seed", "11", "--mode", "fixed-unit",
+                           "--trials", "300", *flags)
+            assert code == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
 
     def test_identical_flags_identical_bytes(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -286,6 +299,8 @@ class TestTheory:
             # rho = 10 * 1e-320 / 0.5 is subnormal: mean and variance overflow
             ["--min-gain", "1e-320"],
             ["--p-w", "1e300", "--snr-db", "-100"],
+            # rho = 2e300: the variance 5 / (5 rho)^2 underflows to 0
+            ["--snr-db", "3000"],
         ],
     )
     def test_overflowing_law_is_usage_error_before_output(self, capsys, flags):
@@ -742,27 +757,79 @@ class TestSimulate:
     def test_law_overflow_fails_before_trials(
         self, tmp_path, capsys, monkeypatch, mode
     ):
-        # every trial runs at p ~ 1e-299, so the run's law overflows, while
-        # the law at rho = 1 would not; per-trial fading checks the law at
-        # the gain floor's power scaling, which bounds every realized law
+        # At -2990 dB every trial runs at p ~ 1e-299, so the run's law
+        # overflows, while the law at rho = 1 would not; per-trial fading
+        # checks the law at the gain floor's power scaling, which bounds
+        # every realized law. At 3000 dB the variance underflows to 0, and
+        # with a matrix of singular values 1e100 the mean does too.
+        huge = str(tmp_path / "huge.json")
+        phi = coding.construct_random_orthonormal(10, 5, Rng(3)).phi * 1e100
+        coding.save_matrix(coding.EncodingMatrix(phi), huge)
+        runs = count_calls(monkeypatch, experiments, "run_trials")
+        prefix = str(tmp_path / "run")
+        for snr_db, flags in (
+            (-2990, []),
+            (3000, []),
+            (3000, ["--construction", "custom", "--matrix", huge]),
+        ):
+            cfg_path = tmp_path / "config.json"
+            cfg_path.write_text(json.dumps({
+                "k_users": 10, "l": 5, "l_tilde": 10, "p_w": 1.0, "n0": 1.0,
+                "snr_db": snr_db, "rician_kappa_db": 5.0, "min_gain_floor": 1e-6,
+                "master_seed": 0,
+            }))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = run_cli(
+                    "simulate", "--config", str(cfg_path), "--mode", mode,
+                    "--trials", "20", "--out", prefix, *flags,
+                )
+            assert_usage_error_before_output(
+                capsys, code, prefix + ".trials.csv", prefix + ".report.json"
+            )
+        assert runs == []
+
+    @pytest.mark.parametrize("snr_db", [1000, 1600, 3000])
+    def test_extreme_snr_ends_in_an_exit_code(self, tmp_path, capsys, snr_db):
+        # Rounding in the chain leaves distortions far above a law this
+        # narrow, so the KS statistic reads the CDF deep in its upper tail;
+        # at 3000 dB the law's variance underflows, a usage error.
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps({
             "k_users": 10, "l": 5, "l_tilde": 10, "p_w": 1.0, "n0": 1.0,
-            "snr_db": -2990, "rician_kappa_db": 5.0, "min_gain_floor": 1e-6,
+            "snr_db": snr_db, "rician_kappa_db": 5.0, "min_gain_floor": 1e-6,
             "master_seed": 0,
         }))
-        runs = count_calls(monkeypatch, experiments, "run_trials")
-        prefix = str(tmp_path / "run")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code = run_cli(
-                "simulate", "--config", str(cfg_path), "--mode", mode,
-                "--trials", "20", "--out", prefix,
-            )
-        assert_usage_error_before_output(
-            capsys, code, prefix + ".trials.csv", prefix + ".report.json"
+        code = run_cli(
+            "simulate", "--config", str(cfg_path), "--mode", "fixed-unit",
+            "--trials", "200",
         )
-        assert runs == []
+        capsys.readouterr()
+        assert code in (0, 2)
+
+    def test_failure_during_trials_leaves_empty_outputs(self, tmp_path, capsys):
+        # A floor no Rician draw clears passes the law check and the output
+        # check, then fails in the first trial's channel draw.
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({
+            "k_users": 10, "l": 5, "l_tilde": 10, "p_w": 1.0, "n0": 1.0,
+            "snr_db": 10.0, "rician_kappa_db": 5.0, "min_gain_floor": 50,
+            "master_seed": 0,
+        }))
+        prefix = tmp_path / "run"
+        code = run_cli(
+            "simulate", "--config", str(cfg_path), "--mode", "rician-per-trial",
+            "--trials", "20", "--out", str(prefix),
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == (
+            "error: 10 coefficient(s) violated the gain floor 50.0 for 1000 "
+            "consecutive draws\n"
+        )
+        assert captured.out == ""
+        for suffix in (".trials.csv", ".report.json"):
+            assert (tmp_path / f"run{suffix}").read_bytes() == b""
 
     def test_fixed_from_seed_draws_its_channel_once(self, capsys, monkeypatch):
         draws = count_calls(monkeypatch, channel, "sample_rician")
@@ -887,9 +954,30 @@ class TestDistTest:
             "dist-test", "--ks-trials", "1000", "--chernoff-trials", "1000",
             "--oracle-n", "1000",
         )
-        # once for the KS trials, whose matrix the Chernoff trials reuse;
-        # the skewed oracle matrix is built directly
+        # once for the one run of KS and Chernoff trials; the skewed oracle
+        # matrix is built directly
         assert len(builds) == 1
+
+    def test_draws_each_stream_once_under_its_seed(self, capsys, monkeypatch):
+        keys = []
+        original = numerics.Rng.__init__
+
+        def recording(self, master_seed, stream=0):
+            keys.append((master_seed, stream))
+            original(self, master_seed, stream)
+
+        monkeypatch.setattr(numerics.Rng, "__init__", recording)
+        ks, chernoff, n = 1000, 1500, 1000
+        run_cli(
+            "dist-test", "--seed", "5", "--ks-trials", str(ks),
+            "--chernoff-trials", str(chernoff), "--oracle-n", str(n),
+        )
+        capsys.readouterr()
+        assert {seed for seed, _ in keys} == {5}
+        assert len(set(keys)) == len(keys)
+        # a trial stream per transmission, one oracle sampler per oracle
+        # test and the matrix's construction stream
+        assert len(keys) == ks + chernoff + 2 * n + 2 + 1
 
     def test_tiny_sizes_rejected(self):
         assert run_cli("dist-test", "--ks-trials", "10") == 2

@@ -17,8 +17,7 @@ from aircomp.experiments import (
     ChannelMode,
     ExperimentPlan,
     TrialSet,
-    _STREAM_CHANNEL,
-    _STREAM_TRIAL,
+    Purpose,
     build_encoding,
     ks_two_sample,
     oracle_equivalence_test,
@@ -130,7 +129,7 @@ class TestRunTrials:
             plan.config,
             ch,
             p,
-            Rng(plan.config.master_seed, stream_id(_STREAM_TRIAL, 7)),
+            Rng(plan.config.master_seed, stream_id(Purpose.TRIAL, 7)),
         )
         assert ts.samples[7] == direct
 
@@ -141,9 +140,9 @@ class TestRunTrials:
             config=cfg, trials=12, channel_mode=ChannelMode.RICIAN_PER_TRIAL
         )
         ts = run_trials(plan)
-        ch = channel.sample_rician(cfg, Rng(17, stream_id(_STREAM_CHANNEL, 7)))
+        ch = channel.sample_rician(cfg, Rng(17, stream_id(Purpose.CHANNEL, 7)))
         p = max_power_scaling(ch.min_gain, cfg)
-        rng = Rng(17, stream_id(_STREAM_TRIAL, 7))
+        rng = Rng(17, stream_id(Purpose.TRIAL, 7))
         direct = run_round(build_encoding(plan), cfg, ch, p, rng)
         assert ts.samples[7] == direct
         assert ts.channel_min_gains[7] == ch.min_gain
@@ -204,7 +203,7 @@ class TestRunTrials:
         expected = [
             max_power_scaling(
                 channel.sample_rician(
-                    cfg, Rng(16, stream_id(_STREAM_CHANNEL, i))
+                    cfg, Rng(16, stream_id(Purpose.CHANNEL, i))
                 ).min_gain,
                 cfg,
             )
@@ -348,7 +347,7 @@ class TestTrialRange:
             enc, plan.config, fixed, 2**48 - 1, 2**48
         )
         p = max_power_scaling(fixed.min_gain, plan.config)
-        rng = Rng(plan.config.master_seed, stream_id(_STREAM_TRIAL, 2**48 - 1))
+        rng = Rng(plan.config.master_seed, stream_id(Purpose.TRIAL, 2**48 - 1))
         assert samples[0] == run_round(enc, plan.config, fixed, p, rng)
 
 
@@ -620,20 +619,29 @@ class TestOracleEquivalence:
     def test_orthonormal_pipeline_matches_spectrum_law(self):
         cfg = SystemConfig(master_seed=26)
         enc = construct_random_orthonormal(10, 5, Rng(26, 3))
-        stat = oracle_equivalence_test(enc, cfg, all_ones_channel(cfg.k_users), 2000)
+        stat = oracle_equivalence_test(
+            enc, cfg, all_ones_channel(cfg.k_users), range(2000)
+        )
         assert stat < 1.63 * math.sqrt(2.0 / 2000)
 
     def test_skewed_spectrum_matches_too(self):
         cfg = SystemConfig(k_users=3, l=2, l_tilde=2, p_x=10.0, master_seed=27)
         enc = coding.EncodingMatrix(np.diag([math.sqrt(0.5), math.sqrt(1.5)]))
-        stat = oracle_equivalence_test(enc, cfg, all_ones_channel(3), 2000)
+        stat = oracle_equivalence_test(enc, cfg, all_ones_channel(3), range(2000))
         assert stat < 1.63 * math.sqrt(2.0 / 2000)
 
     def test_minimum_sample_size(self):
         cfg = SystemConfig(master_seed=28)
         enc = construct_random_orthonormal(10, 5, Rng(28))
         with pytest.raises(ValueError):
-            oracle_equivalence_test(enc, cfg, all_ones_channel(10), 10)
+            oracle_equivalence_test(enc, cfg, all_ones_channel(10), range(10))
+
+    @pytest.mark.parametrize("trials", [2000, range(0, 4000, 2)])
+    def test_trials_must_be_consecutive_indices(self, trials):
+        cfg = SystemConfig(master_seed=28)
+        enc = construct_random_orthonormal(10, 5, Rng(28))
+        with pytest.raises(ValueError, match="range of consecutive indices"):
+            oracle_equivalence_test(enc, cfg, all_ones_channel(10), trials)
 
 
 class TestCsvOutput:

@@ -74,19 +74,19 @@ CALLS = [
 
 GOLDEN = {
     'check-16x8:exit': '0',
-    'check-16x8:stdout': '20e7a22758896b8d5de5e31687dfa44cbc3fe33124d60f52a05a0ef4fc712ad0',
+    'check-16x8:stdout': '8a5ea7db253df4539f401e05e32fa8a2ce75ce78efc69c7b5a2236371723319b',
     'check-sampled:exit': '0',
-    'check-sampled:stdout': 'a3ba3a60c0fd2d14f88941f7a0cf4d8d9ef7a8a67cb8148d766b1216e579a6c5',
+    'check-sampled:stdout': '9b3d26454847763ec95cc205cd660089b5749dd9f3447676bd7ef77a9c142f02',
     'check:exit': '0',
-    'check:stdout': 'd7ea908a7cb16b5736034a2a7cb86087215dc1063cd7ad0b317c22898c3d8157',
+    'check:stdout': 'eadec499bce8c703635c4bedeb1b37bbe510b7b89f6f0f9927924690c2651fdc',
     'construct-16x8:exit': '0',
-    'construct-16x8:p16.json': '78ca71d9d8cb5ea017320c4201870f0c05b979a74897f2405630a5eb9bf2150d',
-    'construct-16x8:stdout': '0e4873ff2df6d319b8fe7ff801338a55b1dd6ee6743371c93e8278678301fc39',
+    'construct-16x8:p16.json': '1a6d5e625789be01f885840029e5202d4511b0e81ce703f74298b09a4932b79a',
+    'construct-16x8:stdout': '970e7cae86c3bdb5a8de78c7d2d59f99d66153665103813fb6072e7e36e3b5d0',
     'construct:exit': '0',
-    'construct:phi.json': '8122f5987e66e786fc43d9dd28789ddc20a3cb7435940184dc49b4d62ccfa7ac',
-    'construct:stdout': 'dc3f9ce4ae5cf830adcc9d0af98a7a6f16c9454485036e9d06de71ca3283dad5',
+    'construct:phi.json': '0a5206afae54bbfe382a7962c45d1f5022448948f9c999a6309e0afdf9dc3e85',
+    'construct:stdout': '71f0e2161457d4e0c436682d02125020ec84cb8cdeba12542417fe0b46562c1d',
     'dist-test:exit': '0',
-    'dist-test:stdout': '070165ae0397295919eb1d484b39a75f0a2b8e9c4ad940be0a0153aed488be46',
+    'dist-test:stdout': 'e33da9c32bdceff0db36a40788e0149b214db59d3d52b134fc1b7c15713c0ceb',
     'figures-2:exit': '0',
     'figures-2:fig/fig2_mse_vs_snr.csv': '738490b9bedbebb617f34608e2a4df99ff6864e739db50051fc4b2d2c78869fe',
     'figures-2:stdout': 'c880d3a75ebe9329c865e2c65a674f1a4de76b67d0163d704ae107e7263f777e',
@@ -99,7 +99,7 @@ GOLDEN = {
     'regions:exit': '0',
     'regions:stdout': '946e60c2ece418ce16a98702089ed67ec3d6fc36a4dafad9774631235032dd5e',
     'simulate-custom:exit': '0',
-    'simulate-custom:stdout': 'c70e6ba3d0449884a9df45f4efa5c8637b6bc4b0e918eb86cdc89229a606be55',
+    'simulate-custom:stdout': 'd34d2e405c3cc92c85c2fb4d3aa3f0d4dda04d4945e9ebd2f0cff8e32b9c1b87',
     'simulate-fixed-from-seed:exit': '0',
     'simulate-fixed-from-seed:fs.report.json': '8cfef34a555922f6d971402ea3e04ee19395bcf19fa830474b270779a8af0150',
     'simulate-fixed-from-seed:fs.trials.csv': '3211c4f6cf44cf293d87ad27cd82a8a8d40c15def850492a23c34101a02f19b0',

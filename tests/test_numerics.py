@@ -281,6 +281,30 @@ class TestRegularizedLowerGamma:
         assert all(0.0 <= v <= 1.0 for v in values)
         assert all(b >= a for a, b in zip(values, values[1:]))
 
+    @pytest.mark.parametrize(
+        "shape, x", [(5.0, 4.5e11), (5.0, 1e300), (1000.0, 2e16), (1.0, math.inf)]
+    )
+    def test_underflowing_upper_tail_is_one(self, shape, x):
+        # the continued fraction once ran out of iterations here: its step
+        # settled one ulp from 1, which the stopping test never accepts
+        assert regularized_lower_gamma(shape, x) == 1.0
+
+    def test_argument_far_below_a_large_shape_is_zero(self):
+        # (x - shape) / shape rounds to -1 here, where log1p raised
+        assert regularized_lower_gamma(30.0, 7.5e-42) == 0.0
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        shape=st.integers(1, 1000),
+        xs=st.lists(st.floats(0.0, 1e300), max_size=20),
+    )
+    def test_property_upper_tail_up_to_float_max(self, shape, xs):
+        grid = np.geomspace(shape + 1.0, 1e300, 30).tolist()
+        xs = sorted(xs + grid) + [math.inf]
+        values = [regularized_lower_gamma(float(shape), x) for x in xs]
+        assert all(0.0 <= v <= 1.0 for v in values)
+        assert all(b >= a for a, b in zip(values, values[1:]))
+
 
 class TestKsDistance:
     def test_exact_quantiles(self):
