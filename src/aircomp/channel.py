@@ -12,9 +12,11 @@ Per-user average transmit power is P * l * P_W / (l_tilde * |h_k|^2) per
 channel use, so the largest feasible common scaling under a per-user cap
 P_X is P* = P_X * min_k|h_k|^2 / (R * P_W) with R = l / l_tilde.
 
-Channel inversion needs every |h_k|^2 at or above the configured gain
-floor. sample_rician enforces it when it draws, by redrawing weak users;
-run_round checks it once per round for any channel it is handed, so
+run_round is the one stage that reads a round's random stream: it draws
+the sources, then the noise, and hands the noise to superpose, which draws
+nothing. Channel inversion needs every |h_k|^2 at or above the configured
+gain floor. sample_rician enforces it when it draws, by redrawing weak
+users; run_round checks it once per round for any channel it is handed, so
 encode_and_precode does not re-check it per user.
 
 Convention: CN(0, v) per complex entry means the real and imaginary parts
@@ -261,24 +263,16 @@ def encode_and_precode(
 
 
 def superpose(
-    transmit_signals,
-    channel: ChannelRealization,
-    n0: float,
-    rng: Rng,
+    transmit: np.ndarray, channel: ChannelRealization, noise: np.ndarray
 ) -> np.ndarray:
-    """Received vector y = sum_k h_k x_k + n with n ~ CN(0, n0) per entry."""
-    if n0 <= 0:
-        raise ValueError("noise power must be positive")
-    x = np.asarray(transmit_signals, dtype=np.complex128)
-    if x.ndim != 2:
-        raise ShapeMismatch("transmit signals must share one length")
-    if x.shape[0] != channel.k_users:
-        raise ShapeMismatch(
-            f"{x.shape[0]} signals for {channel.k_users} channel coefficients"
-        )
-    l_tilde = x.shape[1]
-    faded = (channel.coefficients[:, np.newaxis] * x).sum(axis=0)
-    return faded + sample_complex_gaussian(rng, l_tilde, n0)
+    """Received vector y = sum_k h_k x_k + n, with x_k row k of ``transmit``."""
+    if transmit.ndim != 2:
+        raise ShapeMismatch("transmit signals must be a (users, l_tilde) matrix")
+    if transmit.shape[0] != channel.k_users:
+        raise ShapeMismatch(f"{len(transmit)} signals for {channel.k_users} users")
+    if noise.shape != transmit.shape[1:]:
+        raise ShapeMismatch(f"noise of shape {noise.shape} for {transmit.shape}")
+    return (channel.coefficients[:, np.newaxis] * transmit).sum(axis=0) + noise
 
 
 def decode_sum(enc: EncodingMatrix, y: np.ndarray, p: float) -> np.ndarray:
@@ -323,10 +317,10 @@ def run_round(
             f"{config.min_gain_floor:.3e}"
         )
     sources = sample_sources(config, rng)
-    signals = [
-        encode_and_precode(enc, w_k, h_k, p)
-        for w_k, h_k in zip(sources, channel.coefficients)
-    ]
-    y = superpose(signals, channel, config.n0, rng)
+    noise = sample_complex_gaussian(rng, config.l_tilde, config.n0)
+    transmit = np.empty((config.k_users, config.l_tilde), dtype=np.complex128)
+    for k, h_k in enumerate(channel.coefficients):
+        transmit[k] = encode_and_precode(enc, sources[k], h_k, p)
+    y = superpose(transmit, channel, noise)
     error = decode_sum(enc, y, p) - sources.sum(axis=0)
     return float((np.abs(error) ** 2).sum() / config.l)

@@ -414,6 +414,8 @@ def load_matrix(path, shape: tuple[int, int] | None = None) -> EncodingMatrix:
     try:
         rows = exact_int(blob["rows"], "rows")
         cols = exact_int(blob["cols"], "cols")
+        if rows < 1 or cols < 1:
+            raise ValueError(f"rows and cols must be positive, got {rows} and {cols}")
         re, im = (
             np.array([finite_float(v, part) for v in blob[part]])
             for part in ("re", "im")

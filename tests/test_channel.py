@@ -5,6 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from aircomp import channel
+from aircomp.analysis import DistortionLaw
 from aircomp.channel import (
     ChannelRealization,
     SystemConfig,
@@ -27,6 +29,13 @@ from aircomp.errors import (
     FloorUnsatisfiable,
     ShapeMismatch,
     ZeroChannel,
+)
+from aircomp.experiments import (
+    ChannelMode,
+    ExperimentPlan,
+    build_encoding,
+    fixed_channel_for,
+    run_trials,
 )
 from aircomp.numerics import Rng, sample_complex_gaussian
 
@@ -274,30 +283,39 @@ class TestEncodeAndPrecode:
 
 
 class TestSuperpose:
+    def test_faded_sum_plus_noise(self):
+        # the stage draws nothing: its output is its inputs' arithmetic, bit
+        # for bit
+        ch = ChannelRealization([2.0 + 1j, 0.5 - 0.25j, -1.5j])
+        rng = Rng(33)
+        x = sample_complex_gaussian(rng, 3 * 4, 1.0).reshape(3, 4)
+        noise = sample_complex_gaussian(rng, 4, 0.5)
+        expected = (ch.coefficients[:, None] * x).sum(axis=0) + noise
+        assert np.array_equal(bits(superpose(x, ch, noise)), bits(expected))
+
     def test_single_user_pass_through(self):
         ch = all_ones_channel(1)
-        w = np.array([1.0 + 2j, -3.0, 0.5j])
-        y = superpose([w], ch, NEGLIGIBLE_NOISE, Rng(31))
-        assert np.allclose(y, w, atol=1e-12)
+        w = np.array([[1.0 + 2j, -3.0, 0.5j]])
+        assert np.array_equal(superpose(w, ch, np.zeros(3, complex)), w[0])
 
     def test_channel_inversion_cancels_fading(self):
         ch = ChannelRealization([2.0 + 1j, 0.5 - 0.25j])
         w1 = np.array([1.0, 1j, -2.0])
         w2 = np.array([0.5, -1.0, 3.0j])
-        signals = [w1 / ch.coefficients[0], w2 / ch.coefficients[1]]
-        y = superpose(signals, ch, NEGLIGIBLE_NOISE, Rng(32))
+        x = np.array([w1 / ch.coefficients[0], w2 / ch.coefficients[1]])
+        y = superpose(x, ch, np.zeros(3, complex))
         assert np.allclose(y, w1 + w2, atol=1e-12)
-
-    def test_noise_only_variance(self):
-        ch = all_ones_channel(1)
-        n = 10**6
-        y = superpose([np.zeros(n)], ch, 2.0, Rng(33))
-        assert np.mean(np.abs(y) ** 2) == pytest.approx(2.0, rel=0.01)
 
     def test_shape_mismatch(self):
         ch = all_ones_channel(2)
-        with pytest.raises(ShapeMismatch):
-            superpose([np.zeros(3)], ch, 1.0, Rng(34))
+        noise = np.zeros(3, complex)
+        for x, n in [
+            (np.zeros(3, complex), noise),  # not a matrix
+            (np.zeros((1, 3), complex), noise),  # one signal for two users
+            (np.zeros((2, 3), complex), np.zeros(4, complex)),  # noise too long
+        ]:
+            with pytest.raises(ShapeMismatch):
+                superpose(x, ch, n)
 
 
 class TestDecodeSum:
@@ -326,6 +344,69 @@ class TestDecodeSum:
 
 def bits(a):
     return np.ascontiguousarray(a).view(np.uint64)
+
+
+def staged_round(enc, cfg, ch, p, rng, holders=None):
+    """run_round's chain stage by stage on its stream: (sources, noise, estimate).
+
+    User k transmits source ``holders[k]``, by default its own.
+    """
+    sources = sample_sources(cfg, rng)
+    noise = sample_complex_gaussian(rng, cfg.l_tilde, cfg.n0)
+    held = sources if holders is None else sources[list(holders)]
+    transmit = np.array([
+        encode_and_precode(enc, w_k, h_k, p)
+        for w_k, h_k in zip(held, ch.coefficients)
+    ])
+    return sources, noise, decode_sum(enc, superpose(transmit, ch, noise), p)
+
+
+def chain_identity_holds(enc, sources, noise, estimate, p):
+    """Whether each round's decoded error is its noise, decoded, up to rounding.
+
+    The chain is linear: a round that sends sources w_k with noise n decodes
+    exactly D phi sum_k w_k + D n / sqrt(p) for the decoder D. So the
+    residual estimate - sum_k w_k - D n / sqrt(p) is rounding plus
+    (D phi - I) sum_k w_k, and any precode or fade bug breaks it at once.
+    Arguments may carry a leading round axis; the result is per round.
+
+    The bound is entrywise. Write u for the unit round-off, gamma_m for
+    m u / (1 - m u), a = |phi| sum_k |w_k| and b = |n| / sqrt(p), and use
+    (1 + theta_i)(1 + theta_j) = 1 + theta_{i+j} (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2002, sec. 3.1-3.6):
+    - a complex product rounds within sqrt(2) gamma_2 <= gamma_3, a complex
+      inner product of length n within sqrt(2) gamma_{2n+2} <= gamma_{3n+3}
+      of the |.|-weighted sum (in complex or real arithmetic), a sum of K
+      terms within gamma_{K-1}, and a square root or a division by a real
+      within u;
+    - precode: sqrt(p) / h_k, a square root and Smith's division of a real
+      numerator, gamma_8; phi w_k, gamma_{3l+3}; their product, gamma_3.
+      Fade h_k x_k, gamma_3; the sum over K users and + n, gamma_K. So
+      y / sqrt(p) is phi sum_k w_k + n / sqrt(p) within gamma_{K+3l+17} a
+      + u b;
+    - decode: D y, gamma_{3 l_tilde + 3}, over sqrt(p), gamma_2;
+    - here: sum_k w_k, gamma_{K-1}; D n / sqrt(p), gamma_{3 l_tilde + 5};
+      D phi, gamma_{3 l_tilde + 3} |D| a; two subtractions; and the
+      bound's own nonnegative evaluation, gamma_{K+l+l_tilde+5}.
+    Summed, |residual| <= gamma_m (|D| (a + b) + sum_k |w_k|) with
+    m = 2K + 4l + 10 l_tilde + 32, plus (1 + gamma_3) |fl(D phi) - I|
+    sum_k |w_k| <= 2 |fl(D phi) - I| sum_k |w_k|. That last term is the
+    SVD decoder's own residual as a left inverse of phi: a property of the
+    matrix (of LAPACK and phi's condition), not of the round, so it enters
+    as computed. The bound is deterministic: a correct chain never fails it.
+    """
+    k_users, l = sources.shape[-2:]
+    u = np.finfo(float).eps / 2
+    m = 2 * k_users + 4 * l + 10 * enc.l_tilde + 32
+    gamma = m * u / (1 - m * u)
+    root_p = np.sqrt(np.asarray(p, dtype=float))[..., np.newaxis]
+    residual = estimate - sources.sum(axis=-2) - noise @ enc.decoder.T / root_p
+    w_abs = np.abs(sources).sum(axis=-2)
+    a_plus_b = w_abs @ np.abs(enc.phi).T + np.abs(noise) / root_p
+    left_inverse = np.abs(enc.decoder @ enc.phi - np.eye(l))
+    bound = gamma * (a_plus_b @ np.abs(enc.decoder).T + w_abs)
+    bound += 2 * w_abs @ left_inverse.T
+    return (np.abs(residual) <= bound).all(axis=-1)
 
 
 class TestMatrixProducts:
@@ -391,13 +472,7 @@ class TestRunRound:
         assert distortion < 1e-20
         # the staged chain on the same stream decodes the true sum, and its
         # error gives exactly the returned distortion
-        rng = Rng(39)
-        sources = sample_sources(cfg, rng)
-        signals = [
-            encode_and_precode(enc, w_k, h_k, p)
-            for w_k, h_k in zip(sources, ch.coefficients)
-        ]
-        estimate = decode_sum(enc, superpose(signals, ch, cfg.n0, rng), p)
+        sources, _, estimate = staged_round(enc, cfg, ch, p, Rng(39))
         true_sum = sources.sum(axis=0)
         assert np.allclose(estimate, true_sum, rtol=0, atol=1e-10)
         assert distortion == float(np.sum(np.abs(estimate - true_sum) ** 2) / cfg.l)
@@ -419,17 +494,10 @@ class TestRunRound:
         enc = construct_random_orthonormal(6, 3, Rng(42))
         ch = ChannelRealization([1.0, 2.0j, 0.5 + 0.5j, -1.5])
         p = max_power_scaling(ch.min_gain, cfg)
-        sources = sample_sources(cfg, Rng(43))
 
-        def distortion(assignment):
-            signals = [
-                encode_and_precode(enc, sources[assignment[k]], ch.coefficients[k], p)
-                for k in range(cfg.k_users)
-            ]
-            y = superpose(signals, ch, cfg.n0, Rng(44))
-            w_hat = decode_sum(enc, y, p)
-            w = sources.sum(axis=0)
-            return float(np.sum(np.abs(w_hat - w) ** 2) / cfg.l)
+        def distortion(holders):
+            sources, _, w_hat = staged_round(enc, cfg, ch, p, Rng(43), holders)
+            return float(np.sum(np.abs(w_hat - sources.sum(axis=0)) ** 2) / cfg.l)
 
         base = distortion([0, 1, 2, 3])
         shuffled = distortion([2, 0, 3, 1])
@@ -472,7 +540,8 @@ class TestRunRound:
         "case", ["rician-10x5", "skewed-diag", "single-column", "one-user"]
     )
     def test_round_equals_staged_chain(self, case):
-        # the hot path is the readable chain: same draws, same float bits
+        # the hot path is the readable chain: same draws, same float bits;
+        # and the chain's error is its noise, decoded (see chain_identity_holds)
         if case == "skewed-diag":
             cfg = SystemConfig(k_users=3, l=2, l_tilde=2, master_seed=54)
             enc = EncodingMatrix(np.diag([math.sqrt(0.5), math.sqrt(1.5)]))
@@ -489,16 +558,13 @@ class TestRunRound:
         out = run_round(enc, cfg, ch, p, Rng(cfg.master_seed, 57))
         assert type(out) is float
 
-        rng = Rng(cfg.master_seed, 57)
-        sources = sample_sources(cfg, rng)
-        signals = [
-            encode_and_precode(enc, sources[k], ch.coefficients[k], p)
-            for k in range(cfg.k_users)
-        ]
-        y = superpose(signals, ch, cfg.n0, rng)
-        error = decode_sum(enc, y, p) - sources.sum(axis=0)
+        sources, noise, estimate = staged_round(
+            enc, cfg, ch, p, Rng(cfg.master_seed, 57)
+        )
+        error = estimate - sources.sum(axis=0)
         distortion = float((np.abs(error) ** 2).sum() / cfg.l)
         assert np.array_equal(bits(out), bits(distortion))
+        assert chain_identity_holds(enc, sources, noise, estimate, p)
 
     def test_config_mismatch_rejected(self):
         cfg = SystemConfig()
@@ -519,14 +585,8 @@ class TestRunRound:
         errors = np.empty((n, 2), dtype=complex)
         for i in range(n):
             # the staged chain on run_round's stream for round i
-            rng = Rng(99, i)
-            sources = sample_sources(cfg, rng)
-            signals = [
-                encode_and_precode(enc, w_k, h_k, p)
-                for w_k, h_k in zip(sources, ch.coefficients)
-            ]
-            y = superpose(signals, ch, cfg.n0, rng)
-            errors[i] = decode_sum(enc, y, p) - sources.sum(axis=0)
+            sources, _, estimate = staged_round(enc, cfg, ch, p, Rng(99, i))
+            errors[i] = estimate - sources.sum(axis=0)
         empirical = errors.conj().T @ errors / n
         theory = np.linalg.inv(enc.phi.conj().T @ enc.phi) * cfg.n0 / p
         assert np.allclose(np.diag(empirical).real, np.diag(theory).real, rtol=0.05)
@@ -539,10 +599,155 @@ class TestRunRound:
         ch = ChannelRealization([1.0 + 1j, -2.0, 0.3j])
         p = 7.0
         sources = sample_sources(cfg, Rng(48))
-        signals = [
+        x = np.array([
             encode_and_precode(enc, sources[k], ch.coefficients[k], p)
             for k in range(3)
-        ]
-        y = superpose(signals, ch, NEGLIGIBLE_NOISE, Rng(49))
+        ])
+        y = superpose(x, ch, np.zeros(4, complex))
         expected = math.sqrt(p) * enc.phi @ sources.sum(axis=0)
         assert np.max(np.abs(y - expected)) < 1e-10
+
+
+def chernoff_mean_gate(shape, alpha):
+    """Ratios (lo, hi) that the mean of Gamma draws of total shape ``shape``
+    leaves, relative to its expectation, with probability at most ``alpha``.
+
+    The mean of n Gamma(l, theta) draws is Gamma(n l, theta / n). For shape
+    a, Chernoff's bound gives P(mean >= (1 + e) mu) <= exp(-a (e - ln(1 + e)))
+    and P(mean <= (1 - e) mu) <= exp(-a (-e - ln(1 - e))); each side gets
+    alpha / 2.
+    """
+    target = math.log(2 / alpha) / shape
+
+    def margin(exponent, top):
+        lo, hi = 0.0, top  # exponent rises on (0, top); hi keeps its >= target
+        for _ in range(200):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if exponent(mid) < target else (lo, mid)
+        return hi
+
+    down = margin(lambda e: -e - math.log1p(-e), 1.0)
+    up = margin(lambda e: e - math.log1p(e), 10.0)
+    return 1 - down, 1 + up
+
+
+def record_rounds(monkeypatch):
+    """Record each run_round's sources, noise, power scaling and estimate.
+
+    run_round reaches its stages through the channel module, so wrapping
+    them there observes the engine itself.
+    """
+    rounds = {"sources": [], "noise": [], "estimate": [], "p": []}
+
+    def spy(name, record):
+        original = getattr(channel, name)
+
+        def recorded(*args):
+            out = original(*args)
+            for key, value in record(args, out).items():
+                rounds[key].append(value)
+            return out
+
+        monkeypatch.setattr(channel, name, recorded)
+
+    spy("sample_sources", lambda args, out: {"sources": out})
+    spy("superpose", lambda args, out: {"noise": args[2]})
+    spy("decode_sum", lambda args, out: {"estimate": out, "p": args[2]})
+    return rounds
+
+
+# Each bug wraps the original stage; ``fixed`` is the run's channel.
+CHAIN_BUGS = {
+    "conjugate-precode": (
+        "encode_and_precode",
+        lambda f, fixed: lambda enc, w, h, p: f(enc, w, np.conj(h), p),
+    ),
+    "h-for-inverse-h": (
+        "encode_and_precode",
+        lambda f, fixed: lambda enc, w, h, p: f(enc, w, 1 / h, p),
+    ),
+    "root-p-for-p": (
+        "encode_and_precode",
+        lambda f, fixed: lambda enc, w, h, p: f(enc, w, h, math.sqrt(p)),
+    ),
+    "noise-at-2-n0": (
+        "run_round",
+        lambda f, fixed: lambda enc, cfg, ch, p, rng: f(
+            enc, replace(cfg, n0=2 * cfg.n0), ch, p, rng
+        ),
+    ),
+    "largest-gain-power": (
+        "max_power_scaling",
+        lambda f, fixed: lambda gain, cfg: f(
+            float(np.max(np.abs(fixed.coefficients) ** 2)), cfg
+        ),
+    ),
+}
+
+
+class TestMutationTable:
+    """Each of five chain bugs fails the chain identity or a mean gate.
+
+    The run is fixed-from-seed at 10 users and an orthonormal 10x5 code,
+    where the distortion is exactly Gamma(l, mean / l). A precode or fade
+    bug fails chain_identity_holds, which is deterministic, at the first
+    trial. A wrong noise power or power scaling keeps the identity, so a
+    two-sided Chernoff gate on the mean of TRIALS distortions catches it.
+    Its law is built from the unpatched channel, before any patch, and its
+    false-alarm rate is at most FALSE_ALARM = 1e-6.
+    """
+
+    SEED = 4
+    TRIALS = 2000
+    FALSE_ALARM = 1e-6
+
+    def run(self, monkeypatch, bug=None, trials=TRIALS):
+        """Per-trial identity verdicts and whether the mean gate passes."""
+        plan = ExperimentPlan(
+            config=SystemConfig(master_seed=self.SEED),
+            trials=trials,
+            channel_mode=ChannelMode.FIXED_FROM_SEED,
+        )
+        cfg = plan.config
+        enc = build_encoding(plan)
+        fixed = fixed_channel_for(plan)
+        law = DistortionLaw.optimal(
+            cfg.l, cfg.l_tilde, cfg.p_w, cfg.rho_x, fixed.min_gain
+        )
+        lo, hi = chernoff_mean_gate(trials * law.shape, self.FALSE_ALARM)
+        rounds = record_rounds(monkeypatch)
+        if bug is not None:
+            name, mutate = CHAIN_BUGS[bug]
+            monkeypatch.setattr(channel, name, mutate(getattr(channel, name), fixed))
+        samples = run_trials(plan, enc=enc, fixed=fixed).samples
+        holds = chain_identity_holds(enc, *map(np.array, rounds.values()))
+        return holds, lo <= samples.mean() / law.mean <= hi
+
+    def test_seed_gains_are_distinct(self):
+        # the largest-gain bug moves the mean by the max/min gain ratio
+        plan = ExperimentPlan(
+            config=SystemConfig(master_seed=self.SEED),
+            channel_mode=ChannelMode.FIXED_FROM_SEED,
+        )
+        gains = np.abs(fixed_channel_for(plan).coefficients) ** 2
+        assert gains.max() / gains.min() >= 1.5
+        lo, hi = chernoff_mean_gate(self.TRIALS * plan.config.l, self.FALSE_ALARM)
+        assert hi < 2 and lo > gains.min() / gains.max()
+
+    def test_correct_chain_passes_every_gate(self, monkeypatch):
+        holds, mean_ok = self.run(monkeypatch)
+        assert holds.shape == (self.TRIALS,) and holds.all()
+        assert mean_ok
+
+    @pytest.mark.parametrize(
+        "bug", ["conjugate-precode", "h-for-inverse-h", "root-p-for-p"]
+    )
+    def test_precode_bug_fails_identity_at_first_trial(self, monkeypatch, bug):
+        holds, _ = self.run(monkeypatch, bug, trials=1)
+        assert not holds[0]
+
+    @pytest.mark.parametrize("bug", ["noise-at-2-n0", "largest-gain-power"])
+    def test_power_bug_fails_mean_gate(self, monkeypatch, bug):
+        holds, mean_ok = self.run(monkeypatch, bug)
+        assert holds.all()
+        assert not mean_ok

@@ -255,6 +255,10 @@ class TestTheory:
             '{"rows": 1, "cols": 1, "re": ["1"], "im": [0]}',
             '{"rows": 1, "cols": 1, "re": [1], "im": [true]}',
             '{"rows": 1, "cols": 1, "re": [1], "im": [null]}',
+            # rows * cols matches the entry count, or negates it
+            '{"rows": -2, "cols": -3, "re": [1,1,1,1,1,1], "im": [0,0,0,0,0,0]}',
+            '{"rows": -3, "cols": -1, "re": [1, 1, 1], "im": [0, 0, 0]}',
+            '{"rows": 3, "cols": -1, "re": [1, 1, 1], "im": [0, 0, 0]}',
         ],
     )
     def test_bad_matrix_is_usage_error_before_output(

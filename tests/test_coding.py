@@ -556,6 +556,16 @@ class TestMatrixFile:
         with pytest.raises(ValueError):
             load_matrix(path)
 
+    @pytest.mark.parametrize("rows, cols", [(-2, -3), (-3, -1), (3, -1), (0, 0)])
+    def test_non_positive_shape_rejected(self, tmp_path, rows, cols):
+        # numpy's reshape reads -1 as "infer", so this must come before it
+        path = tmp_path / "bad.json"
+        n = abs(rows * cols)
+        blob = {"rows": rows, "cols": cols, "re": [1.0] * n, "im": [0.0] * n}
+        path.write_text(json.dumps(blob))
+        with pytest.raises(ValueError, match="rows and cols must be positive"):
+            load_matrix(path)
+
     def test_shape_is_checked_before_any_matrix_is_built(
         self, tmp_path, monkeypatch
     ):
