@@ -3,11 +3,11 @@
 With Gram spectrum lambda_1..lambda_l of the encoding matrix and effective
 SNR rho = p / n0, the per-dimension distortion of the decoded sum is
 
-    d = sum_l z_l / (rho * l * lambda_l),   z_l i.i.d. unit exponentials,
+    d = sum_l c_l z_l,   c_l = 1 / (rho * l * lambda_l),
 
-with mean sum_l (1 / lambda_l) / (rho * l). ``DistortionLaw`` owns this
-law. An orthonormal code has a unit spectrum, so at the maximal power
-scaling d is Gamma distributed,
+with z_l i.i.d. unit exponentials and mean sum_l c_l. ``DistortionLaw``
+owns this law and its weights c_l. An orthonormal code has a unit
+spectrum, so at the maximal power scaling d is Gamma distributed,
 
     d ~ Gamma(shape=l, scale=p_w / (l_tilde * rho_x * min_gain)),
 
@@ -43,21 +43,22 @@ def _require_positive(**values) -> None:
 
 @dataclass(frozen=True, eq=False)
 class DistortionLaw:
-    """Law of the decoded-sum distortion d = sum_l z_l / (rho * l * lambda_l).
+    """Law of the decoded-sum distortion d = sum_l c_l z_l.
 
     ``spectrum`` holds the positive, finite Gram eigenvalues lambda_l and
     ``rho`` the positive, finite effective SNR p / n0; the z_l are unit
-    exponentials. ``mean`` and ``variance`` (sum_l c_l^2 with
-    c_l = 1 / (rho * l * lambda_l)) are exact for every spectrum.
-    ``shape``, ``scale`` and ``cdf`` are the mean-matched Gamma law (shape
-    l, scale mean / l), which is exact when all eigenvalues are equal, as
-    for orthonormal columns, and a proxy otherwise. The moments are
-    computed once, at construction, and a mean or variance beyond the float
+    exponentials and ``weights`` the c_l = 1 / (rho * l * lambda_l).
+    ``mean`` (sum_l c_l) and ``variance`` (sum_l c_l^2) are exact for every
+    spectrum. ``shape``, ``scale`` and ``cdf`` are the mean-matched Gamma
+    law (shape l, scale mean / l), which is exact when all eigenvalues are
+    equal, as for orthonormal columns, and a proxy otherwise. All are
+    computed once, at construction; a mean or variance beyond the float
     range, above or below (one that rounds to 0), raises ValueError.
     """
 
     spectrum: np.ndarray
     rho: float
+    weights: np.ndarray = field(init=False)
     mean: float = field(init=False)
     shape: float = field(init=False)
     scale: float = field(init=False)
@@ -72,16 +73,17 @@ class DistortionLaw:
         if not 0 < self.rho < math.inf:
             raise ValueError(f"rho must be positive and finite, got {self.rho}")
         shape = float(lam.size)
-        with np.errstate(over="ignore"):
-            mean = float((1.0 / lam).sum() / (shape * self.rho))
+        with np.errstate(over="ignore", divide="ignore"):
             weights = 1.0 / (self.rho * shape * lam)
+            mean = float(weights.sum())
             variance = float((weights * weights).sum())
         if not math.isfinite(mean + variance):  # neither is negative
             raise ValueError(f"law overflows: mean {mean}, variance {variance}")
         if not (mean > 0.0 and variance > 0.0):
             raise ValueError(f"law underflows: mean {mean}, variance {variance}")
         for name, value in dict(
-            spectrum=lam, mean=mean, shape=shape, scale=mean / shape, variance=variance
+            spectrum=lam, weights=weights, mean=mean, shape=shape,
+            scale=mean / shape, variance=variance,
         ).items():
             object.__setattr__(self, name, value)
 
@@ -175,10 +177,9 @@ def _tail_exponent(eta: float) -> float:
 def sample_general_mse(law: DistortionLaw, rng: Rng) -> float:
     """Draw one distortion sample directly from the law.
 
-    Draws one unit exponential per Gram eigenvalue and returns
-    sum_l z_l / lambda_l / (rho * l), distributed as the decoded-sum
-    distortion of any encoding matrix with that spectrum.
+    Draws one unit exponential z_l per weight and returns sum_l c_l z_l,
+    distributed as the decoded-sum distortion of any encoding matrix with
+    the law's spectrum.
     """
-    lam = law.spectrum
-    z = rng.gen.exponential(scale=1.0, size=lam.size)
-    return float((z / lam).sum() / (law.rho * lam.size))
+    z = rng.gen.exponential(scale=1.0, size=law.weights.size)
+    return float((z * law.weights).sum())

@@ -372,9 +372,9 @@ def gram_spectrum(enc: EncodingMatrix) -> np.ndarray:
 def distortion_law(enc: EncodingMatrix, rho: float) -> DistortionLaw:
     """Decoded-sum distortion law of ``enc`` at normalized SNR rho.
 
-    Its mean, (1 / (l * rho)) * sum_l 1/lambda_l over the Gram spectrum, is
-    at least 1/rho over trace-l matrices, with equality exactly for
-    orthonormal columns. The spectrum and the rank rule come from the same
+    Its mean, sum_l c_l with weights c_l = 1 / (rho * l * lambda_l) over the
+    Gram spectrum, is at least 1/rho over trace-l matrices, with equality
+    exactly for orthonormal columns. The spectrum and the rank rule come from the same
     SVD as the decoder: a matrix the decoder rejects raises RankDeficient
     here too, and a spectrum that overflows raises ValueError.
     """

@@ -22,7 +22,7 @@ from .analysis import Criterion, DistortionLaw
 from .channel import ChannelRealization, SystemConfig
 from .coding import Construction, EncodingMatrix
 from .errors import EmptySample, InvalidShape, NonIntegralBlocklength
-from .numerics import Rng, ks_distance
+from .numerics import Rng, ks_distance, ks_two_sample
 
 CSV_HEADER = [
     "experiment",
@@ -252,7 +252,7 @@ def summarize(ts: TrialSet, eta: float | None = None) -> MseReport:
     theory_variance = ks_statistic = None
     if ts.plan.channel_mode is not ChannelMode.RICIAN_PER_TRIAL:
         theory_variance = theory.variance
-        ks_statistic = ks_distance(np.sort(samples), theory.cdf)
+        ks_statistic = ks_distance(samples, theory.cdf)
     exceedance = None
     if eta is not None:
         exceedance = float(np.mean(samples >= (1.0 + eta) * theory.mean))
@@ -423,18 +423,6 @@ def sweep_blocklength(
             )
         )
     return rows
-
-
-def ks_two_sample(a, b) -> float:
-    """Two-sample Kolmogorov-Smirnov distance between empirical CDFs."""
-    a = np.sort(np.asarray(a, dtype=float))
-    b = np.sort(np.asarray(b, dtype=float))
-    if a.size == 0 or b.size == 0:
-        raise EmptySample("two-sample KS needs nonempty samples")
-    pooled = np.concatenate([a, b])
-    cdf_a = np.searchsorted(a, pooled, side="right") / a.size
-    cdf_b = np.searchsorted(b, pooled, side="right") / b.size
-    return float(np.max(np.abs(cdf_a - cdf_b)))
 
 
 def oracle_equivalence_test(

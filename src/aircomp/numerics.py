@@ -2,8 +2,8 @@
 
 Domain-free building blocks: seeded random streams, orthonormalization,
 circularly symmetric Gaussian sampling, uniform random subsets, the
-regularized lower incomplete gamma function, a one-sample
-Kolmogorov-Smirnov statistic, the rank rule, and the rules for counts and
+regularized lower incomplete gamma function, the one- and two-sample
+Kolmogorov-Smirnov statistics, the rank rule, and the rules for counts and
 numbers read from input files. Spectra and pseudo-inverses of an encoding
 matrix come from its one cached SVD (``coding.EncodingMatrix.svd``).
 Matrix routines operate on complex128 numpy arrays; callers own the domain
@@ -240,7 +240,7 @@ def ks_distance(
 ) -> float:
     """One-sample Kolmogorov-Smirnov statistic sup |F_n - F|.
 
-    ``samples`` must be sorted ascending; both the i/n and (i-1)/n sides of
+    ``samples`` may come in any order; both the i/n and (i-1)/n sides of
     the empirical CDF step are compared against ``cdf``, which receives
     each sample as a Python float (pure-Python CDFs run about twice as
     fast on floats as on numpy scalars, with the same result).
@@ -250,14 +250,25 @@ def ks_distance(
         raise EmptySample("KS distance needs at least one sample")
     if s.ndim != 1:
         raise ValueError("samples must be one-dimensional")
-    if np.any(np.diff(s) < 0):
-        raise ValueError("samples must be sorted ascending")
+    s = np.sort(s)
     n = s.size
     f = np.fromiter(map(cdf, map(float, s)), dtype=float, count=n)
     steps = np.arange(1, n + 1, dtype=float) / n
     d_plus = np.max(steps - f)
     d_minus = np.max(f - (steps - 1.0 / n))
     return float(max(d_plus, d_minus, 0.0))
+
+
+def ks_two_sample(a, b) -> float:
+    """Two-sample Kolmogorov-Smirnov distance between empirical CDFs."""
+    a = np.sort(np.asarray(a, dtype=float))
+    b = np.sort(np.asarray(b, dtype=float))
+    if a.size == 0 or b.size == 0:
+        raise EmptySample("two-sample KS needs nonempty samples")
+    pooled = np.concatenate([a, b])
+    cdf_a = np.searchsorted(a, pooled, side="right") / a.size
+    cdf_b = np.searchsorted(b, pooled, side="right") / b.size
+    return float(np.max(np.abs(cdf_a - cdf_b)))
 
 
 def exact_int(value, name: str) -> int:

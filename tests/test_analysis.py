@@ -68,15 +68,33 @@ class TestDistortionLaw:
     # mean 1 / rho overflows at a subnormal rho; at rho = 1e-160 only the
     # variance 1 / rho^2 does. Below: at rho = 1e170 the variance rounds to
     # 0, and with eigenvalues of 1e200 at rho = 1e300 the mean does too.
+    # Last: rho * l * lambda_l itself rounds to 0, so each weight is 1 / 0.
     @pytest.mark.parametrize(
         "spectrum, rho",
-        [([1.0] * 5, 2e-319), ([1.0], 1e-160), ([1.0], 1e170), ([1e200] * 5, 1e300)],
+        [
+            ([1.0] * 5, 2e-319),
+            ([1.0], 1e-160),
+            ([1.0], 1e170),
+            ([1e200] * 5, 1e300),
+            ([1e-300], 1e-30),
+        ],
     )
     def test_moments_beyond_float_range_are_value_error(self, spectrum, rho):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="law (over|under)flows"):
                 DistortionLaw(spectrum, rho)
+
+    def test_moments_read_the_weights(self):
+        spectrum = np.array([0.5, 1.5])
+        law = DistortionLaw(spectrum, 2.0)
+        assert np.array_equal(law.weights, 1.0 / (2.0 * 2 * spectrum))
+        assert law.mean == law.weights.sum()
+        assert law.variance == (law.weights * law.weights).sum()
+        # sum_l 1 / lambda_l passes the float range here, but each weight
+        # is 5e7: the mean is 1e8, not an overflow
+        law = DistortionLaw([1e-308, 1e-308], 1e300)
+        assert law.mean == pytest.approx(1e8, rel=1e-15)
 
     def test_subnormal_variance_is_kept(self):
         # at rho = 1e160 over a spectrum of 1e-2 the variance (1e-158)^2 is
@@ -337,7 +355,7 @@ class TestSampleGeneralMse:
         previous = []
         for _ in range(3):
             z = rng.gen.exponential(scale=1.0, size=size)
-            previous.append(float(np.sum(z / spectrum) / (rho * size)))
+            previous.append(float(np.sum(z * (1.0 / (rho * size * spectrum)))))
         assert ours == previous
 
     def test_domain(self):

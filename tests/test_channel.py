@@ -135,6 +135,11 @@ class TestChannelRealization:
         with pytest.raises(ZeroChannel):
             ChannelRealization([0.0, 1.0])
 
+    @pytest.mark.parametrize("coefficients", [[], [[1.0, 1.0]]])
+    def test_empty_or_matrix_rejected(self, coefficients):
+        with pytest.raises(ShapeMismatch, match="nonempty vector"):
+            ChannelRealization(coefficients)
+
     @pytest.mark.parametrize(
         "bad", [math.nan, math.inf, complex(0.0, math.nan), complex(-math.inf, 1.0)]
     )
@@ -281,6 +286,11 @@ class TestEncodeAndPrecode:
         with pytest.raises(ShapeMismatch):
             encode_and_precode(enc, np.zeros(3), 1.0, 1.0)
 
+    @pytest.mark.parametrize("p", [0.0, -1.0])
+    def test_non_positive_power_rejected(self, p):
+        with pytest.raises(ValueError, match="power scaling must be positive"):
+            encode_and_precode(construct_repetition(2), np.zeros(2), 1.0, p)
+
 
 class TestSuperpose:
     def test_faded_sum_plus_noise(self):
@@ -340,6 +350,11 @@ class TestDecodeSum:
         enc = construct_repetition(3)
         with pytest.raises(ShapeMismatch):
             decode_sum(enc, np.zeros(4), 1.0)
+
+    @pytest.mark.parametrize("p", [0.0, -1.0])
+    def test_non_positive_power_rejected(self, p):
+        with pytest.raises(ValueError, match="power scaling must be positive"):
+            decode_sum(construct_repetition(3), np.zeros(3), p)
 
 
 def bits(a):
@@ -635,7 +650,9 @@ def record_rounds(monkeypatch):
     """Record each run_round's sources, noise, power scaling and estimate.
 
     run_round reaches its stages through the channel module, so wrapping
-    them there observes the engine itself.
+    them there observes the engine itself. Arrays are stored as copies, so
+    an engine that later writes into a stage's result in place (a reused
+    buffer, an in-place subtraction) leaves the record as the stage made it.
     """
     rounds = {"sources": [], "noise": [], "estimate": [], "p": []}
 
@@ -650,9 +667,9 @@ def record_rounds(monkeypatch):
 
         monkeypatch.setattr(channel, name, recorded)
 
-    spy("sample_sources", lambda args, out: {"sources": out})
-    spy("superpose", lambda args, out: {"noise": args[2]})
-    spy("decode_sum", lambda args, out: {"estimate": out, "p": args[2]})
+    spy("sample_sources", lambda args, out: {"sources": out.copy()})
+    spy("superpose", lambda args, out: {"noise": args[2].copy()})
+    spy("decode_sum", lambda args, out: {"estimate": out.copy(), "p": args[2]})
     return rounds
 
 

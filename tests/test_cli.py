@@ -565,6 +565,13 @@ class TestBadFloatFlags:
         assert "error: " in captured.err
         assert captured.out == ""
 
+    def test_non_number_is_usage_error(self, capsys):
+        code = run_cli("theory", "--snr-db", "abc")
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "not a number: 'abc'" in captured.err
+        assert captured.out == ""
+
     def test_zero_tolerance_is_accepted(self, capsys):
         # a sample mean never equals the theory mean exactly, so a zero
         # tolerance passes the flag check (exit 2) and fails the run (exit 1)

@@ -101,6 +101,13 @@ class TestRepetition:
         for m in (2, 3, 4):
             assert not validate(construct_repetition(2, m)).rank_ok
 
+    @pytest.mark.parametrize(
+        "l, m, message", [(0, 1, "l >= 1"), (2, 0, "at least one repetition block")]
+    )
+    def test_empty_shape_rejected(self, l, m, message):
+        with pytest.raises(InvalidShape, match=message):
+            construct_repetition(l, m)
+
 
 class TestValidate:
     def test_exhaustive_six_choose_three(self):
@@ -133,6 +140,11 @@ class TestValidate:
         enc = construct_random_orthonormal(8, 4, Rng(5))
         with pytest.raises(ValueError):
             validate(enc, max_exhaustive_subsets=10, sample_count=15)
+
+    def test_sampled_mode_requires_a_positive_count(self):
+        enc = construct_random_orthonormal(8, 4, Rng(5))
+        with pytest.raises(ValueError, match="sample_count must be positive"):
+            validate(enc, max_exhaustive_subsets=10, sample_count=0, rng=Rng(5))
 
     def test_exhaustive_wins_when_sampling_would_cost_more(self):
         # C(6,3) = 20 <= sample_count, so sampling would be wasted work

@@ -95,6 +95,13 @@ class TestBuildEncoding:
         loaded = build_encoding(plan)
         assert np.array_equal(loaded.phi, enc.phi)
 
+    def test_repetition_requires_whole_blocks(self):
+        plan = ExperimentPlan(
+            config=SystemConfig(l=2, l_tilde=5), construction=Construction.REPETITION
+        )
+        with pytest.raises(InvalidShape, match="multiple of l"):
+            build_encoding(plan)
+
     def test_custom_requires_path(self):
         # checked when the plan is made, before any output or trial
         with pytest.raises(ValueError, match="matrix_path"):
@@ -163,6 +170,10 @@ class TestRunTrials:
         parallel = run_trials(plan, workers=3)
         assert np.array_equal(serial.samples, parallel.samples)
         assert np.array_equal(serial.p_used, parallel.p_used)
+
+    def test_zero_workers_rejected(self):
+        with pytest.raises(ValueError, match="at least one worker"):
+            run_trials(fixed_plan(trials=2), workers=0)
 
     def test_workers_capped_at_cpu_count(self, monkeypatch):
         class NoPool:
@@ -349,6 +360,35 @@ class TestTrialRange:
         p = max_power_scaling(fixed.min_gain, plan.config)
         rng = Rng(plan.config.master_seed, stream_id(Purpose.TRIAL, 2**48 - 1))
         assert samples[0] == run_round(enc, plan.config, fixed, p, rng)
+
+    @pytest.mark.parametrize("mode", list(ChannelMode))
+    def test_any_split_and_any_replay_give_the_same_trials(self, mode):
+        # A trial's bits depend neither on the range it runs in nor on its
+        # neighbours: each split concatenates to the whole run, and each
+        # trial equals its lone replay from its own streams.
+        plan = ExperimentPlan(
+            config=SystemConfig(master_seed=19), trials=64, channel_mode=mode
+        )
+        cfg = plan.config
+        enc = build_encoding(plan)
+        fixed = experiments.fixed_channel_for(plan)
+        whole = experiments._run_range(enc, cfg, fixed, 0, 64)
+        for bounds in ([0, 1, 7, 64], [0, 63, 64]):
+            parts = [
+                experiments._run_range(enc, cfg, fixed, a, b)
+                for a, b in zip(bounds, bounds[1:])
+            ]
+            for ours, pieces in zip(whole, zip(*parts)):
+                assert np.array_equal(ours, np.concatenate(pieces))
+        for i in range(64):
+            ch = fixed
+            if ch is None:
+                ch_rng = Rng(19, stream_id(Purpose.CHANNEL, i))
+                ch = channel.sample_rician(cfg, ch_rng)
+            p = max_power_scaling(ch.min_gain, cfg)
+            rng = Rng(19, stream_id(Purpose.TRIAL, i))
+            assert whole[0][i] == run_round(enc, cfg, ch, p, rng)
+            assert whole[1][i] == ch.min_gain
 
 
 class TestSummarize:

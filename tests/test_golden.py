@@ -111,7 +111,7 @@ GOLDEN = {
     'simulate-repetition:exit': '0',
     'simulate-repetition:stdout': 'eaa25d404eae012da7620069fbc044871a57898af42573a6e57c13aac9dfcd9f',
     'simulate-rician-l1:exit': '0',
-    'simulate-rician-l1:l1.report.json': '25a86cdd0ac2f4bec141dff28a7dd64df7b697a7538175967dd974fe55085927',
+    'simulate-rician-l1:l1.report.json': '7d640eeb51455126a34321e2b72559bd655fbd876bebdd57e03020bb2ca977eb',
     'simulate-rician-l1:l1.trials.csv': 'd10f3a7d1117c30163f0442b496ed2f405c0c5dab6c0406914b49843e5c98358',
     'simulate-rician-l1:stdout': 'ebfeb7f19be7899e629b5e892bc40ed44a782865aa12ffa994ee67568bb83936',
     'simulate-rician:exit': '0',

@@ -117,6 +117,14 @@ class TestQrOrthonormal:
         with pytest.raises(RankDeficient):
             qr_orthonormal([[1.0, 0.0]])
 
+    def test_vector_rejected(self):
+        with pytest.raises(ValueError, match="2-D matrix"):
+            qr_orthonormal([1.0, 0.0])
+
+    def test_non_finite_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            qr_orthonormal([[1.0], [math.nan]])
+
     def test_applies_the_one_rank_rule(self):
         # singular values 1, 1e-5 and 1e-10: a ratio of 1e-10 fails
         # sigma_min > RANK_TOLERANCE * sigma_max, as EncodingMatrix's check does
@@ -180,6 +188,10 @@ class TestSampleComplexGaussian:
     def test_zero_variance_rejected(self):
         with pytest.raises(ValueError):
             sample_complex_gaussian(Rng(15), 4, 0.0)
+
+    def test_zero_draws_rejected(self):
+        with pytest.raises(ValueError, match="at least one draw"):
+            sample_complex_gaussian(Rng(15), 0, 1.0)
 
 
 class TestSampleSubsets:
@@ -352,6 +364,13 @@ class TestKsDistance:
         with pytest.raises(EmptySample):
             ks_distance([], lambda x: 0.5)
 
-    def test_unsorted_rejected(self):
-        with pytest.raises(ValueError):
-            ks_distance([1.0, 0.0], lambda x: 0.5)
+    def test_order_does_not_matter(self):
+        samples = Rng(19).gen.gamma(5.0, 0.01, size=2000)
+        cdf = lambda x: regularized_lower_gamma(5.0, x / 0.01)
+        shuffled = ks_distance(samples, cdf)
+        assert shuffled == ks_distance(np.sort(samples), cdf)
+        assert shuffled == ks_distance(samples[::-1].tolist(), cdf)
+
+    def test_two_dimensional_rejected(self):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            ks_distance([[0.0, 1.0]], lambda x: 0.5)
