@@ -195,31 +195,28 @@ def sample_rician(config: SystemConfig, rng: Rng) -> ChannelRealization:
 
     Each coefficient is sqrt(kappa/(kappa+1)) + sqrt(1/(kappa+1)) * z with
     z ~ CN(0,1) and kappa the Rician factor converted from dB. Coefficients
-    whose power gain falls below the floor are redrawn (the total redraw
-    count is recorded on the realization).
+    whose power gain falls below the floor are redrawn, in index order, for
+    at most _REDRAW_LIMIT passes (the total redraw count is recorded on the
+    realization).
     """
     kappa = db_to_linear(config.rician_kappa_db)
     los = math.sqrt(kappa / (kappa + 1.0))
     scatter_variance = 1.0 / (kappa + 1.0)
     coeffs = los + sample_complex_gaussian(rng, config.k_users, scatter_variance)
-    channel = ChannelRealization(coeffs)
-    if channel.min_gain >= config.min_gain_floor:
-        return channel
     redraws = 0
-    rounds = 0
-    below = np.abs(coeffs) ** 2 < config.min_gain_floor
-    while below.any():
-        rounds += 1
-        if rounds > _REDRAW_LIMIT:
+    for redraw_pass in range(1 + _REDRAW_LIMIT):
+        channel = ChannelRealization(coeffs, redraws=redraws)
+        if channel.min_gain >= config.min_gain_floor:
+            return channel
+        below = np.abs(coeffs) ** 2 < config.min_gain_floor
+        n_bad = int(below.sum())
+        if redraw_pass == _REDRAW_LIMIT:
             raise FloorUnsatisfiable(
-                f"{int(below.sum())} coefficient(s) violated the gain floor "
+                f"{n_bad} coefficient(s) violated the gain floor "
                 f"{config.min_gain_floor} for {_REDRAW_LIMIT} consecutive draws"
             )
-        n_bad = int(below.sum())
         redraws += n_bad
         coeffs[below] = los + sample_complex_gaussian(rng, n_bad, scatter_variance)
-        below = np.abs(coeffs) ** 2 < config.min_gain_floor
-    return ChannelRealization(coeffs, redraws=redraws)
 
 
 def sample_sources(config: SystemConfig, rng: Rng) -> np.ndarray:

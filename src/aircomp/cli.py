@@ -24,7 +24,7 @@ from .channel import SystemConfig, all_ones_channel, db_to_linear, max_power_sca
 from .coding import Construction
 from .errors import AirCompError
 from .experiments import ChannelMode, ExperimentPlan, Purpose, format_field, stream_id
-from .numerics import Rng
+from .numerics import Rng, ks_distance
 
 ORTHONORMAL_TOLERANCE = 1e-10
 
@@ -113,8 +113,6 @@ def cmd_check(args) -> int:
 
 
 def cmd_theory(args) -> int:
-    shape = (args.l_tilde, args.l)
-    enc = None if args.matrix is None else coding.load_matrix(args.matrix, shape)
     rho_x = db_to_linear(args.snr_db)
     # Every value is computed before the first line is printed, so a
     # rejected input leaves stdout empty.
@@ -130,7 +128,8 @@ def cmd_theory(args) -> int:
         "gamma_mean": law.mean,
         "gamma_variance": law.variance,
     }
-    if enc is not None:
+    if args.matrix is not None:
+        enc = coding.load_matrix(args.matrix, (args.l_tilde, args.l))
         # the optimal law's rho is the effective SNR rho_x * min_gain / (rate * p_w)
         lines["spectrum"] = " ".join(map(format_field, coding.gram_spectrum(enc)))
         lines["expected_mse"] = coding.distortion_law(enc, law.rho).mean
@@ -243,15 +242,13 @@ def cmd_dist_test(args) -> int:
         channel_mode=ChannelMode.FIXED_UNIT_MIN_GAIN,
     )
     ts = experiments.run_trials(plan, workers=args.threads)
-    ks_part = replace(
-        ts, samples=ts.samples[:ks], channel_min_gains=ts.channel_min_gains[:ks]
-    )
-    report = experiments.summarize(ks_part)
-    rows = [("gamma-law-ks", report.ks_statistic, 1.63 / math.sqrt(ks))]
+    law = experiments.theory_for_trials(ts)
+    ks_statistic = ks_distance(ts.samples[:ks], law.cdf)
+    rows = [("gamma-law-ks", ks_statistic, 1.63 / math.sqrt(ks))]
 
     samples = ts.samples[ks:]
     for eta in (0.5, 1.0, 2.0):
-        freq = float(np.mean(samples >= (1.0 + eta) * report.theory_mean))
+        freq = float(np.mean(samples >= (1.0 + eta) * law.mean))
         bound = analysis.chernoff_tail(config.l, eta)
         slack = 3.0 * math.sqrt(max(freq * (1 - freq), 1e-12) / samples.size)
         rows.append((f"chernoff-eta-{format_field(eta)}", freq, bound + slack))

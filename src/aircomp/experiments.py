@@ -268,15 +268,16 @@ def summarize(ts: TrialSet, eta: float | None = None) -> MseReport:
 
 
 def theory_for_trials(ts: TrialSet) -> DistortionLaw:
-    """Distortion law of a trial set's matrix at its mean effective SNR.
+    """Distortion law of a trial set's matrix at its effective SNR.
 
-    The effective SNR is 1 / (n0 * mean(1 / p_used)), so the law's mean is
-    the spectrum formula averaged over the realized power scalings. The
-    law is exact for a fixed channel (its Gamma CDF only for an
-    orthonormal matrix); under per-trial fading only its mean applies.
+    That is p / n0 when every trial ran at one power scaling p, so a fixed
+    channel's law is exact at any trial count (its Gamma CDF only for an
+    orthonormal matrix). Otherwise it is 1 / (n0 * mean(1 / p_used)), and
+    only the law's mean, averaged over the realized scalings, applies.
     """
-    rho = 1.0 / (ts.plan.config.n0 * float(np.mean(1.0 / ts.p_used)))
-    return coding.distortion_law(ts.enc, rho)
+    p, n0 = ts.p_used, ts.plan.config.n0
+    rho = p[0] / n0 if (p == p[0]).all() else 1.0 / (n0 * np.mean(1.0 / p))
+    return coding.distortion_law(ts.enc, float(rho))
 
 
 def _blank_row() -> dict:
@@ -323,27 +324,28 @@ def sweep_mse_vs_snr(
 ) -> list[dict]:
     """Empirical vs theoretical mean MSE over an (SNR, rate) grid.
 
-    Each rate runs the orthonormal construction at the implied codeword
-    length; an uncoded row (identity matrix, rate 1) accompanies every SNR
-    point as the baseline.
+    Each rate runs the base plan's construction (and matrix file) at the
+    implied codeword length; an uncoded row (identity matrix, rate 1)
+    accompanies every SNR point as the baseline.
     """
     for rate in rates:
         if not 0 < rate <= 1:
             raise ValueError(f"rates must lie in (0, 1], got {rate}")
+    schemes = [
+        ("proposed", float(rate), base.construction, base.matrix_path)
+        for rate in rates
+    ] + [("uncoded", 1.0, Construction.IDENTITY, None)]
     rows = []
     for snr_db in snr_db_values:
-        schemes = [("proposed", float(r)) for r in rates] + [("uncoded", 1.0)]
-        for scheme, rate in schemes:
+        for scheme, rate, construction, path in schemes:
             config = replace(
                 base.config,
                 l_tilde=_integral_blocklength(base.config.l, base.config.l / rate)[1],
                 p_x=base.config.n0 * channel.db_to_linear(snr_db),
             )
-            plan = replace(base, config=config)
-            if scheme == "uncoded":
-                plan = replace(
-                    plan, construction=Construction.IDENTITY, matrix_path=None
-                )
+            plan = replace(
+                base, config=config, construction=construction, matrix_path=path
+            )
             rows.append(
                 _sweep_row(
                     plan,

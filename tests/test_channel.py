@@ -71,6 +71,16 @@ class TestSystemConfig:
         assert cfg.rho_x == 10.0
         assert cfg.snr_db == pytest.approx(10.0)
 
+    def test_snr_db_falls_back_to_the_plain_log(self):
+        # no dB value within two ulps of 10 log10(rho_x) maps back to this p_x
+        cfg = SystemConfig(p_x=134.45080768798996)
+        db = channel.linear_to_db(cfg.rho_x)
+        ulp = math.ulp(db)
+        assert all(
+            cfg.n0 * db_to_linear(db + k * ulp) != cfg.p_x for k in range(-2, 3)
+        )
+        assert cfg.snr_db == db
+
     def test_from_json(self, tmp_path):
         path = tmp_path / "config.json"
         write_config(path, snr_db=15.0, l_tilde=20)
@@ -197,10 +207,51 @@ class TestSampleRician:
         )
         assert np.array_equal(bits(ch.coefficients), bits(replay))
 
+    @staticmethod
+    def los_and_scatter(cfg):
+        kappa = db_to_linear(cfg.rician_kappa_db)
+        return math.sqrt(kappa / (kappa + 1.0)), 1.0 / (kappa + 1.0)
+
+    def test_redraws_replay_entry_by_entry(self):
+        # replay: K draws, then the entries below the floor redrawn one at a
+        # time in index order, pass after pass, until none is left
+        cfg = SystemConfig(k_users=50, rician_kappa_db=-10.0, min_gain_floor=0.3)
+        los, scatter = self.los_and_scatter(cfg)
+        total = 0
+        for seed in range(20):
+            ch = sample_rician(cfg, Rng(seed, 9))
+            rng = Rng(seed, 9)
+            coeffs = los + sample_complex_gaussian(rng, cfg.k_users, scatter)
+            redraws = 0
+            while True:
+                bad = np.flatnonzero(np.abs(coeffs) ** 2 < cfg.min_gain_floor)
+                if bad.size == 0:
+                    break
+                fresh = los + sample_complex_gaussian(rng, bad.size, scatter)
+                for index, value in zip(bad.tolist(), fresh):
+                    coeffs[index] = value
+                redraws += bad.size
+            assert np.array_equal(bits(ch.coefficients), bits(coeffs))
+            assert ch.redraws == redraws
+            total += redraws
+        assert total == 359
+
     def test_unsatisfiable_floor(self):
+        # 1 + _REDRAW_LIMIT passes of 2 draws each, then the error; the
+        # stream is left exactly where the replay leaves it
         cfg = SystemConfig(k_users=2, rician_kappa_db=100.0, min_gain_floor=5.0)
-        with pytest.raises(FloorUnsatisfiable):
-            sample_rician(cfg, Rng(24))
+        los, scatter = self.los_and_scatter(cfg)
+        rng = Rng(24)
+        with pytest.raises(FloorUnsatisfiable) as caught:
+            sample_rician(cfg, rng)
+        assert str(caught.value) == (
+            "2 coefficient(s) violated the gain floor 5.0 for 1000 consecutive draws"
+        )
+        replay = Rng(24)
+        for _ in range(1 + channel._REDRAW_LIMIT):
+            coeffs = los + sample_complex_gaussian(replay, 2, scatter)
+            assert np.all(np.abs(coeffs) ** 2 < cfg.min_gain_floor)
+        assert rng.gen.standard_normal() == replay.gen.standard_normal()
 
 
 class TestSampleSources:

@@ -471,6 +471,15 @@ class TestTheoryForTrials:
         assert theory.shape == expected.shape
         assert theory.scale == pytest.approx(expected.scale, rel=1e-12)
 
+    @pytest.mark.parametrize("trials", [1000, 1003])
+    def test_fixed_channel_law_does_not_depend_on_trial_count(self, trials):
+        # the mean of 1000 equal values 1/p is one ulp off 1/p; the law at
+        # the run's one power scaling is exact at every trial count
+        ts = run_trials(fixed_plan(trials=trials, seed=1))
+        exact = coding.distortion_law(ts.enc, 20.0)
+        assert exact.mean == 0.05
+        assert theory_for_trials(ts).mean == exact.mean
+
 
 class TestIllConditionedMatrix:
     """Custom 4x2 matrices U diag(sqrt(2 - lam), sqrt(lam)) V^H, kappa up to 4.5e8.
