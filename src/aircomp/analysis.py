@@ -37,7 +37,7 @@ class Criterion(str, Enum):
 
 def _require_positive(**values) -> None:
     for name, value in values.items():
-        if value <= 0:
+        if not value > 0:  # NaN fails too
             raise ValueError(f"{name} must be positive, got {value}")
 
 
@@ -105,7 +105,7 @@ class DistortionLaw:
 
     def cdf(self, x: float) -> float:
         """Mean-matched Gamma CDF at x (regularized lower incomplete gamma)."""
-        if x < 0:
+        if not x >= 0:
             raise ValueError("x must be nonnegative")
         return regularized_lower_gamma(self.shape, x / self.scale)
 

@@ -100,6 +100,7 @@ class SystemConfig:
         for name in ("p_w", "n0", "p_x", "min_gain_floor"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        db_to_linear(self.rician_kappa_db)  # sample_rician's factor must be a float
 
     @property
     def rate(self) -> float:
@@ -246,12 +247,12 @@ def encode_and_precode(
 ) -> np.ndarray:
     """Map one user's source to its transmit signal (sqrt(p)/h_k) * phi @ w_k.
 
-    Preconditions: p > 0 and w_k an array of length l, both checked here,
+    Preconditions: 0 < p < inf and w_k an array of length l, both checked here,
     and |h_k|^2 at or above the gain floor, which run_round checks once per
     round for every user.
     """
-    if p <= 0:
-        raise ValueError("power scaling must be positive")
+    if not 0 < p < math.inf:
+        raise ValueError(f"power scaling must be positive and finite, got {p}")
     if w_k.shape != (enc.l,):
         raise ShapeMismatch(
             f"source vector of shape {w_k.shape} does not match l={enc.l}"
@@ -274,8 +275,8 @@ def superpose(
 
 def decode_sum(enc: EncodingMatrix, y: np.ndarray, p: float) -> np.ndarray:
     """Recover the source sum estimate phi_pinv @ y / sqrt(p)."""
-    if p <= 0:
-        raise ValueError("power scaling must be positive")
+    if not 0 < p < math.inf:
+        raise ValueError(f"power scaling must be positive and finite, got {p}")
     y = np.asarray(y, dtype=np.complex128)
     if y.shape != (enc.l_tilde,):
         raise ShapeMismatch(

@@ -20,7 +20,7 @@ from dataclasses import asdict, replace
 import numpy as np
 
 from . import analysis, coding, experiments
-from .channel import SystemConfig, all_ones_channel, db_to_linear, max_power_scaling
+from .channel import SystemConfig, all_ones_channel, db_to_linear
 from .coding import Construction
 from .errors import AirCompError
 from .experiments import ChannelMode, ExperimentPlan, Purpose, format_field, stream_id
@@ -166,22 +166,13 @@ def cmd_simulate(args) -> int:
         channel_mode=args.mode,
         matrix_path=args.matrix,
     )
-    # A matrix that cannot be built or loaded, or whose spectrum no law
-    # accepts, fails before any output exists and before any trial runs.
-    # In the fixed modes every trial runs at one power scaling p, so the
-    # law at p / n0 is the run's law. Under per-trial fading the run's law
-    # averages the drawn scalings, each at or above the gain floor's, so
-    # the law at the floor's scaling bounds it.
-    enc = experiments.build_encoding(plan)
-    fixed = experiments.fixed_channel_for(plan)
-    min_gain = config.min_gain_floor if fixed is None else fixed.min_gain
-    coding.distortion_law(enc, max_power_scaling(min_gain, config) / config.n0)
+    plan.law  # a plan without a law fails before any output exists
     if args.out:
         # Fail before the run, not after it, when an output cannot be written.
         # Append mode checks writability without emptying an earlier result.
         for suffix in (".trials.csv", ".report.json"):
             open(args.out + suffix, "a", encoding="utf-8").close()
-    ts = experiments.run_trials(plan, workers=args.threads, enc=enc, fixed=fixed)
+    ts = experiments.run_trials(plan, workers=args.threads)
     report = experiments.summarize(ts, eta=args.eta)
     ratio = report.mean / report.theory_mean
 
@@ -258,7 +249,7 @@ def cmd_dist_test(args) -> int:
         k_users=3, l=2, l_tilde=2, p_x=10.0, master_seed=args.seed
     )
     for name, enc, oracle_config, first in (
-        ("orthonormal", ts.enc, config, ks + chernoff),
+        ("orthonormal", plan.enc, config, ks + chernoff),
         ("skewed", skew, skew_config, ks + chernoff + n),
     ):
         stat = experiments.oracle_equivalence_test(

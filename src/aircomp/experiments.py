@@ -14,6 +14,7 @@ import csv
 import os
 from dataclasses import dataclass, replace
 from enum import Enum, IntEnum
+from functools import cached_property
 
 import numpy as np
 
@@ -70,9 +71,16 @@ class ChannelMode(str, Enum):
     FIXED_FROM_SEED = "fixed-from-seed"
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class ExperimentPlan:
-    """Everything needed to rerun one batch of transmissions."""
+    """Everything needed to rerun one batch of transmissions.
+
+    ``enc`` (the matrix), ``fixed`` (the channel every trial runs on, None
+    under per-trial fading) and ``law`` are built on first read, by
+    build_encoding and fixed_channel_for for the first two, and kept;
+    constructing a plan builds nothing. ``replace`` gives a new plan that
+    builds its own.
+    """
 
     config: SystemConfig
     construction: Construction = Construction.RANDOM_ORTHONORMAL
@@ -81,8 +89,8 @@ class ExperimentPlan:
     matrix_path: str | None = None
 
     def __post_init__(self):
-        self.construction = Construction(self.construction)
-        self.channel_mode = ChannelMode(self.channel_mode)
+        object.__setattr__(self, "construction", Construction(self.construction))
+        object.__setattr__(self, "channel_mode", ChannelMode(self.channel_mode))
         if self.trials < 1:
             raise ValueError("need at least one trial")
         if (self.matrix_path is None) == (self.construction is Construction.CUSTOM):
@@ -90,6 +98,29 @@ class ExperimentPlan:
                 f"matrix_path must be set exactly when the construction is custom, "
                 f"got {self.construction.value} with matrix_path={self.matrix_path!r}"
             )
+
+    @cached_property
+    def enc(self) -> EncodingMatrix:
+        return build_encoding(self)
+
+    @cached_property
+    def fixed(self) -> ChannelRealization | None:
+        return fixed_channel_for(self)
+
+    @cached_property
+    def law(self) -> DistortionLaw:
+        """The law the run must have before its first trial.
+
+        Under a fixed channel every trial runs at that channel's maximal
+        power scaling p, so the law at p / n0 is the run's law. Under
+        per-trial fading the run's law averages the drawn scalings, each at
+        or above the gain floor's, so the law at the floor's scaling bounds
+        it. Raises, as distortion_law does, when there is no such law.
+        """
+        enc, fixed, config = self.enc, self.fixed, self.config
+        min_gain = config.min_gain_floor if fixed is None else fixed.min_gain
+        p = channel.max_power_scaling(min_gain, config)
+        return coding.distortion_law(enc, p / config.n0)
 
     def to_json(self) -> dict:
         return {
@@ -103,10 +134,12 @@ class ExperimentPlan:
 
 @dataclass(eq=False)
 class TrialSet:
-    """Realized distortions, the matrix they ran with, and channel metadata."""
+    """Realized distortions and channel metadata of a plan's run.
+
+    The matrix the trials ran with is ``plan.enc``.
+    """
 
     plan: ExperimentPlan
-    enc: EncodingMatrix
     samples: np.ndarray
     channel_min_gains: np.ndarray
 
@@ -187,26 +220,17 @@ def _run_range(enc, config, fixed, start, stop):
     return samples, min_gains
 
 
-def run_trials(
-    plan: ExperimentPlan,
-    workers: int = 1,
-    enc: EncodingMatrix | None = None,
-    fixed: ChannelRealization | None = None,
-) -> TrialSet:
+def run_trials(plan: ExperimentPlan, workers: int = 1) -> TrialSet:
     """Execute the plan's transmissions at the maximal power scaling.
 
-    The channel is held fixed across trials in the fixed modes and redrawn
-    per trial otherwise; the power scaling is recomputed whenever the
-    channel changes. At most ``os.cpu_count()`` worker processes start, and
-    results are identical for any worker count. ``enc`` and ``fixed`` are
-    the plan's matrix and channel when the caller already holds
-    ``build_encoding(plan)`` and ``fixed_channel_for(plan)``.
+    Reads ``plan.law`` first, so a plan without a law fails before any
+    trial runs. Every trial runs ``plan.enc`` on ``plan.fixed``, or on a
+    channel redrawn per trial when that is None; the power scaling is
+    recomputed whenever the channel changes. At most ``os.cpu_count()``
+    worker processes start, and results are identical for any worker count.
     """
-    if enc is None:
-        enc = build_encoding(plan)
-    if fixed is None:
-        fixed = fixed_channel_for(plan)
-    config = plan.config
+    plan.law  # raises when the run has no law
+    enc, fixed, config = plan.enc, plan.fixed, plan.config
 
     if workers < 1:
         raise ValueError("need at least one worker")
@@ -228,7 +252,6 @@ def run_trials(
 
     return TrialSet(
         plan=plan,
-        enc=enc,
         samples=np.concatenate([p[0] for p in parts]),
         channel_min_gains=np.concatenate([p[1] for p in parts]),
     )
@@ -277,7 +300,7 @@ def theory_for_trials(ts: TrialSet) -> DistortionLaw:
     """
     p, n0 = ts.p_used, ts.plan.config.n0
     rho = p[0] / n0 if (p == p[0]).all() else 1.0 / (n0 * np.mean(1.0 / p))
-    return coding.distortion_law(ts.enc, float(rho))
+    return coding.distortion_law(ts.plan.enc, float(rho))
 
 
 def _blank_row() -> dict:

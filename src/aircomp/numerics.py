@@ -123,8 +123,8 @@ def sample_complex_gaussian(rng: Rng, n: int, variance: float) -> np.ndarray:
     """
     if n < 1:
         raise ValueError("need at least one draw")
-    if variance <= 0:
-        raise ValueError("variance must be positive")
+    if not 0 < variance < math.inf:
+        raise ValueError(f"variance must be positive and finite, got {variance}")
     z = rng.gen.standard_normal((2, n))
     z *= math.sqrt(variance / 2.0)
     # one contiguous copy interleaves the (re, im) pairs
@@ -156,10 +156,10 @@ def regularized_lower_gamma(shape: float, x: float) -> float:
     wherever the upper tail's prefactor x^shape e^-x / Gamma(shape)
     underflows to 0.
     """
-    if shape <= 0:
-        raise ValueError("shape must be positive")
-    if x < 0:
-        raise ValueError("x must be nonnegative")
+    if not 0 < shape < math.inf:
+        raise ValueError(f"shape must be positive and finite, got {shape}")
+    if not x >= 0:
+        raise ValueError(f"x must be nonnegative, got {x}")
     if x == 0.0:
         return 0.0
     # Near x = shape both expansions need O(sqrt(shape)) terms; the early
@@ -251,6 +251,8 @@ def ks_distance(
     if s.ndim != 1:
         raise ValueError("samples must be one-dimensional")
     s = np.sort(s)
+    if np.isnan(s[-1]):  # sort puts NaN last
+        raise ValueError("samples must not be NaN")
     n = s.size
     f = np.fromiter(map(cdf, map(float, s)), dtype=float, count=n)
     steps = np.arange(1, n + 1, dtype=float) / n
@@ -265,6 +267,8 @@ def ks_two_sample(a, b) -> float:
     b = np.sort(np.asarray(b, dtype=float))
     if a.size == 0 or b.size == 0:
         raise EmptySample("two-sample KS needs nonempty samples")
+    if np.isnan(a[-1]) or np.isnan(b[-1]):  # sort puts NaN last
+        raise ValueError("samples must not be NaN")
     pooled = np.concatenate([a, b])
     cdf_a = np.searchsorted(a, pooled, side="right") / a.size
     cdf_b = np.searchsorted(b, pooled, side="right") / b.size

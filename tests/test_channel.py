@@ -33,7 +33,6 @@ from aircomp.errors import (
 from aircomp.experiments import (
     ChannelMode,
     ExperimentPlan,
-    build_encoding,
     fixed_channel_for,
     run_trials,
 )
@@ -133,6 +132,12 @@ class TestSystemConfig:
     def test_float_fields_must_be_finite(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             SystemConfig(**{name: value})
+
+    def test_rician_factor_beyond_float_range_rejected(self):
+        # 10^(3100 / 10) overflows; -3100 dB underflows to a pure-scatter 0
+        with pytest.raises(ValueError, match="3100 dB is beyond the float range"):
+            SystemConfig(rician_kappa_db=3100)
+        assert SystemConfig(rician_kappa_db=-3100).rician_kappa_db == -3100
 
 
 class TestChannelRealization:
@@ -777,8 +782,7 @@ class TestMutationTable:
             channel_mode=ChannelMode.FIXED_FROM_SEED,
         )
         cfg = plan.config
-        enc = build_encoding(plan)
-        fixed = fixed_channel_for(plan)
+        enc, fixed = plan.enc, plan.fixed
         law = DistortionLaw.optimal(
             cfg.l, cfg.l_tilde, cfg.p_w, cfg.rho_x, fixed.min_gain
         )
@@ -787,7 +791,7 @@ class TestMutationTable:
         if bug is not None:
             name, mutate = CHAIN_BUGS[bug]
             monkeypatch.setattr(channel, name, mutate(getattr(channel, name), fixed))
-        samples = run_trials(plan, enc=enc, fixed=fixed).samples
+        samples = run_trials(plan).samples
         holds = chain_identity_holds(enc, *map(np.array, rounds.values()))
         return holds, lo <= samples.mean() / law.mean <= hi
 

@@ -800,6 +800,28 @@ class TestSimulate:
             )
         assert runs == []
 
+    def test_rician_factor_beyond_float_range_fails_before_outputs_exist(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # only the per-trial channel draws read the factor, so the config
+        # itself must reject it
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({
+            "k_users": 10, "l": 5, "l_tilde": 10, "p_w": 1.0, "n0": 1.0,
+            "snr_db": 10.0, "rician_kappa_db": 3100, "min_gain_floor": 1e-6,
+            "master_seed": 0,
+        }))
+        runs = count_calls(monkeypatch, experiments, "run_trials")
+        prefix = str(tmp_path / "kk")
+        code = run_cli(
+            "simulate", "--config", str(cfg_path), "--mode", "rician-per-trial",
+            "--trials", "5", "--out", prefix,
+        )
+        assert_usage_error_before_output(
+            capsys, code, prefix + ".trials.csv", prefix + ".report.json"
+        )
+        assert runs == []
+
     @pytest.mark.parametrize("snr_db", [1000, 1600, 3000])
     def test_extreme_snr_ends_in_an_exit_code(self, tmp_path, capsys, snr_db):
         # Rounding in the chain leaves distortions far above a law this

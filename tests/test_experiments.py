@@ -1,12 +1,13 @@
 import concurrent.futures
+import importlib
 import io
 import math
 import os
+import pathlib
 from dataclasses import replace
 
 import numpy as np
 import pytest
-import scipy.stats
 
 from aircomp import analysis, channel, cli, coding, experiments, numerics
 from aircomp.channel import SystemConfig, all_ones_channel, max_power_scaling, run_round
@@ -19,7 +20,6 @@ from aircomp.experiments import (
     TrialSet,
     Purpose,
     build_encoding,
-    ks_two_sample,
     oracle_equivalence_test,
     run_trials,
     stream_id,
@@ -332,6 +332,89 @@ class TestDistTestCallStructure:
         assert counts["regularized_lower_gamma"] >= n
 
 
+# At this SNR the law's variance overflows at every power scaling the plans
+# below reach, while each trial alone would run.
+LAW_OVERFLOW_DB = -2990.0
+
+
+def overflow_plan(mode):
+    cfg = SystemConfig(p_x=channel.db_to_linear(LAW_OVERFLOW_DB), master_seed=3)
+    return ExperimentPlan(config=cfg, trials=5, channel_mode=mode)
+
+
+class TestLawBeforeTrials:
+    """Every caller reads its plan's law before its first trial."""
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda: run_trials(overflow_plan(ChannelMode.FIXED_UNIT_MIN_GAIN)),
+            lambda: sweep_blocklength(
+                overflow_plan(ChannelMode.FIXED_FROM_SEED), [10, 20]
+            ),
+            lambda: sweep_mse_vs_snr(
+                overflow_plan(ChannelMode.RICIAN_PER_TRIAL), [LAW_OVERFLOW_DB], [0.5]
+            ),
+            lambda: sweep_mse_vs_snr(
+                overflow_plan(ChannelMode.FIXED_UNIT_MIN_GAIN), [LAW_OVERFLOW_DB],
+                [0.5],
+            ),
+        ],
+        ids=["run-trials", "blocklength", "mse-vs-snr-rician", "mse-vs-snr-fixed"],
+    )
+    def test_law_overflow_raises_before_any_round(self, monkeypatch, run):
+        rounds = []
+        original = channel.run_round
+
+        def counted(*args):
+            rounds.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(channel, "run_round", counted)
+        with pytest.raises(ValueError, match="law overflows"):
+            run()
+        assert rounds == []
+
+
+class TestBenchSetupPath:
+    """bench/job.py's prepare, the set-up path the benchmark times.
+
+    It builds each plan's matrix and fixed channel itself, through
+    build_encoding and fixed_channel_for, so a plan that built either on
+    construction would build it twice here.
+    """
+
+    BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
+
+    @pytest.mark.parametrize(
+        "name, plans",
+        [
+            ("simulate-rician", 1),
+            ("dist-test", 1),
+            ("blocklength-sweep", 4),
+            ("construct-check", 0),
+        ],
+    )
+    def test_prepare_builds_once_per_plan(self, monkeypatch, name, plans):
+        monkeypatch.syspath_prepend(str(self.BENCH))
+        job = importlib.import_module("job")
+        workloads = importlib.import_module("workloads")
+        seen = {"build_encoding": [], "fixed_channel_for": []}
+        for fn, calls in seen.items():
+            original = getattr(experiments, fn)
+
+            def recorded(plan, _calls=calls, _original=original):
+                _calls.append(plan)
+                return _original(plan)
+
+            monkeypatch.setattr(experiments, fn, recorded)
+        for argv in workloads.make(name, 0, "unused", scale="tiny").calls:
+            job.prepare(list(argv))
+        builds, channels = seen.values()
+        assert len(builds) == len(channels) == plans
+        assert len({id(plan) for plan in builds + channels}) == plans
+
+
 class TestTrialRange:
     @pytest.mark.parametrize(
         "mode", [ChannelMode.RICIAN_PER_TRIAL, ChannelMode.FIXED_UNIT_MIN_GAIN]
@@ -398,7 +481,6 @@ class TestSummarize:
         plan = fixed_plan(trials=30_000)
         ts = TrialSet(
             plan=plan,
-            enc=build_encoding(plan),
             samples=samples,
             channel_min_gains=np.ones(samples.size),
         )
@@ -430,7 +512,6 @@ class TestSummarize:
         plan = fixed_plan(trials=4)
         ts = TrialSet(
             plan=plan,
-            enc=build_encoding(plan),
             samples=samples,
             # p_x * 0.05 / (rate * p_w) = 1 at 10 dB and rate 1/2
             channel_min_gains=np.full(4, 0.05),
@@ -444,7 +525,6 @@ class TestSummarize:
         plan = fixed_plan(trials=1)
         ts = TrialSet(
             plan=plan,
-            enc=build_encoding(plan),
             samples=np.array([0.05]),
             channel_min_gains=np.ones(1),
         )
@@ -454,7 +534,6 @@ class TestSummarize:
         plan = fixed_plan(trials=1)
         ts = TrialSet(
             plan=plan,
-            enc=build_encoding(plan),
             samples=np.array([]),
             channel_min_gains=np.array([]),
         )
@@ -476,7 +555,7 @@ class TestTheoryForTrials:
         # the mean of 1000 equal values 1/p is one ulp off 1/p; the law at
         # the run's one power scaling is exact at every trial count
         ts = run_trials(fixed_plan(trials=trials, seed=1))
-        exact = coding.distortion_law(ts.enc, 20.0)
+        exact = coding.distortion_law(ts.plan.enc, 20.0)
         assert exact.mean == 0.05
         assert theory_for_trials(ts).mean == exact.mean
 
@@ -511,7 +590,7 @@ class TestIllConditionedMatrix:
         ts = run_trials(plan)
 
         kappa = math.sqrt((2 - lam) / lam)
-        residual = np.linalg.norm(ts.enc.decoder @ ts.enc.phi - np.eye(2), 2)
+        residual = np.linalg.norm(plan.enc.decoder @ plan.enc.phi - np.eye(2), 2)
         assert residual <= self.C * kappa * np.finfo(float).eps / 2
         # the channel is fixed, so the law is exact and its variance is the
         # variance of one trial
@@ -646,22 +725,6 @@ class TestSweepBlocklength:
         )
         with pytest.raises(ValueError):
             sweep_blocklength(plan, [10])
-
-
-class TestKsTwoSample:
-    def test_matches_scipy(self):
-        a = Rng(24).gen.exponential(size=400)
-        b = Rng(25).gen.exponential(size=300)
-        ours = ks_two_sample(a, b)
-        theirs = scipy.stats.ks_2samp(a, b, method="asymp").statistic
-        assert ours == pytest.approx(theirs, abs=1e-12)
-
-    def test_disjoint_samples(self):
-        assert ks_two_sample([0.0, 1.0], [5.0, 6.0]) == 1.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(EmptySample):
-            ks_two_sample([], [1.0])
 
 
 class TestOracleEquivalence:

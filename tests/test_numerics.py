@@ -10,11 +10,12 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aircomp import coding
+from aircomp import analysis, channel, coding
 from aircomp.errors import EmptySample, RankDeficient
 from aircomp.numerics import (
     Rng,
     ks_distance,
+    ks_two_sample,
     qr_orthonormal,
     regularized_lower_gamma,
     sample_complex_gaussian,
@@ -374,3 +375,87 @@ class TestKsDistance:
     def test_two_dimensional_rejected(self):
         with pytest.raises(ValueError, match="one-dimensional"):
             ks_distance([[0.0, 1.0]], lambda x: 0.5)
+
+
+class TestKsTwoSample:
+    def test_matches_scipy(self):
+        a = Rng(24).gen.exponential(size=400)
+        b = Rng(25).gen.exponential(size=300)
+        ours = ks_two_sample(a, b)
+        theirs = scipy.stats.ks_2samp(a, b, method="asymp").statistic
+        assert ours == pytest.approx(theirs, abs=1e-12)
+
+    def test_disjoint_samples(self):
+        assert ks_two_sample([0.0, 1.0], [5.0, 6.0]) == 1.0
+
+    def test_empty_rejected(self):
+        with pytest.raises(EmptySample):
+            ks_two_sample([], [1.0])
+
+
+def _precode(p):
+    code = coding.construct_repetition(2)
+    return channel.encode_and_precode(code, np.ones(2, dtype=complex), 1.0 + 0j, p)
+
+
+def _decode(p):
+    return channel.decode_sum(coding.construct_repetition(2), np.ones(2), p)
+
+
+def _unit_law_cdf(x):
+    return analysis.DistortionLaw(np.ones(2), 1.0).cdf(x)
+
+
+# (call, the range rule's message): NaN fails every rule written as a
+# negated comparison, and so do an infinite shape and power scaling.
+NON_NUMBER_INPUTS = {
+    "epsilon-rate-bound": (
+        lambda: analysis.epsilon_rate_bound(math.nan, 10.0, 1.0, 1.0),
+        "epsilon must be positive",
+    ),
+    "chernoff-tail": (
+        lambda: analysis.chernoff_tail(math.nan, 1.0), "shape must be positive"
+    ),
+    "min-source-length": (
+        lambda: analysis.min_source_length(0.2, math.nan), "eta must be positive"
+    ),
+    "gamma-x-nan": (
+        lambda: regularized_lower_gamma(1.0, math.nan), "x must be nonnegative"
+    ),
+    "gamma-shape-nan": (
+        lambda: regularized_lower_gamma(math.nan, 1.0), "shape must be positive"
+    ),
+    "gamma-shape-inf": (
+        lambda: regularized_lower_gamma(math.inf, 1.0), "shape must be positive"
+    ),
+    "law-cdf": (lambda: _unit_law_cdf(math.nan), "x must be nonnegative"),
+    "complex-gaussian": (
+        lambda: sample_complex_gaussian(Rng(0), 2, math.nan),
+        "variance must be positive",
+    ),
+    "precode-p-nan": (lambda: _precode(math.nan), "power scaling must be positive"),
+    "precode-p-inf": (lambda: _precode(math.inf), "power scaling must be positive"),
+    "decode-p-nan": (lambda: _decode(math.nan), "power scaling must be positive"),
+    "decode-p-inf": (lambda: _decode(math.inf), "power scaling must be positive"),
+    "ks-two-sample-first": (
+        lambda: ks_two_sample([0.1, math.nan], [0.1, 0.2]), "must not be NaN"
+    ),
+    "ks-two-sample-second": (
+        lambda: ks_two_sample([0.1, 0.2], [math.nan, 0.1]), "must not be NaN"
+    ),
+    "ks-distance": (
+        lambda: ks_distance([0.1, math.nan], _unit_law_cdf), "must not be NaN"
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "call, message", NON_NUMBER_INPUTS.values(), ids=NON_NUMBER_INPUTS.keys()
+)
+def test_non_numbers_fail_the_range_rules(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_gamma_cdf_at_infinity_is_one():
+    assert _unit_law_cdf(math.inf) == 1.0
