@@ -26,7 +26,7 @@ from enum import Enum
 
 import numpy as np
 
-from .numerics import Rng, regularized_lower_gamma
+from .numerics import Rng, regularized_lower_gamma, require_code_shape
 
 
 class Criterion(str, Enum):
@@ -98,8 +98,7 @@ class DistortionLaw:
         rate * p_w / (rho_x * min_gain) falls with the coding rate and whose
         variance shrinks as 1 / l_tilde at fixed rate.
         """
-        if l < 1 or l_tilde < l:
-            raise ValueError("need l_tilde >= l >= 1")
+        require_code_shape(l_tilde, l)
         _require_positive(p_w=p_w, rho_x=rho_x, min_gain=min_gain)
         return cls(np.ones(l), rho_x * min_gain / (l / l_tilde * p_w))
 
@@ -162,12 +161,14 @@ _TAIL_SERIES_TERMS = 20
 def _tail_exponent(eta: float) -> float:
     """eta - ln(1 + eta), the Chernoff exponent per unit of Gamma shape.
 
-    Direct from eta = 0.1 on (so those values keep their exact bits);
-    below it, the alternating series eta^2/2 - eta^3/3 + ... in Horner
-    form, which stays accurate down to eta^2 underflowing to zero.
+    Direct from eta = 0.1 on (so those values keep their exact bits), and
+    inf at eta = inf; below 0.1, the alternating series eta^2/2 - eta^3/3
+    + ... in Horner form, which stays accurate down to eta^2 underflowing
+    to zero.
     """
     if eta >= _TAIL_SERIES_BELOW:
-        return eta - math.log1p(eta)
+        # inf - log1p(inf) would be NaN
+        return eta - math.log1p(eta) if eta < math.inf else eta
     acc = 0.0
     for k in range(_TAIL_SERIES_TERMS, 1, -1):
         acc = 1.0 / k - eta * acc

@@ -15,9 +15,11 @@ P_X is P* = P_X * min_k|h_k|^2 / (R * P_W) with R = l / l_tilde.
 run_round is the one stage that reads a round's random stream: it draws
 the sources, then the noise, and hands the noise to superpose, which draws
 nothing. Channel inversion needs every |h_k|^2 at or above the configured
-gain floor. sample_rician enforces it when it draws, by redrawing weak
-users; run_round checks it once per round for any channel it is handed, so
-encode_and_precode does not re-check it per user.
+gain floor, a rule require_gain_floor states once. sample_rician meets it
+when it draws, by redrawing weak users; run_round applies it once per
+round to any channel it is handed, so encode_and_precode does not re-check
+it per user, and experiments.fixed_channel_for applies it to a run's fixed
+channel before the first trial.
 
 Convention: CN(0, v) per complex entry means the real and imaginary parts
 carry variance v/2 each. dB quantities convert as x -> 10^(x/10).
@@ -27,17 +29,19 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .coding import EncodingMatrix
-from .errors import (
-    FloorUnsatisfiable,
-    ShapeMismatch,
-    ZeroChannel,
+from .errors import FloorUnsatisfiable, ShapeMismatch, ZeroChannel
+from .numerics import (
+    Rng,
+    exact_int,
+    finite_float,
+    require_code_shape,
+    sample_complex_gaussian,
 )
-from .numerics import Rng, exact_int, finite_float, sample_complex_gaussian
 
 DEFAULT_MIN_GAIN_FLOOR = 1e-6
 
@@ -77,6 +81,9 @@ class SystemConfig:
     ``p_w`` the per-entry source power; ``n0`` the per-entry noise power.
     Defaults reproduce the reference regime (10 users, 5-dim sources, unit
     powers, 5 dB Rician factor) at a 10 dB transmit-SNR cap and rate 1/2.
+    The code shape must be tall (``numerics.require_code_shape``, whose
+    InvalidShape is a ValueError). ``at_snr_db`` maps a dB cap to p_x and
+    ``snr_db`` maps p_x back.
     """
 
     k_users: int = 10
@@ -92,8 +99,7 @@ class SystemConfig:
     def __post_init__(self):
         if self.k_users < 1:
             raise ValueError("need at least one user")
-        if self.l < 1 or self.l_tilde < self.l:
-            raise ValueError("need l_tilde >= l >= 1")
+        require_code_shape(self.l_tilde, self.l)
         for name in ("p_w", "n0", "p_x", "rician_kappa_db", "min_gain_floor"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
@@ -126,12 +132,16 @@ class SystemConfig:
                 return candidate
         return db
 
+    def at_snr_db(self, snr_db: float) -> "SystemConfig":
+        """This config at transmit-SNR cap ``snr_db``: p_x = n0 * 10^(snr_db / 10)."""
+        return replace(self, p_x=self.n0 * db_to_linear(snr_db))
+
     @classmethod
     def from_json(cls, path) -> "SystemConfig":
         """Load a config file with keys exactly CONFIG_KEYS.
 
-        The file carries the SNR cap in dB; p_x is derived as
-        n0 * 10^(snr_db / 10).
+        The file carries the SNR cap in dB, which ``at_snr_db`` maps to p_x
+        once every other field has passed its rule.
         """
         with open(path, "r", encoding="utf-8") as fh:
             blob = json.load(fh)
@@ -148,7 +158,7 @@ class SystemConfig:
             )
         values = {key: read(blob[key], key) for key, read in CONFIG_KEYS.items()}
         snr_db = values.pop("snr_db")
-        return cls(**values, p_x=values["n0"] * db_to_linear(snr_db))
+        return cls(**values).at_snr_db(snr_db)
 
     def to_json(self) -> dict:
         """The CONFIG_KEYS that from_json reads, in that order."""
@@ -239,6 +249,15 @@ def max_power_scaling(
     return config.p_x * min_gain / (config.rate * config.p_w)
 
 
+def require_gain_floor(channel: ChannelRealization, config: SystemConfig) -> None:
+    """The one floor rule: ZeroChannel unless min_gain >= config.min_gain_floor."""
+    if channel.min_gain < config.min_gain_floor:
+        raise ZeroChannel(
+            f"channel gain {channel.min_gain:.3e} below floor "
+            f"{config.min_gain_floor:.3e}"
+        )
+
+
 def encode_and_precode(
     enc: EncodingMatrix,
     w_k: np.ndarray,
@@ -297,7 +316,8 @@ def run_round(
 
     Returns the distortion, the per-dimension squared error
     ||w_hat - w||^2 / l of the decoded sum against the true sum. Raises
-    ZeroChannel when the channel's min_gain is below config.min_gain_floor.
+    ZeroChannel, by require_gain_floor, when the channel's min_gain is below
+    config.min_gain_floor.
     """
     if enc.l != config.l or enc.l_tilde != config.l_tilde:
         raise ShapeMismatch(
@@ -309,11 +329,7 @@ def run_round(
             f"channel has {channel.k_users} coefficients for "
             f"{config.k_users} users"
         )
-    if channel.min_gain < config.min_gain_floor:
-        raise ZeroChannel(
-            f"channel gain {channel.min_gain:.3e} below floor "
-            f"{config.min_gain_floor:.3e}"
-        )
+    require_gain_floor(channel, config)
     sources = sample_sources(config, rng)
     noise = sample_complex_gaussian(rng, config.l_tilde, config.n0)
     transmit = np.empty((config.k_users, config.l_tilde), dtype=np.complex128)

@@ -79,9 +79,9 @@ def _print_validation(report: coding.ValidationReport) -> None:
 
 
 def cmd_construct(args) -> int:
-    # the construction stream, so that simulate --seed S runs this matrix
-    rng = Rng(args.seed, stream_id(Purpose.CONSTRUCT))
-    enc = coding.construct_random_orthonormal(args.l_tilde, args.l, rng)
+    # the matrix simulate --seed S builds, by the same recipe
+    config = SystemConfig(l=args.l, l_tilde=args.l_tilde, master_seed=args.seed)
+    enc = ExperimentPlan(config).enc
     report = _validate(enc, args)
     gram = enc.phi.conj().T @ enc.phi
     gram_error = float(np.max(np.abs(gram - np.eye(enc.l))))
@@ -297,9 +297,8 @@ def cmd_figures(args) -> int:
         path = os.path.join(args.out_dir, "fig3_rate_regions.csv")
     else:
         trials = 500 if args.trials is None else args.trials
-        snr15 = replace(config, p_x=config.n0 * db_to_linear(15.0))
         base = ExperimentPlan(
-            config=snr15,
+            config=config.at_snr_db(15.0),
             trials=trials,
             channel_mode=ChannelMode.FIXED_FROM_SEED,
         )

@@ -33,6 +33,7 @@ from .numerics import (
     exact_int,
     finite_float,
     qr_orthonormal,
+    require_code_shape,
     sample_complex_gaussian,
     sample_subsets,
 )
@@ -124,11 +125,7 @@ class EncodingMatrix:
         if phi.ndim != 2:
             raise InvalidShape("encoding matrix must be 2-D")
         self.l_tilde, self.l = phi.shape
-        if self.l < 1 or self.l_tilde < self.l:
-            raise InvalidShape(
-                f"encoding shape needs l_tilde >= l >= 1, got "
-                f"({self.l_tilde}, {self.l})"
-            )
+        require_code_shape(self.l_tilde, self.l)
         if not np.isfinite(phi).all():
             raise ValueError("encoding matrix entries must be finite")
         if 0 < (largest := float(np.abs(phi).max())) < _TINY:
@@ -179,10 +176,7 @@ def construct_random_orthonormal(l_tilde: int, l: int, rng: Rng) -> EncodingMatr
     and the row-subset rank condition holds almost surely. Deterministic
     given the rng key.
     """
-    if l < 1 or l_tilde < l:
-        raise InvalidShape(
-            f"need l_tilde >= l >= 1, got ({l_tilde}, {l})"
-        )
+    require_code_shape(l_tilde, l)
     a = sample_complex_gaussian(rng, l_tilde * l, 1.0).reshape(l_tilde, l)
     return EncodingMatrix(qr_orthonormal(a))
 
@@ -194,10 +188,9 @@ def construct_repetition(l: int, m: int = 1) -> EncodingMatrix:
     identity (so the expected distortion is optimal), but duplicate rows
     break the row-subset rank condition, which validation will flag.
     """
-    if l < 1:
-        raise InvalidShape("need l >= 1")
     if m < 1:
         raise InvalidShape("need at least one repetition block")
+    require_code_shape(m * l, l)
     phi = np.tile(np.eye(l, dtype=np.complex128), (m, 1)) / math.sqrt(m)
     return EncodingMatrix(phi)
 

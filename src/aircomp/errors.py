@@ -13,15 +13,20 @@ class EmptySample(AirCompError):
     """A statistic was requested on an empty sample set."""
 
 
-class InvalidShape(AirCompError):
-    """Encoding-matrix dimensions violate l_tilde >= l >= 1."""
+class InvalidShape(AirCompError, ValueError):
+    """Code dimensions violate a shape rule, such as l_tilde >= l >= 1.
+
+    Also a ValueError, like the other range errors of the constructors that
+    raise it (``SystemConfig``, ``DistortionLaw.optimal``).
+    """
 
 
 class ZeroChannel(AirCompError):
     """A channel gain is too weak to invert.
 
-    Raised by run_round for a min_gain below config.min_gain_floor and by
-    ChannelRealization for a zero gain.
+    Raised by ``channel.require_gain_floor`` for a min_gain below
+    config.min_gain_floor, which run_round and experiments.fixed_channel_for
+    apply, and by ChannelRealization for a zero gain.
     """
 
 

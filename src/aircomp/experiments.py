@@ -179,12 +179,21 @@ def build_encoding(plan: ExperimentPlan) -> EncodingMatrix:
 
 
 def fixed_channel_for(plan: ExperimentPlan) -> ChannelRealization | None:
+    """The channel every trial of the plan runs on; None under per-trial fading.
+
+    Raises ZeroChannel (``channel.require_gain_floor``) when that channel is
+    below the plan's gain floor, so a plan's law, which reads this channel,
+    fails before any trial runs.
+    """
+    if plan.channel_mode is ChannelMode.RICIAN_PER_TRIAL:
+        return None
     if plan.channel_mode is ChannelMode.FIXED_UNIT_MIN_GAIN:
-        return channel.all_ones_channel(plan.config.k_users)
-    if plan.channel_mode is ChannelMode.FIXED_FROM_SEED:
+        fixed = channel.all_ones_channel(plan.config.k_users)
+    else:
         rng = Rng(plan.config.master_seed, stream_id(Purpose.CHANNEL, 0))
-        return channel.sample_rician(plan.config, rng)
-    return None
+        fixed = channel.sample_rician(plan.config, rng)
+    channel.require_gain_floor(fixed, plan.config)
+    return fixed
 
 
 def _run_range(enc, config, fixed, start, stop):
@@ -361,11 +370,8 @@ def sweep_mse_vs_snr(
     rows = []
     for snr_db in snr_db_values:
         for scheme, rate, construction, path in schemes:
-            config = replace(
-                base.config,
-                l_tilde=_integral_blocklength(base.config.l, base.config.l / rate)[1],
-                p_x=base.config.n0 * channel.db_to_linear(snr_db),
-            )
+            l_tilde = _integral_blocklength(base.config.l, base.config.l / rate)[1]
+            config = replace(base.config, l_tilde=l_tilde).at_snr_db(snr_db)
             plan = replace(
                 base, config=config, construction=construction, matrix_path=path
             )

@@ -3,11 +3,11 @@
 Domain-free building blocks: seeded random streams, orthonormalization,
 circularly symmetric Gaussian sampling, uniform random subsets, the
 regularized lower incomplete gamma function, the one- and two-sample
-Kolmogorov-Smirnov statistics, the rank rule, and the rules for counts and
-numbers read from input files. Spectra and pseudo-inverses of an encoding
-matrix come from its one cached SVD (``coding.EncodingMatrix.svd``).
-Matrix routines operate on complex128 numpy arrays; callers own the domain
-semantics of rows and columns.
+Kolmogorov-Smirnov statistics, the rank rule, the code-shape rule, and the
+rules for counts and numbers read from input files. Spectra and
+pseudo-inverses of an encoding matrix come from its one cached SVD
+(``coding.EncodingMatrix.svd``). Matrix routines operate on complex128
+numpy arrays; callers own the domain semantics of rows and columns.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import EmptySample, RankDeficient
+from .errors import EmptySample, InvalidShape, RankDeficient
 
 # The one rank rule: a matrix counts as full column rank iff
 # min_sv > RANK_TOLERANCE * max_sv.
@@ -273,6 +273,12 @@ def ks_two_sample(a, b) -> float:
     cdf_a = np.searchsorted(a, pooled, side="right") / a.size
     cdf_b = np.searchsorted(b, pooled, side="right") / b.size
     return float(np.max(np.abs(cdf_a - cdf_b)))
+
+
+def require_code_shape(l_tilde: int, l: int) -> None:
+    """The one code-shape rule: a tall code, l_tilde >= l >= 1 (InvalidShape)."""
+    if not 1 <= l <= l_tilde:
+        raise InvalidShape(f"need l_tilde >= l >= 1, got ({l_tilde}, {l})")
 
 
 def exact_int(value, name: str) -> int:

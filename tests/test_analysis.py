@@ -246,6 +246,12 @@ class TestTailExponent:
         # the values dist-test, figures 3 and the CLI defaults use keep their bits
         assert _tail_exponent(eta) == eta - math.log1p(eta)
 
+    def test_infinite_slack(self):
+        # eta - log1p(eta) would be inf - inf; the bound is exp(-inf) = 0
+        assert _tail_exponent(math.inf) == math.inf
+        assert chernoff_tail(1.0, math.inf) == 0.0
+        assert min_source_length(0.2, math.inf) == 1
+
     def test_chernoff_tail_shares_it(self):
         eta = 1e-6
         assert chernoff_tail(2e12, eta) == pytest.approx(

@@ -101,6 +101,20 @@ class TestSystemConfig:
         write_config(path, n0=n0, snr_db=2.4)
         assert SystemConfig.from_json(path).snr_db == 2.4
 
+    def test_at_snr_db_is_the_inverse_of_snr_db(self, tmp_path):
+        cfg = SystemConfig(n0=2.0).at_snr_db(10.0)
+        assert cfg.p_x == 2.0 * db_to_linear(10.0)
+        assert cfg.snr_db == 10.0
+        path = tmp_path / "config.json"
+        write_config(path, n0=0.37, snr_db=2.4)
+        assert SystemConfig.from_json(path) == SystemConfig(n0=0.37).at_snr_db(2.4)
+
+    def test_from_json_reports_a_bad_field_before_a_bad_snr_db(self, tmp_path):
+        path = tmp_path / "config.json"
+        write_config(path, p_w=-1.0, snr_db=4000.0)
+        with pytest.raises(ValueError, match="p_w must be positive"):
+            SystemConfig.from_json(path)
+
     def test_from_json_rejects_missing_key(self, tmp_path):
         path = tmp_path / "config.json"
         blob = write_config(path)
@@ -606,6 +620,20 @@ class TestRunRound:
         else:
             p = max_power_scaling(ch.min_gain, cfg)
             assert math.isfinite(run_round(enc, cfg, ch, p, Rng(51)))
+
+    @pytest.mark.parametrize("floor, rejected", [(1.0, False), (2.0, True)])
+    def test_fixed_channel_meets_the_floor(self, floor, rejected):
+        # the all-ones channel has min_gain 1; the plan rejects it, as
+        # run_round would, before any trial
+        plan = ExperimentPlan(
+            config=SystemConfig(min_gain_floor=floor),
+            channel_mode=ChannelMode.FIXED_UNIT_MIN_GAIN,
+        )
+        if rejected:
+            with pytest.raises(ZeroChannel, match=r"below floor 2\.000e\+00"):
+                fixed_channel_for(plan)
+        else:
+            assert fixed_channel_for(plan).min_gain == 1.0
 
     @pytest.mark.parametrize(
         "case", ["rician-10x5", "skewed-diag", "single-column", "one-user"]

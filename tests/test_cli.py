@@ -80,7 +80,7 @@ class TestConstruct:
         assert a.read_bytes() == b.read_bytes()
 
     def test_wide_shape_is_usage_error(self, tmp_path, capsys):
-        # rejected by construct_random_orthonormal, not by the CLI
+        # rejected by the config's shape rule, not by the CLI
         out = tmp_path / "x.json"
         code = run_cli("construct", "--l", "5", "--l-tilde", "4", "--out", str(out))
         assert_usage_error_before_output(capsys, code, out)
@@ -108,6 +108,25 @@ class TestConstruct:
             "--out", str(tmp_path / "x.json"), "--strict",
         )
         assert code == 0
+
+    def test_strict_fails_on_a_rank_deficient_matrix(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # two stacked identity blocks: orthonormal columns, duplicate rows
+        monkeypatch.setattr(
+            coding, "construct_random_orthonormal",
+            lambda l_tilde, l, rng: coding.construct_repetition(5, 2),
+        )
+        out = tmp_path / "x.json"
+        code = run_cli(
+            "construct", "--l", "5", "--l-tilde", "10", "--out", str(out),
+            "--strict",
+        )
+        captured = capsys.readouterr().out
+        assert code == 1
+        assert "orthonormal: ok" in captured
+        assert "rank_ok: false" in captured
+        assert json.loads(out.read_text())["rows"] == 10
 
     def test_negative_max_exhaustive_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "a.json"
@@ -160,6 +179,25 @@ class TestCheck:
         coding.save_matrix(coding.construct_repetition(2), path)
         assert run_cli("check", "--matrix", str(path), "--samples", "0") == 2
         assert capsys.readouterr().err.startswith("error: --samples")
+
+    def test_strict_fails_on_a_rank_deficient_matrix(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # two stacked identity blocks: orthonormal columns, duplicate rows
+        monkeypatch.setattr(
+            coding, "construct_random_orthonormal",
+            lambda l_tilde, l, rng: coding.construct_repetition(5, 2),
+        )
+        out = tmp_path / "x.json"
+        code = run_cli(
+            "construct", "--l", "5", "--l-tilde", "10", "--out", str(out),
+            "--strict",
+        )
+        captured = capsys.readouterr().out
+        assert code == 1
+        assert "orthonormal: ok" in captured
+        assert "rank_ok: false" in captured
+        assert json.loads(out.read_text())["rows"] == 10
 
     def test_negative_max_exhaustive_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "phi.json"
@@ -839,6 +877,30 @@ class TestSimulate:
         )
         capsys.readouterr()
         assert code in (0, 2)
+
+    def test_fixed_channel_below_floor_fails_before_outputs_exist(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # the all-ones channel has min_gain 1, below this floor
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({
+            "k_users": 10, "l": 5, "l_tilde": 10, "p_w": 1.0, "n0": 1.0,
+            "snr_db": 10.0, "rician_kappa_db": 5.0, "min_gain_floor": 2.0,
+            "master_seed": 0,
+        }))
+        runs = count_calls(monkeypatch, experiments, "run_trials")
+        prefix = str(tmp_path / "o")
+        code = run_cli(
+            "simulate", "--config", str(cfg_path), "--mode", "fixed-unit",
+            "--trials", "5", "--out", prefix,
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == "error: channel gain 1.000e+00 below floor 2.000e+00\n"
+        assert captured.out == ""
+        for suffix in (".trials.csv", ".report.json"):
+            assert not os.path.exists(prefix + suffix)
+        assert runs == []
 
     def test_failure_during_trials_leaves_empty_outputs(self, tmp_path, capsys):
         # A floor no Rician draw clears passes the law check and the output

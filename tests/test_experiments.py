@@ -12,7 +12,12 @@ import pytest
 from aircomp import analysis, channel, cli, coding, experiments, numerics
 from aircomp.channel import SystemConfig, all_ones_channel, max_power_scaling, run_round
 from aircomp.coding import Construction, construct_random_orthonormal
-from aircomp.errors import EmptySample, InvalidShape, NonIntegralBlocklength
+from aircomp.errors import (
+    EmptySample,
+    InvalidShape,
+    NonIntegralBlocklength,
+    ZeroChannel,
+)
 from aircomp.experiments import (
     CSV_HEADER,
     ChannelMode,
@@ -372,6 +377,39 @@ class TestLawBeforeTrials:
 
         monkeypatch.setattr(channel, "run_round", counted)
         with pytest.raises(ValueError, match="law overflows"):
+            run()
+        assert rounds == []
+
+
+def below_floor_plan():
+    """A fixed-unit plan, min_gain 1, under a gain floor of 2."""
+    cfg = SystemConfig(min_gain_floor=2.0, master_seed=3)
+    return ExperimentPlan(
+        config=cfg, trials=5, channel_mode=ChannelMode.FIXED_UNIT_MIN_GAIN
+    )
+
+
+class TestFloorBeforeTrials:
+    """A fixed channel below the gain floor fails before the first trial."""
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda: run_trials(below_floor_plan()),
+            lambda: sweep_mse_vs_snr(below_floor_plan(), [10.0], [0.5]),
+        ],
+        ids=["run-trials", "mse-vs-snr"],
+    )
+    def test_floor_raises_before_any_round(self, monkeypatch, run):
+        rounds = []
+        original = channel.run_round
+
+        def counted(*args):
+            rounds.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(channel, "run_round", counted)
+        with pytest.raises(ZeroChannel, match=r"1\.000e\+00 below floor 2\.000e\+00"):
             run()
         assert rounds == []
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aircomp import analysis, channel, coding
-from aircomp.errors import EmptySample, RankDeficient
+from aircomp.errors import EmptySample, InvalidShape, RankDeficient
 from aircomp.numerics import (
     Rng,
     ks_distance,
@@ -459,3 +459,22 @@ def test_non_numbers_fail_the_range_rules(call, message):
 
 def test_gamma_cdf_at_infinity_is_one():
     assert _unit_law_cdf(math.inf) == 1.0
+
+
+# A wide code, l_tilde = 4 < l = 5, at every entry point that takes a shape
+WIDE_SHAPE_INPUTS = {
+    "system-config": lambda: channel.SystemConfig(l=5, l_tilde=4),
+    "encoding-matrix": lambda: coding.EncodingMatrix(np.ones((4, 5))),
+    "random-orthonormal": lambda: coding.construct_random_orthonormal(4, 5, Rng(0)),
+    "optimal-law": lambda: analysis.DistortionLaw.optimal(5, 4, 1.0, 10.0, 1.0),
+}
+
+
+@pytest.mark.parametrize(
+    "call", WIDE_SHAPE_INPUTS.values(), ids=WIDE_SHAPE_INPUTS.keys()
+)
+def test_one_shape_rule(call):
+    with pytest.raises(InvalidShape) as info:
+        call()
+    assert isinstance(info.value, ValueError)
+    assert str(info.value) == "need l_tilde >= l >= 1, got (4, 5)"
