@@ -35,6 +35,9 @@ class Criterion(str, Enum):
     EPSILON_DELTA = "epsilon_delta"
 
 
+_TINY = float(np.finfo(np.float64).tiny)
+
+
 def _require_positive(**values) -> None:
     for name, value in values.items():
         if not value > 0:  # NaN fails too
@@ -118,9 +121,28 @@ def epsilon_rate_bound(
     epsilon as the blocklength grows) yields the identical value; the rate
     region sweep reports it once under each criterion. The probabilistic
     criterion at slack eta takes the bound at epsilon / (1 + eta).
+
+    The product runs on the four mantissas, which stay in [1/8, 2), with
+    the binary exponents summed apart, so no intermediate overflows or
+    underflows; where the direct product epsilon * rho_x * min_gain / p_w
+    has normal intermediates, it rounds the same way and gives the same
+    bits. Raises ValueError when the bound is below the smallest normal
+    float.
     """
     _require_positive(epsilon=epsilon, rho_x=rho_x, min_gain=min_gain, p_w=p_w)
-    return min(1.0, epsilon * rho_x * min_gain / p_w)
+    (me, ee), (mr, er), (mg, eg), (mp, ep) = map(
+        math.frexp, (epsilon, rho_x, min_gain, p_w)
+    )
+    exponent = ee + er + eg - ep
+    if exponent > 3:  # the mantissa product is at least 1/8
+        return 1.0
+    bound = math.ldexp(me * mr * mg / mp, exponent)
+    if bound < _TINY:
+        raise ValueError(
+            f"the rate bound for epsilon={epsilon}, rho_x={rho_x}, "
+            f"min_gain={min_gain}, p_w={p_w} underflows the float range"
+        )
+    return min(1.0, bound)
 
 
 def min_source_length(delta: float, eta: float) -> int:

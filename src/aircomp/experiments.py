@@ -115,12 +115,17 @@ class ExperimentPlan:
         power scaling p, so the law at p / n0 is the run's law. Under
         per-trial fading the run's law averages the drawn scalings, each at
         or above the gain floor's, so the law at the floor's scaling bounds
-        it. Raises, as distortion_law does, when there is no such law.
+        it, and the floor's scaling must also pass the averaging arithmetic
+        of ``theory_for_trials``, whose 1 / p is largest there. Raises, as
+        distortion_law does, when there is no such law.
         """
         enc, fixed, config = self.enc, self.fixed, self.config
         min_gain = config.min_gain_floor if fixed is None else fixed.min_gain
         p = channel.max_power_scaling(min_gain, config)
-        return coding.distortion_law(enc, p / config.n0)
+        law = coding.distortion_law(enc, p / config.n0)
+        if fixed is None:
+            coding.distortion_law(enc, _averaged_snr(np.array([p]), config.n0))
+        return law
 
     def to_json(self) -> dict:
         return {
@@ -308,8 +313,22 @@ def theory_for_trials(ts: TrialSet) -> DistortionLaw:
     only the law's mean, averaged over the realized scalings, applies.
     """
     p, n0 = ts.p_used, ts.plan.config.n0
-    rho = p[0] / n0 if (p == p[0]).all() else 1.0 / (n0 * np.mean(1.0 / p))
+    rho = p[0] / n0 if (p == p[0]).all() else _averaged_snr(p, n0)
     return coding.distortion_law(ts.plan.enc, float(rho))
+
+
+def _averaged_snr(p: np.ndarray, n0: float) -> float:
+    """1 / (n0 mean(1 / p)), quietly 0 or inf where it leaves the float range.
+
+    A sum of 1 / p that overflows is taken again relative to the least p,
+    so the mean is finite whenever 1 / min(p) is.
+    """
+    with np.errstate(over="ignore", divide="ignore"):
+        inverse_mean = np.mean(1.0 / p)
+        if inverse_mean == np.inf:
+            least = p.min()
+            inverse_mean = np.mean(least / p) / least
+        return float(1.0 / (n0 * inverse_mean))
 
 
 def _blank_row() -> dict:

@@ -180,6 +180,35 @@ class TestRateBounds:
             epsilon_rate_bound(0.02, 10.0, 1.0, 1.0), rel=1e-9
         )
 
+    def test_exact_beyond_float_range(self):
+        # epsilon * rho_x alone overflows, and 5e-324 * 1e-300 underflows
+        assert epsilon_rate_bound(1e300, 1e300, 1e-300, 1e305) == pytest.approx(
+            1e-5, rel=1e-15
+        )
+        assert epsilon_rate_bound(1e300 / 2, 1e300, 1e-300, 1e305) == pytest.approx(
+            5e-6, rel=1e-15
+        )
+        assert epsilon_rate_bound(5e-324, 1e-300, 1e300, 1e-300) == pytest.approx(
+            5e-24, rel=2e-3
+        )
+
+    @pytest.mark.parametrize(
+        "epsilon, rho", [(0.02, 10**1.5), (0.01, 10.0), (3e-7, 1e5), (0.7, 0.3)]
+    )
+    @pytest.mark.parametrize("g, p_w", [(1.0, 1.0), (1e-6, 3.0), (0.37, 1e-4)])
+    def test_same_bits_as_the_direct_product(self, epsilon, rho, g, p_w):
+        assert epsilon_rate_bound(epsilon, rho, g, p_w) == min(
+            1.0, epsilon * rho * g / p_w
+        )
+
+    @pytest.mark.parametrize(
+        "args", [(1e-300, 1e-300, 1.0, 1.0), (1e-200, 1e-100, 1e-10, 1.0),
+                 (1e-10, 1e-10, 1e-10, 1e300)]
+    )
+    def test_underflow_is_value_error(self, args):
+        with pytest.raises(ValueError, match="underflows the float range"):
+            epsilon_rate_bound(*args)
+
     @settings(max_examples=100, deadline=None)
     @given(epsilon=positive, eta=positive, rho=positive, g=positive, p_w=positive)
     def test_property_region_nesting(self, epsilon, eta, rho, g, p_w):

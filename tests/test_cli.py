@@ -382,6 +382,23 @@ class TestRegions:
         for line in out.splitlines()[1:]:
             assert line.split(",")[2] == "1"
 
+    def test_bounds_beyond_float_range_are_exact(self, capsys):
+        # epsilon * rho_x = 1e600 overflows on its way to 1e-5
+        code = run_cli(
+            "regions", "--epsilon", "1e300", "--snr-db", "3000",
+            "--min-gain", "1e-300", "--p-w", "1e305",
+        )
+        out = capsys.readouterr().out
+        assert code == 0
+        assert [line.split(",")[2] for line in out.splitlines()[1:]] == [
+            "1e-05", "1e-05", "5e-06"
+        ]
+
+    def test_underflowing_bound_is_usage_error(self, capsys):
+        # the bound is 1e-600
+        code = run_cli("regions", "--epsilon", "1e-300", "--snr-db", "-3000")
+        assert_usage_error_before_output(capsys, code)
+
     def test_bad_delta_is_usage_error(self, capsys):
         code = run_cli(
             "regions", "--epsilon", "0.02", "--delta", "1.5", "--snr-db", "15"
@@ -798,6 +815,31 @@ class TestSimulate:
         assert captured.out == ""
         assert not (tmp_path / "run.trials.csv").exists()
         assert not (tmp_path / "run.report.json").exists()
+        assert runs == []
+
+    def test_subnormal_power_scaling_fails_before_outputs_exist(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # p_x = 1e-310, so each drawn scaling's 1 / p overflows in the
+        # averaged law's arithmetic; the floor's scaling, the least of all,
+        # fails it before any trial
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({
+            "k_users": 10, "l": 5, "l_tilde": 10, "p_w": 1.0, "n0": 1e-300,
+            "snr_db": -100, "rician_kappa_db": 5.0, "min_gain_floor": 1e-6,
+            "master_seed": 0,
+        }))
+        runs = count_calls(monkeypatch, experiments, "run_trials")
+        prefix = str(tmp_path / "run")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli(
+                "simulate", "--config", str(cfg_path), "--mode", "rician-per-trial",
+                "--trials", "20", "--out", prefix,
+            )
+        assert_usage_error_before_output(
+            capsys, code, prefix + ".trials.csv", prefix + ".report.json"
+        )
         assert runs == []
 
     @pytest.mark.parametrize(

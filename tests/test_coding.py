@@ -291,12 +291,17 @@ class TestValidateBatches:
              100_000, 1000),
             # so tall that validate draws its subsets one per call
             (construct_random_orthonormal(40_000, 2, Rng(34)), 10, 50),
+            # all C(16, 8) subsets of the benchmark's shape, and all C(20, 5):
+            # both form their Grams from the table of row outer products
+            (construct_random_orthonormal(16, 8, Rng(35)), 100_000, 1000),
+            (construct_random_orthonormal(20, 5, Rng(36)), 100_000, 1000),
         ],
         ids=[
             "exhaustive", "repetition", "sampled", "near-dependent-1e-8",
             "near-dependent-1e-12", "zero-column", "ties", "l-is-1",
             "l-is-l-tilde", "sampled-64x32", "spread-spectrum", "one-big-row",
-            "orthonormal-times-1e100", "sampled-tall",
+            "orthonormal-times-1e100", "sampled-tall", "exhaustive-16x8",
+            "exhaustive-20x5",
         ],
     )
     def test_matches_one_subset_at_a_time(
@@ -336,6 +341,26 @@ class TestValidateBatches:
         report = validate(construct_random_orthonormal(16, 8, Rng(23)))
         assert report.subsets_checked == 12870 and report.rank_ok
         assert 0 < sum(reached) < 12870 // 100
+
+    @pytest.mark.parametrize(
+        "l_tilde, l, operands", [(16, 8, (2, "float64")), (64, 32, (3, "complex128"))]
+    )
+    def test_gram_route_follows_the_shape(self, monkeypatch, l_tilde, l, operands):
+        # 16x8 must form each batch's Grams with one real product of its row
+        # indicator by the outer-product table, and 64x32 with the stacked
+        # complex product, or the faster route has silently gone
+        matmul = np.matmul
+        calls = []
+
+        def recorded(a, b, *args, **kwargs):
+            calls.append((a.ndim, b.dtype.name))
+            return matmul(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", recorded)
+        enc = construct_random_orthonormal(l_tilde, l, Rng(23))
+        report = validate(enc, rng=Rng(4, 99))
+        assert report.rank_ok
+        assert calls and set(calls) == {operands}
 
     def test_cholesky_clears_most_batches(self, monkeypatch):
         # after the first batch sets a worst ratio, the Cholesky certificate
@@ -397,21 +422,50 @@ class TestValidateBatches:
         assert peak < 4 * 2**20
 
 
-class TestCholeskyClear:
-    # l x l matrices U diag(sigma) V^H with singular values from 1 down to
-    # rho, so every true ratio is rho and phi's sigma_max caps it tightly
-    @pytest.mark.parametrize("scale", [1e-100, 1.0, 1e100])
-    @pytest.mark.parametrize(
+def at_the_boundary(test):
+    """Parametrize over l x l matrices U diag(sigma) V^H with singular
+    values from 1 down to rho, so every true ratio is rho and phi's
+    sigma_max caps it tightly, at three scales."""
+    test = pytest.mark.parametrize(
         "l, rho",
         [(1, 1.0)] + [(l, rho) for l in (2, 8, 32) for rho in (1.0, 1e-3, 1e-8)],
-    )
+    )(test)
+    return pytest.mark.parametrize("scale", [1e-100, 1.0, 1e100])(test)
+
+
+def assert_cleared_only_below(gram, rho, cap):
+    """``_cleared`` refuses ratio rho and, where rho >= 1e-6, clears rho / 2.
+
+    ``gram()`` gives a fresh stack per call: ``_cleared`` shifts its stack
+    in place.
+    """
+    assert not coding._cleared(gram(), rho * (1 + 1e-6), cap)
+    if rho >= 1e-6:
+        assert coding._cleared(gram(), rho / 2, cap)
+
+
+class TestCholeskyClear:
+    @at_the_boundary
     def test_sound_at_the_boundary(self, l, rho, scale):
         enc = EncodingMatrix(scale * with_spectrum(l, np.geomspace(1.0, rho, l), 40 + l).phi)
         screened, cap = coding._unit_scaled(enc)
-        gram = (screened.conj().T @ screened)[None]
-        assert not coding._cleared(gram, rho * (1 + 1e-6), cap)
-        if rho >= 1e-6:
-            assert coding._cleared(gram, rho / 2, cap)
+        assert_cleared_only_below(
+            lambda: (screened.conj().T @ screened)[None], rho, cap
+        )
+
+    @at_the_boundary
+    def test_sound_at_the_boundary_by_table(self, l, rho, scale):
+        # the same matrix above l rows of singular values 1e-3, left out of
+        # the subset, so the GEMM also adds 0 times their outer products;
+        # they raise phi's sigma_max^2, and with it the cap, by 1e-6
+        subset = with_spectrum(l, np.geomspace(1.0, rho, l), 40 + l).phi
+        rest = with_spectrum(l, np.full(l, 1e-3), 50 + l).phi
+        enc = EncodingMatrix(scale * np.vstack([subset, rest]))
+        screened, cap = coding._unit_scaled(enc)
+        table = coding._outer_products(screened)
+        assert_cleared_only_below(
+            lambda: coding._grams(screened, table, np.arange(l)[None]), rho, cap
+        )
 
     def test_verdicts_match_numpy_cholesky_one_matrix_at_a_time(self, monkeypatch):
         # guards the private gufunc behind np.linalg.cholesky: each Gram's

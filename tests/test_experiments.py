@@ -598,6 +598,30 @@ class TestTheoryForTrials:
         assert theory_for_trials(ts).mean == exact.mean
 
 
+    def test_averaged_law_survives_an_overflowing_sum(self):
+        # each 1 / p is near 5e306, so 1000 of them sum past the float range
+        config = SystemConfig(n0=1e-160, min_gain_floor=0.1).at_snr_db(-1470.0)
+        plan = ExperimentPlan(config=config, trials=1000)
+        gains = np.linspace(0.5, 1.0, 1000)
+        ts = TrialSet(plan, np.zeros(1000), gains)
+        p = max_power_scaling(gains, config)
+        exact = config.n0 * np.mean(1e-300 / p) * 1e300  # sum_l c_l = 1 / rho
+        assert plan.law.mean > 0
+        assert theory_for_trials(ts).mean == pytest.approx(exact, rel=1e-12)
+
+    def test_subnormal_scaling_fails_at_the_plan(self):
+        # p_x = 1e-310: the floor's 1 / p overflows, so the averaged law
+        # cannot be formed, while a fixed channel's law at p / n0 can
+        config = SystemConfig(n0=1e-300).at_snr_db(-100.0)
+        rician = ExperimentPlan(config=config, trials=20)
+        with pytest.raises(ValueError, match="rho must be positive and finite"):
+            rician.law
+        fixed = ExperimentPlan(
+            config=config, trials=20, channel_mode=ChannelMode.FIXED_UNIT_MIN_GAIN
+        )
+        assert fixed.law.mean == pytest.approx(5e9)
+
+
 class TestIllConditionedMatrix:
     """Custom 4x2 matrices U diag(sqrt(2 - lam), sqrt(lam)) V^H, kappa up to 4.5e8.
 
