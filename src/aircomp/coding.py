@@ -15,7 +15,6 @@ which is the distortion-optimal choice.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -32,6 +31,7 @@ from .numerics import (
     Rng,
     exact_int,
     finite_float,
+    lexicographic_subsets,
     qr_orthonormal,
     require_code_shape,
     sample_complex_gaussian,
@@ -52,9 +52,12 @@ DEFAULT_SAMPLE_COUNT = 1_000
 # 64 l bytes per subset under l_tilde <= 8 l, within their 32 l^2 from
 # l = 2 on (at l = 1 the rule admits at most 8 subsets, one batch that
 # forms no Gram), plus the table, under 2^14 complex entries (256 KiB),
-# once per call. Large enough that BLAS and LAPACK, not Python, set the
-# pace, and small enough that memory stays bounded whatever the subset
-# count.
+# once per call. Small enough that memory stays bounded whatever the
+# subset count, but not always large enough for BLAS and LAPACK alone to
+# set the pace: at 64x32 a batch holds 5 subsets, so numpy's fixed cost
+# per call counts. The subsets are therefore drawn by the piece
+# (``_piece``), a whole number of batches whose row indices take about an
+# eighth of this.
 SVD_BATCH_BYTES = 256 * 1024
 
 # Factor by which the screen in ``validate`` widens its worst-case rounding
@@ -210,24 +213,28 @@ def validate(
     """Check the power constraint and the row-subset rank condition.
 
     All C(l_tilde, l) row subsets are tested when there are at most
-    ``max_exhaustive_subsets`` of them (which must be non-negative);
-    otherwise ``sample_count`` subsets are drawn uniformly from ``rng``
-    (required then) by ``sample_subsets``, one call per batch, which
-    draws the same subsets whatever the batch size. A subset passes when
-    its min/max singular-value ratio exceeds the rank tolerance. The
-    report carries the Gram spectrum, which fully determines the
-    distortion law downstream and whose sum is the power constraint's
-    trace.
+    ``max_exhaustive_subsets`` of them (which must be non-negative), in
+    lexicographic order (``lexicographic_subsets``); otherwise
+    ``sample_count`` subsets are drawn uniformly from ``rng`` (required
+    then) by ``sample_subsets``. A subset passes when its min/max
+    singular-value ratio exceeds the rank tolerance. The report carries the
+    Gram spectrum, which fully determines the distortion law downstream and
+    whose sum is the power constraint's trace.
 
-    Subsets go in batches of about ``SVD_BATCH_BYTES`` of working set, so
-    memory stays bounded. The worst ratio is the least of the SVD ratios,
-    and a computed SVD ratio lies within m = SCREEN_SAFETY (2l + 5) u of
-    the true one, u being the unit roundoff: LAPACK Users' Guide §4.9
-    bounds each singular value's error by l u sigma_max. With ``worst``
-    the least computed ratio so far, some true ratio is at most
-    h = worst + m, and a subset whose true ratio exceeds h + 2m has a
-    computed ratio above ``worst`` and can be left out. The first batch
-    goes straight to the SVD; each later one goes through two stages:
+    Subsets are checked in batches of about ``SVD_BATCH_BYTES`` of working
+    set, so memory stays bounded, and drawn in pieces of whole batches
+    (``_piece``), one unranking or ``sample_subsets`` call per piece (a
+    tall phi splits its sampled piece further). Both draws give the same
+    subsets whatever the piece and batch sizes, and the pieces leave batch
+    boundaries where they would be with one draw per batch. The worst
+    ratio is the least of the SVD ratios, and a computed SVD ratio lies
+    within m = SCREEN_SAFETY (2l + 5) u of the true one, u being the unit
+    roundoff: LAPACK Users' Guide §4.9 bounds each singular value's error
+    by l u sigma_max. With ``worst`` the least computed ratio so far, some
+    true ratio is at most h = worst + m, and a subset whose true ratio
+    exceeds h + 2m has a computed ratio above ``worst`` and can be left
+    out. The first batch goes straight to the SVD; each later one goes
+    through two stages:
 
     1. Cholesky clear: the batch forms its Gram matrices G = B^H B
        (``_grams``), and a Cholesky factorization of G - tau I that
@@ -252,19 +259,14 @@ def validate(
     if max_exhaustive_subsets < 0:
         raise ValueError("max_exhaustive_subsets must be non-negative")
 
-    l = enc.l
-    total = math.comb(enc.l_tilde, l)
+    l_tilde, l = enc.l_tilde, enc.l
+    total = math.comb(l_tilde, l)
     # exhaustive whenever it is no more work than sampling, so sampled
     # reports always check strictly fewer subsets than exist
     if total <= max(max_exhaustive_subsets, sample_count):
         mode = RankMode.EXHAUSTIVE
         count = total
-        flat = itertools.chain.from_iterable(
-            itertools.combinations(range(enc.l_tilde), l)
-        )
-
-        def draw(n):
-            return np.fromiter(itertools.islice(flat, n * l), np.intp).reshape(n, l)
+        draw = lexicographic_subsets(l_tilde, l)
     else:
         if rng is None:
             raise ValueError("sampled rank validation requires an rng")
@@ -273,33 +275,36 @@ def validate(
         mode = RankMode.SAMPLED
         count = sample_count
         # each subset is cut from a shuffle of all l_tilde row indices, so
-        # a tall phi draws its batch in pieces that keep those shuffles
-        # within SVD_BATCH_BYTES; the subsets do not depend on the pieces
-        piece = max(1, SVD_BATCH_BYTES // (8 * enc.l_tilde))
+        # a tall phi draws its piece in parts that keep those shuffles
+        # within SVD_BATCH_BYTES; the subsets do not depend on the parts
+        part = max(1, SVD_BATCH_BYTES // (8 * l_tilde))
 
-        def draw(n):
+        def draw(start, n):
             return np.concatenate([
-                sample_subsets(rng, min(piece, n - a), enc.l_tilde, l)
-                for a in range(0, n, piece)
+                sample_subsets(rng, min(part, n - a), l_tilde, l)
+                for a in range(0, n, part)
             ])
 
     margin = SCREEN_SAFETY * (2 * l + 5) * _U
     screened, cap = _unit_scaled(enc)
-    table = _outer_products(screened) if _by_table(enc.l_tilde, l) else None
+    table = _outer_products(screened) if _by_table(l_tilde, l) else None
     batch = max(1, SVD_BATCH_BYTES // (3 * enc.phi.itemsize * l * l + 8 * l))
+    piece = _piece(batch, l)
     worst = math.inf
-    for start in range(0, count, batch):
-        rows = draw(min(batch, count - start))
-        if worst < math.inf:
-            gram = _grams(screened, table, rows)
-            rows = rows[~_cleared(gram, worst + 3 * margin, cap)]
-            if not rows.size:
-                continue
-        sv = np.linalg.svd(enc.phi[rows], compute_uv=False)
-        top = sv[:, 0]
-        # a zero matrix has no largest singular value to divide by: ratio 0
-        ratios = np.divide(sv[:, -1], top, out=np.zeros_like(top), where=top > 0)
-        worst = min(worst, float(ratios.min()))
+    for start in range(0, count, piece):
+        drawn = draw(start, min(piece, count - start))
+        for at in range(0, len(drawn), batch):
+            rows = drawn[at : at + batch]
+            if worst < math.inf:
+                gram = _grams(screened, table, rows)
+                rows = rows[~_cleared(gram, worst + 3 * margin, cap)]
+                if not rows.size:
+                    continue
+            sv = np.linalg.svd(enc.phi[rows], compute_uv=False)
+            top = sv[:, 0]
+            # a zero matrix has no largest singular value to divide by: ratio 0
+            ratios = np.divide(sv[:, -1], top, out=np.zeros_like(top), where=top > 0)
+            worst = min(worst, float(ratios.min()))
 
     return ValidationReport(
         rank_mode=mode,
@@ -307,6 +312,18 @@ def validate(
         worst_min_singular_ratio=worst,
         gram_spectrum=gram_spectrum(enc).tolist(),
     )
+
+
+def _piece(batch: int, l: int) -> int:
+    """Subsets ``validate`` draws at a time: whole batches of ``batch``.
+
+    As many as keep the piece's row indices (8 l bytes per subset) within
+    SVD_BATCH_BYTES / 8, and at least one batch. A piece spreads the
+    draw's fixed cost over more subsets than a batch holds, while the
+    batch, which sets every stacked LAPACK call and the peak memory, stays
+    as it is.
+    """
+    return batch * max(1, SVD_BATCH_BYTES // (64 * l * batch))
 
 
 def _unit_scaled(enc: EncodingMatrix) -> tuple[np.ndarray, float]:
@@ -406,7 +423,11 @@ def _cleared(gram: np.ndarray, r: float, cap: float) -> np.ndarray:
     ``np.linalg.cholesky`` raises for the whole stack when one
     factorization fails, so this calls the gufunc behind it
     (``_cholesky``), which runs the same LAPACK zpotrf on each matrix and
-    fills a failed factor with NaN.
+    fills every entry of a failed factor with NaN. The verdict is read
+    from one entry, the factor's first: it is NaN exactly when the
+    factorization failed, since a zpotrf that completes on finite input
+    leaves a finite factor (an infinite entry would drive a later pivot to
+    -inf or NaN, and the factorization would fail).
     """
     l = gram.shape[-1]
     diag = np.einsum("nii->ni", gram)  # a writable view
@@ -414,7 +435,7 @@ def _cleared(gram: np.ndarray, r: float, cap: float) -> np.ndarray:
     tau = r * r * cap + SCREEN_SAFETY * (3 * l + 9) * _U * f + l * l * _TINY
     diag -= tau[:, None]
     with np.errstate(all="ignore"):
-        return np.isfinite(_cholesky(gram)).all(axis=(1, 2))
+        return ~np.isnan(_cholesky(gram)[:, 0, 0])
 
 
 def gram_spectrum(enc: EncodingMatrix) -> np.ndarray:

@@ -1,18 +1,21 @@
 """Complex linear-algebra and statistics kernels.
 
 Domain-free building blocks: seeded random streams, orthonormalization,
-circularly symmetric Gaussian sampling, uniform random subsets, the
-regularized lower incomplete gamma function, the one- and two-sample
-Kolmogorov-Smirnov statistics, the rank rule, the code-shape rule, and the
-rules for counts and numbers read from input files. Spectra and
-pseudo-inverses of an encoding matrix come from its one cached SVD
-(``coding.EncodingMatrix.svd``). Matrix routines operate on complex128
-numpy arrays; callers own the domain semantics of rows and columns.
+circularly symmetric Gaussian sampling, uniform random subsets, every
+subset by lexicographic rank, the regularized lower incomplete gamma
+function, the one- and two-sample Kolmogorov-Smirnov statistics, the rank
+rule, the code-shape rule, and the rules for counts and numbers read from
+input files. Spectra and pseudo-inverses of an encoding matrix come from
+its one cached SVD (``coding.EncodingMatrix.svd``). Matrix routines
+operate on complex128 numpy arrays; callers own the domain semantics of
+rows and columns.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
+import itertools
 import math
 import sys
 from typing import Callable, Sequence
@@ -143,6 +146,53 @@ def sample_subsets(rng: Rng, n: int, size: int, k: int) -> np.ndarray:
         raise ValueError(f"need 0 <= k <= size, got k={k}, size={size}")
     rows = rng.gen.permuted(np.tile(np.arange(size), (n, 1)), axis=1)
     return np.sort(rows[:, :k], axis=1)
+
+
+def lexicographic_subsets(size: int, k: int) -> Callable[[int, int], np.ndarray]:
+    """The k-subsets of range(size) by lexicographic rank, n at a time.
+
+    Returns ``subsets(start, n)``: n rows, the subsets of ranks start to
+    start + n - 1 in the order of ``itertools.combinations``, one per row,
+    each sorted ascending. A row depends only on its rank, so n rows drawn
+    at once equal the same rows drawn in any split of n.
+
+    Unranking goes through the combinatorial number system (Knuth, TAOCP
+    4A, §7.2.1.3): the subset of rank r, complemented as a_j = size - 1 -
+    c_j, is the one whose sum of C(a_j, k - j) over j = 0, ..., k - 1 is
+    m = C(size, k) - 1 - r, and each a_j is the largest a with
+    C(a, k - j) at most what is left of m: one ``searchsorted`` per
+    position over all n rows. The binomial tables are built here, once,
+    and clipped at C(size, k), which leaves every such search unchanged
+    since m stays below it, so no entry overflows int64. A C(size, k)
+    beyond int64 raises ValueError.
+    """
+    if not 0 <= k <= size:
+        raise ValueError(f"need 0 <= k <= size, got k={k}, size={size}")
+    total = math.comb(size, k)
+    if total > np.iinfo(np.int64).max:
+        raise ValueError(f"C({size}, {k}) = {total:.3e} subsets are too many to rank")
+    # binomial[j, a] = min(C(a, k - j), total), by C(a, i) = sum_{b<a} C(b, i - 1)
+    binomial = np.empty((k, size), dtype=np.int64)
+    column = [1] * size
+    for j in range(k - 1, -1, -1):
+        column = list(itertools.accumulate(column[:-1], initial=0))
+        clipped = bisect.bisect_right(column, total)  # the column ascends
+        column[clipped:] = [total] * (size - clipped)
+        binomial[j] = column
+
+    def subsets(start: int, n: int) -> np.ndarray:
+        if not 0 <= start <= start + n <= total:
+            last = total - 1
+            raise ValueError(f"ranks {start} to {start + n - 1} outside 0 to {last}")
+        m = np.arange(total - 1 - start, total - 1 - start - n, -1, dtype=np.int64)
+        rows = np.empty((n, k), dtype=np.intp)
+        for j, table in enumerate(binomial):
+            a = table.searchsorted(m, side="right") - 1
+            m -= table[a]
+            np.subtract(size - 1, a, out=rows[:, j])
+        return rows
+
+    return subsets
 
 
 def regularized_lower_gamma(shape: float, x: float) -> float:

@@ -851,3 +851,48 @@ class TestMutationTable:
         holds, mean_ok = self.run(monkeypatch, bug)
         assert holds.all()
         assert not mean_ok
+
+
+class TestMetamorphicRelations:
+    """Runs of the chain that must agree bit for bit, in every channel mode.
+
+    Scaling p_w, n0 and p_x by one power of 4 leaves the power scaling p
+    unchanged and scales every transmitted and received quantity by an
+    exact power of two (sqrt(4 x) = 2 sqrt(x) in IEEE arithmetic), so every
+    distortion scales by exactly that factor. Scaling n0 and p_x alone by
+    4 scales p by 4 and the noise by 2, which a correct decoder divides
+    back out, so every distortion is unchanged. Neither relation needs the
+    law or the noise, and neither can fail by chance.
+    """
+
+    SEED = 5
+    TRIALS = 300
+
+    def samples(self, mode, **scaled):
+        base = SystemConfig(master_seed=self.SEED)
+        config = replace(base, **{k: f * getattr(base, k) for k, f in scaled.items()})
+        plan = ExperimentPlan(config=config, trials=self.TRIALS, channel_mode=mode)
+        return run_trials(plan).samples
+
+    @pytest.mark.parametrize("mode", list(ChannelMode))
+    @pytest.mark.parametrize("factor", [4, 16])
+    def test_units_scale_every_distortion(self, mode, factor):
+        base = self.samples(mode)
+        scaled = self.samples(mode, p_w=factor, n0=factor, p_x=factor)
+        assert np.array_equal(scaled, factor * base)
+
+    @pytest.mark.parametrize("mode", list(ChannelMode))
+    def test_snr_scaling_leaves_every_distortion(self, mode):
+        assert np.array_equal(self.samples(mode, n0=4, p_x=4), self.samples(mode))
+
+    @pytest.mark.parametrize("mode", list(ChannelMode))
+    def test_precoding_with_root_p_breaks_the_snr_relation(self, monkeypatch, mode):
+        name, mutate = CHAIN_BUGS["root-p-for-p"]
+        fixed = ExperimentPlan(
+            config=SystemConfig(master_seed=self.SEED), channel_mode=mode
+        ).fixed
+        monkeypatch.setattr(channel, name, mutate(getattr(channel, name), fixed))
+        base = self.samples(mode)
+        moved = np.abs(self.samples(mode, n0=4, p_x=4) / base - 1)
+        # the mutation moves distortions by 0.7 to 5.3 relative at this seed
+        assert moved.max() > 0.1

@@ -136,6 +136,15 @@ class TestConstruct:
         )
         assert_usage_error_before_output(capsys, code, out)
 
+    def test_more_subsets_than_int64_can_rank_is_usage_error(self, tmp_path, capsys):
+        # C(70, 35) ~ 1.1e20 row subsets, all of them asked for
+        out = tmp_path / "a.json"
+        code = run_cli(
+            "construct", "--l", "35", "--l-tilde", "70", "--seed", "1",
+            "--out", str(out), "--max-exhaustive", str(10**21),
+        )
+        assert_usage_error_before_output(capsys, code, out)
+
 
 class TestCheck:
     def test_construct_output_checks_clean(self, tmp_path, capsys):

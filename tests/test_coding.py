@@ -195,6 +195,12 @@ def set_svd_batch(monkeypatch, enc, batch):
         monkeypatch.setattr(coding, "SVD_BATCH_BYTES", size)
 
 
+def set_piece(monkeypatch, batches):
+    """Make validate draw ``batches`` whole batches per piece (None: the default)."""
+    if batches is not None:
+        monkeypatch.setattr(coding, "_piece", lambda batch, l: batches * batch)
+
+
 def count_stacks(monkeypatch, name):
     """Patch ``np.linalg.name`` to record the size of each stacked call."""
     original = getattr(np.linalg, name)
@@ -308,13 +314,18 @@ class TestValidateBatches:
         self, monkeypatch, batch, enc, max_exhaustive, samples
     ):
         set_svd_batch(monkeypatch, enc, batch)
-        report = validate(enc, max_exhaustive, samples, rng=Rng(4, 99))
         mode, count, worst = reference_rank_check(
             enc, max_exhaustive, samples, Rng(4, 99)
         )
-        assert report.rank_mode is mode
-        assert report.subsets_checked == count
-        assert report.worst_min_singular_ratio == worst
+        # 1 and 7 batches per piece and the default put the piece
+        # boundaries, where each draw starts, at different ranks
+        for pieces in (1, 7, None):
+            with monkeypatch.context() as patch:
+                set_piece(patch, pieces)
+                report = validate(enc, max_exhaustive, samples, rng=Rng(4, 99))
+            assert report.rank_mode is mode
+            assert report.subsets_checked == count
+            assert report.worst_min_singular_ratio == worst
 
     @pytest.mark.parametrize("batch", [1, None])
     def test_zero_subset_has_ratio_zero_without_warning(self, monkeypatch, batch):
@@ -362,6 +373,46 @@ class TestValidateBatches:
         assert report.rank_ok
         assert calls and set(calls) == {operands}
 
+    def test_sampled_draw_takes_one_call_per_piece(self, monkeypatch):
+        # 1000 subsets of 64x32 go in 200 batches of 5; they must be drawn
+        # in 8 pieces of 25 batches, one sample_subsets call each, or the
+        # per-call cost of drawing has silently come back
+        sample = coding.sample_subsets
+        calls = []
+
+        def recorded(rng, n, size, k):
+            calls.append(n)
+            return sample(rng, n, size, k)
+
+        monkeypatch.setattr(coding, "sample_subsets", recorded)
+        report = validate(construct_random_orthonormal(64, 32, Rng(23)), rng=Rng(4, 99))
+        assert report.rank_mode is RankMode.SAMPLED and report.subsets_checked == 1000
+        assert calls == [125] * 8
+
+    def test_exhaustive_draw_unranks_one_piece_at_a_time(self, monkeypatch):
+        # C(16, 8) = 12870 subsets in 156 batches of 83: 26 pieces of 6
+        # batches, each one unranking call, and no itertools enumeration
+        def forbidden(*args):
+            raise AssertionError("itertools.combinations called")
+
+        unrank = coding.lexicographic_subsets
+        draws = []
+
+        def recorded(size, k):
+            subsets = unrank(size, k)
+
+            def drawn(start, n):
+                draws.append((start, n))
+                return subsets(start, n)
+
+            return drawn
+
+        monkeypatch.setattr(itertools, "combinations", forbidden)
+        monkeypatch.setattr(coding, "lexicographic_subsets", recorded)
+        report = validate(construct_random_orthonormal(16, 8, Rng(23)))
+        assert report.subsets_checked == 12870 and report.rank_ok
+        assert draws == [(a, min(498, 12870 - a)) for a in range(0, 12870, 498)]
+
     def test_cholesky_clears_most_batches(self, monkeypatch):
         # after the first batch sets a worst ratio, the Cholesky certificate
         # must keep almost all of the 156 batches of C(16, 8) subsets away
@@ -407,6 +458,21 @@ class TestValidateBatches:
             tracemalloc.stop()
         assert report.subsets_checked == 12870
         assert peak < 4 * 2**20
+
+    def test_exhaustive_draw_stays_bounded(self):
+        # C(447, 2) = 99681 subsets: unranking them all at once would hold
+        # about 4 MiB of row indices and ranks
+        enc = construct_random_orthonormal(447, 2, Rng(23))
+        enc.svd  # cached on the matrix, not part of validate's working set
+        tracemalloc.start()
+        try:
+            report = validate(enc)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.rank_mode is RankMode.EXHAUSTIVE
+        assert report.subsets_checked == 99681 and report.rank_ok
+        assert peak < 2**20
 
     def test_tall_sampled_draw_stays_bounded(self):
         # 200 subsets of a 5000x1 matrix fit one batch, and shuffling all
@@ -477,6 +543,8 @@ class TestCholeskyClear:
             np.diag([1.0, -1.0, 1.0]),  # indefinite
             np.diag([1.0, 1.0, 1e-9]),  # below the shift at r = 1e-4
             np.diag([1.0, 1.0, 1e-7]),  # just above it
+            # a tiny second pivot that passes and makes the third fail
+            np.array([[1.0, 0, 0], [0, 1e-6, 1], [0, 1, 1]]),
         ]).astype(np.complex128)
         choleskys = record_choleskys(monkeypatch)
         with warnings.catch_warnings():
@@ -490,7 +558,19 @@ class TestCholeskyClear:
                 except np.linalg.LinAlgError:
                     expected.append(False)
         assert mask.dtype == bool
-        assert mask.tolist() == expected == [True, False, False, False, True]
+        assert mask.tolist() == expected == [True, False, False, False, True, False]
+        # _cleared reads each verdict from the factor's first entry, so a
+        # failed factor must be NaN throughout, the first entry included,
+        # even where the failure comes after that entry was computed
+        with np.errstate(all="ignore"):
+            factors = coding._cholesky(shifted)
+            tiny_pivot = np.eye(3, dtype=np.complex128)
+            tiny_pivot[1, 1] = 1e-300
+            tiny_pivot[1, 2] = tiny_pivot[2, 1] = 1
+            late_failure = coding._cholesky(tiny_pivot)
+        assert np.isnan(factors[~mask]).all()
+        assert np.isfinite(factors[mask]).all()
+        assert np.isnan(late_failure).all()
 
 
 class TestGramSpectrum:

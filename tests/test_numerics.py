@@ -16,6 +16,7 @@ from aircomp.numerics import (
     Rng,
     ks_distance,
     ks_two_sample,
+    lexicographic_subsets,
     qr_orthonormal,
     regularized_lower_gamma,
     sample_complex_gaussian,
@@ -234,6 +235,72 @@ class TestSampleSubsets:
     def test_subset_size_out_of_range_rejected(self, k):
         with pytest.raises(ValueError, match="k <= size"):
             sample_subsets(Rng(19), 4, 6, k)
+
+
+def unrank_one_at_a_time(rank, size, k):
+    """The subset of lexicographic ``rank``, one entry at a time, in Python ints."""
+    row, low = [], 0
+    for j in range(k):
+        c = low
+        while rank >= (block := math.comb(size - 1 - c, k - 1 - j)):
+            rank -= block
+            c += 1
+        row.append(c)
+        low = c + 1
+    return row
+
+
+class TestLexicographicSubsets:
+    @pytest.mark.parametrize(
+        "size, k",
+        # l = 1, l = l_tilde, the benchmark's 16x8, and 70x68, whose binomial
+        # tables hold C(69, 35) ~ 5.6e19, beyond int64, clipped at C(70, 68)
+        [(9, 1), (1, 1), (6, 6), (16, 8), (70, 68), (12, 0)],
+    )
+    def test_matches_itertools_combinations(self, size, k):
+        total = math.comb(size, k)
+        rows = lexicographic_subsets(size, k)(0, total)
+        expected = np.array(list(itertools.combinations(range(size), k)))
+        assert rows.dtype == np.intp and rows.shape == (total, k)
+        assert np.array_equal(rows, expected.reshape(total, k))
+
+    @pytest.mark.parametrize("size, k", [(16, 8), (70, 68), (447, 2), (11, 4)])
+    @pytest.mark.parametrize("split", [1, 7, 83, 498])
+    def test_rows_do_not_depend_on_the_split(self, size, k, split):
+        # pieces of any size, their boundaries falling anywhere: every row
+        # depends on its rank alone
+        subsets = lexicographic_subsets(size, k)
+        total = min(math.comb(size, k), 2000)
+        parts = [subsets(a, min(split, total - a)) for a in range(0, total, split)]
+        assert np.array_equal(np.concatenate(parts), subsets(0, total))
+
+    def test_far_ranks_match_python_ints(self):
+        # C(64, 32) ~ 1.8e18 subsets: ranks at both ends and across the range
+        size, k = 64, 32
+        total = math.comb(size, k)
+        subsets = lexicographic_subsets(size, k)
+        starts = [0, total // 3 - 2, total // 2, total - 5]
+        for start in starts:
+            rows = subsets(start, 5)
+            expected = [unrank_one_at_a_time(start + i, size, k) for i in range(5)]
+            assert rows.tolist() == expected
+        assert subsets(total - 1, 1).tolist() == [list(range(size - k, size))]
+
+    @pytest.mark.parametrize("start, n", [(-1, 2), (0, 21), (20, 1), (19, 2)])
+    def test_ranks_out_of_range_rejected(self, start, n):
+        with pytest.raises(ValueError, match="outside 0 to 19"):
+            lexicographic_subsets(6, 3)(start, n)
+
+    @pytest.mark.parametrize("k", [-1, 7])
+    def test_subset_size_out_of_range_rejected(self, k):
+        with pytest.raises(ValueError, match="k <= size"):
+            lexicographic_subsets(6, k)
+
+    def test_more_subsets_than_int64_ranks_rejected(self):
+        # C(67, 33) ~ 1.4e19 is the first C(n, n // 2) beyond int64
+        lexicographic_subsets(66, 33)
+        with pytest.raises(ValueError, match="too many to rank"):
+            lexicographic_subsets(67, 33)
 
 
 class TestRegularizedLowerGamma:
