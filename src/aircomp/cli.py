@@ -27,6 +27,10 @@ from .experiments import ChannelMode, ExperimentPlan, Purpose, format_field, str
 from .numerics import Rng, ks_distance
 
 ORTHONORMAL_TOLERANCE = 1e-10
+# Sampled validation's confidence: with probability at least 1 - beta, at
+# most q = 1 - beta^(1/n) of all row subsets have a ratio below the least of
+# n uniform samples (Wilks, Ann. Math. Statist. 12, 1941).
+WILKS_BETA = 0.05
 
 
 def _fail(message: str) -> int:
@@ -75,6 +79,13 @@ def _print_validation(report: coding.ValidationReport) -> None:
         f"({report.rank_mode.value}, {report.subsets_checked} subsets, "
         f"worst ratio {format_field(report.worst_min_singular_ratio)})"
     )
+    if report.rank_mode is coding.RankMode.SAMPLED:
+        q = -math.expm1(math.log(WILKS_BETA) / report.subsets_checked)
+        print(
+            f"rank_quantile: at most {format_field(100 * q)}% of subsets below "
+            f"{format_field(report.worst_min_singular_ratio)} "
+            f"({format_field(100 * (1 - WILKS_BETA))}%)"
+        )
     print("gram_spectrum: " + " ".join(map(format_field, report.gram_spectrum)))
 
 
@@ -233,7 +244,7 @@ def cmd_dist_test(args) -> int:
         channel_mode=ChannelMode.FIXED_UNIT_MIN_GAIN,
     )
     ts = experiments.run_trials(plan, workers=args.threads)
-    law = experiments.theory_for_trials(ts)
+    law = plan.law
     ks_statistic = ks_distance(ts.samples[:ks], law.cdf)
     rows = [("gamma-law-ks", ks_statistic, 1.63 / math.sqrt(ks))]
 

@@ -76,8 +76,9 @@ class ExperimentPlan:
     """Everything needed to rerun one batch of transmissions.
 
     ``enc`` (the matrix), ``fixed`` (the channel every trial runs on, None
-    under per-trial fading) and ``law`` are built on first read, by
-    build_encoding and fixed_channel_for for the first two, and kept;
+    under per-trial fading), ``power_scaling`` and ``law`` are built on
+    first read, by build_encoding and fixed_channel_for for the first two,
+    and kept;
     constructing a plan builds nothing. ``replace`` gives a new plan that
     builds its own.
     """
@@ -108,24 +109,31 @@ class ExperimentPlan:
         return fixed_channel_for(self)
 
     @cached_property
-    def law(self) -> DistortionLaw:
-        """The law the run must have before its first trial.
+    def power_scaling(self) -> float:
+        """The power scaling p that ``law`` is taken at.
 
-        Under a fixed channel every trial runs at that channel's maximal
-        power scaling p, so the law at p / n0 is the run's law. Under
-        per-trial fading the run's law averages the drawn scalings, each at
-        or above the gain floor's, so the law at the floor's scaling bounds
-        it, and the floor's scaling must also pass the averaging arithmetic
-        of ``theory_for_trials``, whose 1 / p is largest there. Raises, as
+        The fixed channel's maximal one, or under per-trial fading the gain
+        floor's.
+        """
+        fixed, config = self.fixed, self.config
+        min_gain = config.min_gain_floor if fixed is None else fixed.min_gain
+        return channel.max_power_scaling(min_gain, config)
+
+    @cached_property
+    def law(self) -> DistortionLaw:
+        """The one law the run builds, at p / n0, before its first trial.
+
+        Trial i's law is this law scaled by p / p_i (``TrialSet.theory_mean``).
+        Under a fixed channel every ratio is 1. Under per-trial fading every
+        drawn scaling p_i is at or above the floor's p, so every ratio lies
+        in (0, 1] and this law bounds every trial's; p must then be a normal
+        float, so that no ratio starts from a subnormal. Raises, as
         distortion_law does, when there is no such law.
         """
-        enc, fixed, config = self.enc, self.fixed, self.config
-        min_gain = config.min_gain_floor if fixed is None else fixed.min_gain
-        p = channel.max_power_scaling(min_gain, config)
-        law = coding.distortion_law(enc, p / config.n0)
-        if fixed is None:
-            coding.distortion_law(enc, _averaged_snr(np.array([p]), config.n0))
-        return law
+        enc, p = self.enc, self.power_scaling
+        if self.fixed is None and p < np.finfo(float).tiny:
+            raise ValueError(f"power scaling {p} at the gain floor is subnormal")
+        return coding.distortion_law(enc, p / self.config.n0)
 
     def to_json(self) -> dict:
         return {
@@ -152,6 +160,12 @@ class TrialSet:
     def p_used(self) -> np.ndarray:
         """Per-trial power scaling, bit for bit the one each trial ran at."""
         return channel.max_power_scaling(self.channel_min_gains, self.plan.config)
+
+    @property
+    def theory_mean(self) -> float:
+        """Mean of the trials' laws, each ``plan.law`` scaled by p / p_i."""
+        ratios = self.plan.power_scaling / self.p_used
+        return self.plan.law.mean * float(np.mean(ratios))
 
 
 @dataclass
@@ -272,63 +286,37 @@ def run_trials(plan: ExperimentPlan, workers: int = 1) -> TrialSet:
 
 
 def summarize(ts: TrialSet, eta: float | None = None) -> MseReport:
-    """Empirical moments against ``theory_for_trials(ts)``, plus fit statistics.
+    """Empirical moments against ``ts.plan.law``, plus fit statistics.
 
-    The Gamma variance and the one-sample KS statistic are only meaningful
-    when the channel was held fixed (the Gamma law conditions on the
-    realization), so both are omitted in the per-trial fading mode. When
-    ``eta`` is given, the report carries the frequency of samples exceeding
-    (1 + eta) times the theory mean.
+    The theory mean is ``ts.theory_mean``, which is ``plan.law.mean`` under
+    a fixed channel. The Gamma variance and the one-sample KS statistic are
+    only meaningful when the channel was held fixed (the Gamma law
+    conditions on the realization), so both are omitted in the per-trial
+    fading mode. When ``eta`` is given, the report carries the frequency of
+    samples exceeding (1 + eta) times the theory mean.
     """
     samples = np.asarray(ts.samples, dtype=float)
     if samples.size == 0:
         raise EmptySample("summarize needs at least one sample")
     variance = 0.0 if samples.size == 1 else float(np.var(samples, ddof=1))
-    theory = theory_for_trials(ts)
+    law, theory_mean = ts.plan.law, ts.theory_mean
 
     theory_variance = ks_statistic = None
     if ts.plan.channel_mode is not ChannelMode.RICIAN_PER_TRIAL:
-        theory_variance = theory.variance
-        ks_statistic = ks_distance(samples, theory.cdf)
+        theory_variance = law.variance
+        ks_statistic = ks_distance(samples, law.cdf)
     exceedance = None
     if eta is not None:
-        exceedance = float(np.mean(samples >= (1.0 + eta) * theory.mean))
+        exceedance = float(np.mean(samples >= (1.0 + eta) * theory_mean))
 
     return MseReport(
         mean=float(np.mean(samples)),
         variance=variance,
-        theory_mean=theory.mean,
+        theory_mean=theory_mean,
         theory_variance=theory_variance,
         ks_statistic=ks_statistic,
         exceedance_freq=exceedance,
     )
-
-
-def theory_for_trials(ts: TrialSet) -> DistortionLaw:
-    """Distortion law of a trial set's matrix at its effective SNR.
-
-    That is p / n0 when every trial ran at one power scaling p, so a fixed
-    channel's law is exact at any trial count (its Gamma CDF only for an
-    orthonormal matrix). Otherwise it is 1 / (n0 * mean(1 / p_used)), and
-    only the law's mean, averaged over the realized scalings, applies.
-    """
-    p, n0 = ts.p_used, ts.plan.config.n0
-    rho = p[0] / n0 if (p == p[0]).all() else _averaged_snr(p, n0)
-    return coding.distortion_law(ts.plan.enc, float(rho))
-
-
-def _averaged_snr(p: np.ndarray, n0: float) -> float:
-    """1 / (n0 mean(1 / p)), quietly 0 or inf where it leaves the float range.
-
-    A sum of 1 / p that overflows is taken again relative to the least p,
-    so the mean is finite whenever 1 / min(p) is.
-    """
-    with np.errstate(over="ignore", divide="ignore"):
-        inverse_mean = np.mean(1.0 / p)
-        if inverse_mean == np.inf:
-            least = p.min()
-            inverse_mean = np.mean(least / p) / least
-        return float(1.0 / (n0 * inverse_mean))
 
 
 def _blank_row() -> dict:
@@ -343,7 +331,6 @@ def _sweep_row(plan: ExperimentPlan, workers: int, **fields) -> dict:
     only when there are at least two trials.
     """
     ts = run_trials(plan, workers=workers)
-    theory = theory_for_trials(ts)
     row = _blank_row()
     row.update(
         fields,
@@ -351,12 +338,12 @@ def _sweep_row(plan: ExperimentPlan, workers: int, **fields) -> dict:
         l_tilde=plan.config.l_tilde,
         trials=plan.trials,
         mean_mse=float(np.mean(ts.samples)),
-        theory_mean=theory.mean,
+        theory_mean=ts.theory_mean,
     )
     if plan.trials > 1:
         row["var_mse"] = float(np.var(ts.samples, ddof=1))
     if plan.channel_mode is not ChannelMode.RICIAN_PER_TRIAL:
-        row["theory_var"] = theory.variance
+        row["theory_var"] = plan.law.variance
     return row
 
 

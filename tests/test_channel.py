@@ -35,6 +35,7 @@ from aircomp.experiments import (
     ExperimentPlan,
     fixed_channel_for,
     run_trials,
+    summarize,
 )
 from aircomp.numerics import Rng, sample_complex_gaussian
 
@@ -868,11 +869,17 @@ class TestMetamorphicRelations:
     SEED = 5
     TRIALS = 300
 
-    def samples(self, mode, **scaled):
+    def trials(self, mode, **scaled):
         base = SystemConfig(master_seed=self.SEED)
         config = replace(base, **{k: f * getattr(base, k) for k, f in scaled.items()})
         plan = ExperimentPlan(config=config, trials=self.TRIALS, channel_mode=mode)
-        return run_trials(plan).samples
+        return run_trials(plan)
+
+    def samples(self, mode, **scaled):
+        return self.trials(mode, **scaled).samples
+
+    def report(self, mode, **scaled):
+        return summarize(self.trials(mode, **scaled), eta=1.0)
 
     @pytest.mark.parametrize("mode", list(ChannelMode))
     @pytest.mark.parametrize("factor", [4, 16])
@@ -884,6 +891,31 @@ class TestMetamorphicRelations:
     @pytest.mark.parametrize("mode", list(ChannelMode))
     def test_snr_scaling_leaves_every_distortion(self, mode):
         assert np.array_equal(self.samples(mode, n0=4, p_x=4), self.samples(mode))
+
+    @pytest.mark.parametrize("mode", list(ChannelMode))
+    @pytest.mark.parametrize("factor", [4, 16])
+    def test_units_scale_the_theory(self, mode, factor):
+        # the mean, theory mean and variances scale by the factor or its
+        # square; mean / theory_mean, the KS statistic and the exceedance
+        # frequency do not move
+        base = self.report(mode)
+        scaled = self.report(mode, p_w=factor, n0=factor, p_x=factor)
+        square = factor * factor
+        theory_variance = (
+            None if base.theory_variance is None else square * base.theory_variance
+        )
+        assert scaled.mean / scaled.theory_mean == base.mean / base.theory_mean
+        assert scaled == replace(
+            base,
+            mean=factor * base.mean,
+            variance=square * base.variance,
+            theory_mean=factor * base.theory_mean,
+            theory_variance=theory_variance,
+        )
+
+    @pytest.mark.parametrize("mode", list(ChannelMode))
+    def test_snr_scaling_leaves_the_theory(self, mode):
+        assert self.report(mode, n0=4, p_x=4) == self.report(mode)
 
     @pytest.mark.parametrize("mode", list(ChannelMode))
     def test_precoding_with_root_p_breaks_the_snr_relation(self, monkeypatch, mode):

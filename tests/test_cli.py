@@ -180,6 +180,25 @@ class TestCheck:
         assert len(rank_lines) == 1
         assert rank_lines.pop().startswith("rank_ok: true (exhaustive, 252 subsets")
 
+    def test_only_sampled_validation_states_a_quantile(self, tmp_path, capsys):
+        # C(10, 5) = 252 subsets: exhaustive by default, sampled at 200
+        path = str(tmp_path / "phi.json")
+        run_cli("construct", "--l", "5", "--l-tilde", "10", "--out", path)
+        assert "rank_quantile" not in capsys.readouterr().out
+        for argv in (
+            ["construct", "--l", "5", "--l-tilde", "10", "--out", path],
+            ["check", "--matrix", path],
+        ):
+            assert run_cli(*argv, "--max-exhaustive", "10", "--samples", "200") == 0
+            lines = capsys.readouterr().out.splitlines()
+            (rank,) = (l for l in lines if l.startswith("rank_ok: "))
+            worst = rank.rpartition("worst ratio ")[2].rstrip(")")
+            (quantile,) = (l for l in lines if l.startswith("rank_quantile: "))
+            # 1 - 0.05^(1/200)
+            assert quantile == (
+                f"rank_quantile: at most 1.48670392313% of subsets below {worst} (95%)"
+            )
+
     def test_missing_file_is_usage_error(self, tmp_path):
         assert run_cli("check", "--matrix", str(tmp_path / "nope.json")) == 2
 
@@ -829,9 +848,9 @@ class TestSimulate:
     def test_subnormal_power_scaling_fails_before_outputs_exist(
         self, tmp_path, capsys, monkeypatch
     ):
-        # p_x = 1e-310, so each drawn scaling's 1 / p overflows in the
-        # averaged law's arithmetic; the floor's scaling, the least of all,
-        # fails it before any trial
+        # p_x = 1e-310, so the floor's scaling, which the plan's law is
+        # taken at under per-trial fading, is subnormal: that fails before
+        # any trial
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps({
             "k_users": 10, "l": 5, "l_tilde": 10, "p_w": 1.0, "n0": 1e-300,
@@ -850,6 +869,30 @@ class TestSimulate:
             capsys, code, prefix + ".trials.csv", prefix + ".report.json"
         )
         assert runs == []
+
+    def test_rician_run_far_above_its_floor_writes_its_outputs(self, tmp_path, capsys):
+        # The plan's law is checked at the floor's scaling; drawn scalings
+        # lie about 1e6 times higher, and each trial's theory is that law
+        # scaled by p / p_i <= 1, so nothing leaves the float range after
+        # the trials (at 1650 dB mean_ratio is round-off, not a pass).
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({
+            "k_users": 10, "l": 5, "l_tilde": 10, "p_w": 1.0, "n0": 1.0,
+            "snr_db": 1650, "rician_kappa_db": 5.0, "min_gain_floor": 1e-6,
+            "master_seed": 0,
+        }))
+        prefix = str(tmp_path / "o")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli(
+                "simulate", "--config", str(cfg_path), "--mode", "rician-per-trial",
+                "--trials", "20", "--out", prefix,
+            )
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        assert "theory_mean: " in captured.out
+        for suffix in (".trials.csv", ".report.json"):
+            assert os.path.getsize(prefix + suffix) > 0
 
     @pytest.mark.parametrize(
         "mode", ["fixed-unit", "fixed-from-seed", "rician-per-trial"]
@@ -1080,6 +1123,42 @@ class TestOversizeInput:
             "--out", str(out),
         )
         assert_usage_error_before_output(capsys, code, out)
+
+
+class TestOneLawPerRun:
+    @pytest.mark.parametrize(
+        "argv, laws",
+        [
+            pytest.param(["simulate", "--trials", "5"], 1, id="simulate-rician"),
+            pytest.param(
+                ["simulate", "--trials", "5", "--mode", "fixed-unit"], 1,
+                id="simulate-fixed-unit",
+            ),
+            pytest.param(
+                ["simulate", "--trials", "5", "--mode", "fixed-from-seed"], 1,
+                id="simulate-fixed-from-seed",
+            ),
+            # 5 SNRs x (2 rates + uncoded) rows, one law each
+            pytest.param(
+                ["figures", "--which", "2", "--trials", "2"], 15, id="figures-2"
+            ),
+            pytest.param(
+                ["figures", "--which", "4", "--trials", "2"], 4, id="figures-4"
+            ),
+            # the plan's law and one per oracle test
+            pytest.param(
+                ["dist-test", "--ks-trials", "1000", "--chernoff-trials", "1000",
+                 "--oracle-n", "1000"], 3,
+                id="dist-test",
+            ),
+        ],
+    )
+    def test_each_run_builds_one_law(self, tmp_path, capsys, monkeypatch, argv, laws):
+        built = count_calls(monkeypatch, coding, "distortion_law")
+        if argv[0] == "figures":
+            argv = argv + ["--out-dir", str(tmp_path)]
+        assert run_cli(*argv) == 0
+        assert len(built) == laws
 
 
 class TestDistTest:

@@ -32,7 +32,6 @@ from aircomp.experiments import (
     sweep_blocklength,
     sweep_mse_vs_snr,
     sweep_rate_regions,
-    theory_for_trials,
     write_csv,
     write_rows,
     write_trials_csv,
@@ -579,47 +578,74 @@ class TestSummarize:
             summarize(ts)
 
 
+def reference_theory_mean(ts):
+    """n0 mean(1 / p_used) sum_l 1 / (l lambda_l), each 1 / p taken at 1e-300."""
+    lam = coding.gram_spectrum(ts.plan.enc)
+    inverse_mean = np.mean(1e-300 / ts.p_used) * 1e300
+    return ts.plan.config.n0 * inverse_mean * np.sum(1.0 / (lam.size * lam))
+
+
 class TestTheoryForTrials:
+    """Trial i's law is plan.law scaled by p / p_i, p being plan.power_scaling."""
+
     def test_matches_closed_form_in_fixed_mode(self):
         plan = fixed_plan(trials=10, seed=20)
-        ts = run_trials(plan)
-        theory = theory_for_trials(ts)
+        run_trials(plan)
         expected = analysis.DistortionLaw.optimal(5, 10, 1.0, 10.0, 1.0)
-        assert theory.shape == expected.shape
-        assert theory.scale == pytest.approx(expected.scale, rel=1e-12)
+        assert plan.law.shape == expected.shape
+        assert plan.law.scale == pytest.approx(expected.scale, rel=1e-12)
 
     @pytest.mark.parametrize("trials", [1000, 1003])
     def test_fixed_channel_law_does_not_depend_on_trial_count(self, trials):
-        # the mean of 1000 equal values 1/p is one ulp off 1/p; the law at
-        # the run's one power scaling is exact at every trial count
+        # the mean of 1000 equal values 1/p is one ulp off 1/p; each ratio
+        # p / p_i is exactly 1, so the theory mean is the plan's law's
         ts = run_trials(fixed_plan(trials=trials, seed=1))
         exact = coding.distortion_law(ts.plan.enc, 20.0)
         assert exact.mean == 0.05
-        assert theory_for_trials(ts).mean == exact.mean
+        assert ts.plan.law.mean == exact.mean
+        assert summarize(ts).theory_mean == exact.mean
 
+    def test_rician_theory_mean_averages_the_trials_laws(self):
+        ts = run_trials(ExperimentPlan(config=SystemConfig(master_seed=3), trials=500))
+        assert (ts.p_used >= ts.plan.power_scaling).all()
+        assert summarize(ts).theory_mean == pytest.approx(
+            reference_theory_mean(ts), rel=1e-14
+        )
 
     def test_averaged_law_survives_an_overflowing_sum(self):
-        # each 1 / p is near 5e306, so 1000 of them sum past the float range
-        config = SystemConfig(n0=1e-160, min_gain_floor=0.1).at_snr_db(-1470.0)
+        # each 1 / p is near 5e306, so 1000 of them sum past the float
+        # range; every ratio p / p_i lies in (0, 1], so theory never forms one
+        config = SystemConfig(n0=1e-160, min_gain_floor=0.5).at_snr_db(-1470.0)
         plan = ExperimentPlan(config=config, trials=1000)
         gains = np.linspace(0.5, 1.0, 1000)
         ts = TrialSet(plan, np.zeros(1000), gains)
-        p = max_power_scaling(gains, config)
-        exact = config.n0 * np.mean(1e-300 / p) * 1e300  # sum_l c_l = 1 / rho
-        assert plan.law.mean > 0
-        assert theory_for_trials(ts).mean == pytest.approx(exact, rel=1e-12)
+        with np.errstate(over="raise"):
+            theory_mean = summarize(ts).theory_mean
+        assert theory_mean == pytest.approx(reference_theory_mean(ts), rel=1e-14)
 
     def test_subnormal_scaling_fails_at_the_plan(self):
-        # p_x = 1e-310: the floor's 1 / p overflows, so the averaged law
-        # cannot be formed, while a fixed channel's law at p / n0 can
+        # p_x = 1e-310: the floor's scaling is subnormal, which per-trial
+        # fading rejects, while a fixed channel's law at p / n0 is exact
         config = SystemConfig(n0=1e-300).at_snr_db(-100.0)
         rician = ExperimentPlan(config=config, trials=20)
-        with pytest.raises(ValueError, match="rho must be positive and finite"):
+        with pytest.raises(ValueError, match="at the gain floor is subnormal"):
             rician.law
         fixed = ExperimentPlan(
             config=config, trials=20, channel_mode=ChannelMode.FIXED_UNIT_MIN_GAIN
         )
         assert fixed.law.mean == pytest.approx(5e9)
+
+    def test_floor_scaling_must_be_normal(self):
+        # at -1470 dB a floor of 0.1 puts p at 2e-308, below the least
+        # normal float though 1 / p is finite; a floor of 0.5 puts it at 1e-307
+        config = SystemConfig(n0=1e-160).at_snr_db(-1470.0)
+        low, high = (
+            ExperimentPlan(config=replace(config, min_gain_floor=floor), trials=20)
+            for floor in (0.1, 0.5)
+        )
+        with pytest.raises(ValueError, match="subnormal"):
+            low.law
+        assert high.law.mean == pytest.approx(config.n0 / high.power_scaling)
 
 
 class TestIllConditionedMatrix:

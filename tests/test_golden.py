@@ -76,7 +76,7 @@ GOLDEN = {
     'check-16x8:exit': '0',
     'check-16x8:stdout': '8a5ea7db253df4539f401e05e32fa8a2ce75ce78efc69c7b5a2236371723319b',
     'check-sampled:exit': '0',
-    'check-sampled:stdout': '9b3d26454847763ec95cc205cd660089b5749dd9f3447676bd7ef77a9c142f02',
+    'check-sampled:stdout': '2d220047cd1f3c363344696f45cbd8234ae26bcef0253cd665e5147079fe1eea',
     'check:exit': '0',
     'check:stdout': 'eadec499bce8c703635c4bedeb1b37bbe510b7b89f6f0f9927924690c2651fdc',
     'construct-16x8:exit': '0',
