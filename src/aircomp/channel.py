@@ -14,11 +14,12 @@ P_X is P* = P_X * min_k|h_k|^2 / (R * P_W) with R = l / l_tilde.
 
 run_round is the one stage that reads a round's random stream: it draws
 the sources, then the noise, and hands the noise to superpose, which draws
-nothing. Channel inversion needs every |h_k|^2 at or above the configured
-gain floor, a rule require_gain_floor states once. sample_rician meets it
-when it draws, by redrawing weak users; run_round applies it once per
-round to any channel it is handed, so encode_and_precode does not re-check
-it per user, and experiments.fixed_channel_for applies it to a run's fixed
+nothing. It runs at the P* of the channel it is handed, so every round
+meets the per-user cap. Channel inversion needs every |h_k|^2 at or above
+the configured gain floor, a rule require_gain_floor states once.
+sample_rician meets it when it draws, by redrawing weak users; run_round
+applies it once per round, so encode_and_precode does not re-check it per
+user, and experiments.fixed_channel_for applies it to a run's fixed
 channel before the first trial.
 
 Convention: CN(0, v) per complex entry means the real and imaginary parts
@@ -309,11 +310,12 @@ def run_round(
     enc: EncodingMatrix,
     config: SystemConfig,
     channel: ChannelRealization,
-    p: float,
     rng: Rng,
 ) -> float:
     """One full transmission: sources -> precode -> superpose -> decode.
 
+    Runs at the channel's maximal power scaling P* (max_power_scaling), so
+    no user exceeds the per-user cap p_x and the weakest user meets it.
     Returns the distortion, the per-dimension squared error
     ||w_hat - w||^2 / l of the decoded sum against the true sum. Raises
     ZeroChannel, by require_gain_floor, when the channel's min_gain is below
@@ -330,6 +332,7 @@ def run_round(
             f"{config.k_users} users"
         )
     require_gain_floor(channel, config)
+    p = max_power_scaling(channel.min_gain, config)
     sources = sample_sources(config, rng)
     noise = sample_complex_gaussian(rng, config.l_tilde, config.n0)
     transmit = np.empty((config.k_users, config.l_tilde), dtype=np.complex128)

@@ -20,7 +20,7 @@ from dataclasses import asdict, replace
 import numpy as np
 
 from . import analysis, coding, experiments
-from .channel import SystemConfig, all_ones_channel, db_to_linear
+from .channel import SystemConfig, db_to_linear
 from .coding import Construction
 from .errors import AirCompError
 from .experiments import ChannelMode, ExperimentPlan, Purpose, format_field, stream_id
@@ -264,10 +264,7 @@ def cmd_dist_test(args) -> int:
         ("skewed", skew, skew_config, ks + chernoff + n),
     ):
         stat = experiments.oracle_equivalence_test(
-            enc,
-            oracle_config,
-            all_ones_channel(oracle_config.k_users),
-            range(first, first + n),
+            enc, oracle_config, range(first, first + n)
         )
         rows.append((f"oracle-ks-{name}", stat, 1.63 * math.sqrt(2.0 / n)))
 

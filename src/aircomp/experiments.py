@@ -216,7 +216,7 @@ def fixed_channel_for(plan: ExperimentPlan) -> ChannelRealization | None:
 
 
 def _run_range(enc, config, fixed, start, stop):
-    """Trials ``start..stop-1`` at the maximal power scaling.
+    """Trials ``start..stop-1``, each a run_round at its channel's P*.
 
     The one per-trial loop behind run_trials and the oracle test. The
     channel is ``fixed`` for every trial, or redrawn per trial from the
@@ -236,14 +236,11 @@ def _run_range(enc, config, fixed, start, stop):
     seed = config.master_seed
     run_round = channel.run_round
     sample_rician = channel.sample_rician
-    max_power_scaling = channel.max_power_scaling
     ch = fixed
-    p = None if ch is None else max_power_scaling(ch.min_gain, config)
     for j, i in enumerate(range(start, stop)):
         if fixed is None:
             ch = sample_rician(config, Rng(seed, channel_base + i))
-            p = max_power_scaling(ch.min_gain, config)
-        samples[j] = run_round(enc, config, ch, p, Rng(seed, trial_base + i))
+        samples[j] = run_round(enc, config, ch, Rng(seed, trial_base + i))
         min_gains[j] = ch.min_gain
     return samples, min_gains
 
@@ -253,9 +250,9 @@ def run_trials(plan: ExperimentPlan, workers: int = 1) -> TrialSet:
 
     Reads ``plan.law`` first, so a plan without a law fails before any
     trial runs. Every trial runs ``plan.enc`` on ``plan.fixed``, or on a
-    channel redrawn per trial when that is None; the power scaling is
-    recomputed whenever the channel changes. At most ``os.cpu_count()``
-    worker processes start, and results are identical for any worker count.
+    channel redrawn per trial when that is None, at that channel's power
+    scaling. At most ``os.cpu_count()`` worker processes start, and results
+    are identical for any worker count.
     """
     plan.law  # raises when the run has no law
     enc, fixed, config = plan.enc, plan.fixed, plan.config
@@ -302,7 +299,7 @@ def summarize(ts: TrialSet, eta: float | None = None) -> MseReport:
     law, theory_mean = ts.plan.law, ts.theory_mean
 
     theory_variance = ks_statistic = None
-    if ts.plan.channel_mode is not ChannelMode.RICIAN_PER_TRIAL:
+    if ts.plan.fixed is not None:
         theory_variance = law.variance
         ks_statistic = ks_distance(samples, law.cdf)
     exceedance = None
@@ -342,7 +339,7 @@ def _sweep_row(plan: ExperimentPlan, workers: int, **fields) -> dict:
     )
     if plan.trials > 1:
         row["var_mse"] = float(np.var(ts.samples, ddof=1))
-    if plan.channel_mode is not ChannelMode.RICIAN_PER_TRIAL:
+    if plan.fixed is not None:
         row["theory_var"] = plan.law.variance
     return row
 
@@ -442,7 +439,7 @@ def sweep_blocklength(
     with the codeword length) and requires a fixed-channel mode, since the
     variance law conditions on the realization.
     """
-    if base.channel_mode is ChannelMode.RICIAN_PER_TRIAL:
+    if base.fixed is None:
         raise ValueError("blocklength sweep needs a fixed-channel mode")
     rate = base.config.rate
     rows = []
@@ -463,30 +460,27 @@ def sweep_blocklength(
 
 
 def oracle_equivalence_test(
-    enc: EncodingMatrix,
-    config: SystemConfig,
-    channel_realization: ChannelRealization,
-    trials: range,
+    enc: EncodingMatrix, config: SystemConfig, trials: range
 ) -> float:
     """Full pipeline vs direct spectrum sampler, as a two-sample KS distance.
 
     Runs the transmissions ``trials`` (consecutive trial indices, keyed
-    exactly as run_trials keys them) at the maximal power scaling and draws
-    as many samples from the weighted-exponential law implied by the Gram
-    spectrum, from the oracle stream keyed by the range's first index. All
-    streams are keyed by ``config.master_seed``, so callers that give each
-    test its own index range draw no stream twice.
+    exactly as run_trials keys them) on the config's all-ones channel and
+    draws as many samples from the weighted-exponential law implied by the
+    Gram spectrum at that channel's power scaling, from the oracle stream
+    keyed by the range's first index. All streams are keyed by
+    ``config.master_seed``, so callers that give each test its own index
+    range draw no stream twice.
     """
     if not isinstance(trials, range) or trials.step != 1:
         raise ValueError(f"trials must be a range of consecutive indices: {trials!r}")
     n = len(trials)
     if n < 1000:
         raise ValueError("need at least 1000 samples per side")
-    pipeline, _ = _run_range(
-        enc, config, channel_realization, trials.start, trials.stop
-    )
+    ones = channel.all_ones_channel(config.k_users)
+    pipeline, _ = _run_range(enc, config, ones, trials.start, trials.stop)
 
-    p = channel.max_power_scaling(channel_realization.min_gain, config)
+    p = channel.max_power_scaling(ones.min_gain, config)
     law = coding.distortion_law(enc, p / config.n0)
     oracle_rng = Rng(config.master_seed, stream_id(Purpose.ORACLE, trials.start))
     sample = analysis.sample_general_mse

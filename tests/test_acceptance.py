@@ -13,7 +13,7 @@ import pytest
 
 from aircomp import analysis, coding
 from aircomp.analysis import DistortionLaw, chernoff_tail, min_source_length
-from aircomp.channel import SystemConfig, all_ones_channel, max_power_scaling, run_round
+from aircomp.channel import SystemConfig, all_ones_channel, run_round
 from aircomp.coding import (
     Construction,
     construct_random_orthonormal,
@@ -109,7 +109,7 @@ def test_criterion_3_gamma_law(run_10db_half_rate):
 def test_criterion_4_oracle_equivalence():
     enc = coding.EncodingMatrix(np.diag([math.sqrt(0.5), math.sqrt(1.5)]))
     config = SystemConfig(k_users=3, l=2, l_tilde=2, p_x=10.0, master_seed=SEED)
-    stat = oracle_equivalence_test(enc, config, all_ones_channel(3), range(10_000))
+    stat = oracle_equivalence_test(enc, config, range(10_000))
     assert report(
         4,
         "pipeline vs spectrum-law sampler, spectrum {0.5, 1.5}",
@@ -225,14 +225,12 @@ def test_criterion_9_uncoded_baseline_identity():
 
     uncoded_enc = construct_repetition(config.l)
     ch = all_ones_channel(config.k_users)
-    p = max_power_scaling(ch.min_gain, config)
     uncoded = np.array(
         [
             run_round(
                 uncoded_enc,
                 config,
                 ch,
-                p,
                 Rng(config.master_seed, stream_id(Purpose.TRIAL, i)),
             )
             for i in range(plan.trials)

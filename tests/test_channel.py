@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from aircomp import channel
+from aircomp import channel, experiments
 from aircomp.analysis import DistortionLaw
 from aircomp.channel import (
     ChannelRealization,
@@ -403,7 +403,7 @@ class TestDecodeSum:
     def test_noise_free_round_is_exact(self):
         enc = construct_random_orthonormal(10, 5, Rng(35))
         cfg = SystemConfig(n0=NEGLIGIBLE_NOISE, p_x=10.0)
-        assert run_round(enc, cfg, all_ones_channel(10), 20.0, Rng(36)) < 1e-20
+        assert run_round(enc, cfg, all_ones_channel(10), Rng(36)) < 1e-20
 
     def test_orthonormal_decode_is_hermitian_transpose(self):
         enc = construct_random_orthonormal(8, 4, Rng(37))
@@ -554,7 +554,7 @@ class TestRunRound:
         enc = construct_random_orthonormal(cfg.l_tilde, cfg.l, Rng(38))
         ch = all_ones_channel(cfg.k_users)
         p = max_power_scaling(ch.min_gain, cfg)
-        distortion = run_round(enc, cfg, ch, p, Rng(39))
+        distortion = run_round(enc, cfg, ch, Rng(39))
         assert distortion < 1e-20
         # the staged chain on the same stream decodes the true sum, and its
         # error gives exactly the returned distortion
@@ -568,10 +568,9 @@ class TestRunRound:
         cfg = SystemConfig(p_x=10.0)
         enc = construct_random_orthonormal(10, 5, Rng(40))
         ch = all_ones_channel(10)
-        p = max_power_scaling(ch.min_gain, cfg)
         distortions = np.empty(2 * 10**4)
         for i in range(distortions.size):
-            distortions[i] = run_round(enc, cfg, ch, p, Rng(41, i))
+            distortions[i] = run_round(enc, cfg, ch, Rng(41, i))
         assert np.mean(distortions) == pytest.approx(0.05, rel=0.02)
 
     def test_relabeling_symmetry(self):
@@ -594,7 +593,7 @@ class TestRunRound:
         cfg = SystemConfig(k_users=2, l=2, l_tilde=2)
         enc = construct_repetition(2)
         with pytest.raises(ZeroChannel):
-            run_round(enc, cfg, ChannelRealization([1e-8, 1.0]), 1.0, Rng(50))
+            run_round(enc, cfg, ChannelRealization([1e-8, 1.0]), Rng(50))
 
     @pytest.mark.parametrize(
         "coefficients, floor, rejected",
@@ -617,10 +616,9 @@ class TestRunRound:
         enc = construct_repetition(2)
         if rejected:
             with pytest.raises(ZeroChannel):
-                run_round(enc, cfg, ch, 1.0, Rng(51))
+                run_round(enc, cfg, ch, Rng(51))
         else:
-            p = max_power_scaling(ch.min_gain, cfg)
-            assert math.isfinite(run_round(enc, cfg, ch, p, Rng(51)))
+            assert math.isfinite(run_round(enc, cfg, ch, Rng(51)))
 
     @pytest.mark.parametrize("floor, rejected", [(1.0, False), (2.0, True)])
     def test_fixed_channel_meets_the_floor(self, floor, rejected):
@@ -655,7 +653,7 @@ class TestRunRound:
             enc = construct_random_orthonormal(l_tilde, l, Rng(55))
         ch = sample_rician(cfg, Rng(cfg.master_seed, 56))
         p = max_power_scaling(ch.min_gain, cfg)
-        out = run_round(enc, cfg, ch, p, Rng(cfg.master_seed, 57))
+        out = run_round(enc, cfg, ch, Rng(cfg.master_seed, 57))
         assert type(out) is float
 
         sources, noise, estimate = staged_round(
@@ -670,10 +668,10 @@ class TestRunRound:
         cfg = SystemConfig()
         enc = construct_random_orthonormal(8, 4, Rng(45))
         with pytest.raises(ShapeMismatch):
-            run_round(enc, cfg, all_ones_channel(10), 1.0, Rng(46))
+            run_round(enc, cfg, all_ones_channel(10), Rng(46))
         enc_ok = construct_random_orthonormal(10, 5, Rng(45))
         with pytest.raises(ShapeMismatch):
-            run_round(enc_ok, cfg, all_ones_channel(3), 1.0, Rng(46))
+            run_round(enc_ok, cfg, all_ones_channel(3), Rng(46))
 
     def test_error_covariance_matches_closed_form(self):
         # decoded-sum error covariance is (phi^H phi)^-1 / rho
@@ -774,8 +772,8 @@ CHAIN_BUGS = {
     ),
     "noise-at-2-n0": (
         "run_round",
-        lambda f, fixed: lambda enc, cfg, ch, p, rng: f(
-            enc, replace(cfg, n0=2 * cfg.n0), ch, p, rng
+        lambda f, fixed: lambda enc, cfg, ch, rng: f(
+            enc, replace(cfg, n0=2 * cfg.n0), ch, rng
         ),
     ),
     "largest-gain-power": (
@@ -797,6 +795,13 @@ class TestMutationTable:
     two-sided Chernoff gate on the mean of TRIALS distortions catches it.
     Its law is built from the unpatched channel, before any patch, and its
     false-alarm rate is at most FALSE_ALARM = 1e-6.
+
+    Four bugs also break a deterministic check elsewhere. The phase
+    relation (TestMetamorphicRelations) catches conjugate-precode and
+    h-for-inverse-h; the SNR relation catches root-p-for-p, which moves a
+    distortion by up to 5.33 relative at its seed; the per-user cap
+    (TestPerUserCap) catches largest-gain-power at the first trial.
+    noise-at-2-n0 has no deterministic check, only the mean gate.
     """
 
     SEED = 4
@@ -855,15 +860,18 @@ class TestMutationTable:
 
 
 class TestMetamorphicRelations:
-    """Runs of the chain that must agree bit for bit, in every channel mode.
+    """Runs of the chain that must agree by a known rule.
 
     Scaling p_w, n0 and p_x by one power of 4 leaves the power scaling p
     unchanged and scales every transmitted and received quantity by an
     exact power of two (sqrt(4 x) = 2 sqrt(x) in IEEE arithmetic), so every
     distortion scales by exactly that factor. Scaling n0 and p_x alone by
     4 scales p by 4 and the noise by 2, which a correct decoder divides
-    back out, so every distortion is unchanged. Neither relation needs the
-    law or the noise, and neither can fail by chance.
+    back out, so every distortion is unchanged. Both hold bit for bit in
+    every channel mode. Turning each fixed channel coefficient by its own
+    phase leaves every distortion unchanged up to rounding, since the
+    precode inverts each h_k. No relation needs the law or the noise, and
+    none can fail by chance.
     """
 
     SEED = 5
@@ -928,3 +936,95 @@ class TestMetamorphicRelations:
         moved = np.abs(self.samples(mode, n0=4, p_x=4) / base - 1)
         # the mutation moves distortions by 0.7 to 5.3 relative at this seed
         assert moved.max() > 0.1
+
+    def phase_moves(self, monkeypatch, bug=None):
+        """Each fixed-from-seed distortion's relative move when every
+        coefficient h_k turns to h_k e^{i theta_k}, under chain bug ``bug``."""
+        plan = ExperimentPlan(
+            config=SystemConfig(master_seed=self.SEED),
+            channel_mode=ChannelMode.FIXED_FROM_SEED,
+        )
+        fixed = plan.fixed
+        if bug is not None:
+            name, mutate = CHAIN_BUGS[bug]
+            monkeypatch.setattr(channel, name, mutate(getattr(channel, name), fixed))
+        theta = np.random.default_rng(self.SEED).uniform(0, 2 * np.pi, fixed.k_users)
+        turned = ChannelRealization(fixed.coefficients * np.exp(1j * theta))
+        base, moved = (
+            experiments._run_range(plan.enc, plan.config, ch, 0, self.TRIALS)[0]
+            for ch in (fixed, turned)
+        )
+        return np.abs(moved / base - 1)
+
+    def test_phases_leave_every_distortion(self, monkeypatch):
+        # only rounding moves (3.2e-15 at most at this seed); the turn can
+        # also move min_gain, and with it p, by an ulp
+        assert self.phase_moves(monkeypatch).max() <= 1e-12
+
+    @pytest.mark.parametrize("bug", ["conjugate-precode", "h-for-inverse-h"])
+    def test_fade_bugs_break_the_phase_relation(self, monkeypatch, bug):
+        # every trial moves: by 1.8e-3 to 25.5 (conjugate-precode) and
+        # 7.6e-3 to 13.7 (h-for-inverse-h) relative at this seed
+        assert self.phase_moves(monkeypatch, bug).min() > 1e-3
+
+
+def transmit_powers(monkeypatch, plan):
+    """Each user's average transmit power p R p_w / |h_k|^2 per complex
+    dimension in each round of ``run_trials(plan)``, shape (trials, users).
+
+    Read off the arguments of every encode_and_precode call the run makes.
+    """
+    calls = []
+    original = channel.encode_and_precode
+
+    def recorded(enc, w_k, h_k, p):
+        calls.append((p, h_k))
+        return original(enc, w_k, h_k, p)
+
+    monkeypatch.setattr(channel, "encode_and_precode", recorded)
+    run_trials(plan)
+    cfg = plan.config
+    p, h = (np.array(column) for column in zip(*calls))
+    powers = p * cfg.rate * cfg.p_w / np.abs(h) ** 2
+    return powers.reshape(plan.trials, cfg.k_users)
+
+
+class TestPerUserCap:
+    """Every round runs at P*: no user above the cap p_x, the weakest at it.
+
+    Both hold within 16 u relative to p_x, u the unit round-off; 500
+    trials come within 2.6 u in each mode and config below. Neither check
+    can fail by chance.
+    """
+
+    TRIALS = 500
+    SLACK = 16 * np.finfo(float).eps / 2
+    CONFIGS = {
+        "reference": SystemConfig(master_seed=5),
+        "three-users": SystemConfig(
+            k_users=3, l=2, l_tilde=6, p_w=0.7, p_x=3.1, master_seed=5
+        ),
+    }
+
+    @pytest.mark.parametrize("mode", list(ChannelMode))
+    @pytest.mark.parametrize("config", list(CONFIGS))
+    def test_weakest_user_meets_the_cap_and_none_exceeds_it(
+        self, monkeypatch, mode, config
+    ):
+        cfg = self.CONFIGS[config]
+        plan = ExperimentPlan(config=cfg, trials=self.TRIALS, channel_mode=mode)
+        powers = transmit_powers(monkeypatch, plan)
+        assert powers.shape == (self.TRIALS, cfg.k_users)
+        assert np.all(powers <= cfg.p_x * (1 + self.SLACK))
+        assert np.all(np.abs(powers.max(axis=1) - cfg.p_x) <= self.SLACK * cfg.p_x)
+
+    def test_largest_gain_power_breaks_the_cap_at_first_trial(self, monkeypatch):
+        plan = ExperimentPlan(
+            config=SystemConfig(master_seed=5),
+            trials=1,
+            channel_mode=ChannelMode.FIXED_FROM_SEED,
+        )
+        name, mutate = CHAIN_BUGS["largest-gain-power"]
+        monkeypatch.setattr(channel, name, mutate(getattr(channel, name), plan.fixed))
+        # the weakest user transmits at 29.3 times the cap at this seed
+        assert transmit_powers(monkeypatch, plan)[0].max() > 2 * plan.config.p_x

@@ -1,7 +1,9 @@
 import argparse
+import ast
 import csv
 import json
 import os
+import pathlib
 import subprocess
 import sys
 import warnings
@@ -571,6 +573,27 @@ class TestParser:
 
 
 class TestImports:
+    def test_no_unused_imports_in_src(self):
+        # every name a module imports is read somewhere in it; __init__
+        # imports only to re-export, so it is left out
+        unused = {}
+        for path in sorted(pathlib.Path(aircomp.__file__).parent.glob("*.py")):
+            if path.name == "__init__.py":
+                continue
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            imported = set()
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    imported.update(
+                        a.asname or a.name.split(".")[0] for a in node.names
+                    )
+                elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                    imported.update(a.asname or a.name for a in node.names)
+            used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            if imported - used:
+                unused[path.name] = sorted(imported - used)
+        assert unused == {}
+
     def test_cli_import_skips_pool_and_numpy_random(self):
         # A fresh interpreter: this test process has already loaded them.
         # Single-worker runs never start a pool, and numpy.random is only

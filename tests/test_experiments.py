@@ -134,12 +134,10 @@ class TestRunTrials:
         ts = run_trials(plan)
         enc = build_encoding(plan)
         ch = all_ones_channel(plan.config.k_users)
-        p = max_power_scaling(ch.min_gain, plan.config)
         direct = run_round(
             enc,
             plan.config,
             ch,
-            p,
             Rng(plan.config.master_seed, stream_id(Purpose.TRIAL, 7)),
         )
         assert ts.samples[7] == direct
@@ -152,9 +150,8 @@ class TestRunTrials:
         )
         ts = run_trials(plan)
         ch = channel.sample_rician(cfg, Rng(17, stream_id(Purpose.CHANNEL, 7)))
-        p = max_power_scaling(ch.min_gain, cfg)
         rng = Rng(17, stream_id(Purpose.TRIAL, 7))
-        direct = run_round(build_encoding(plan), cfg, ch, p, rng)
+        direct = run_round(build_encoding(plan), cfg, ch, rng)
         assert ts.samples[7] == direct
         assert ts.channel_min_gains[7] == ch.min_gain
 
@@ -396,8 +393,9 @@ class TestFloorBeforeTrials:
         [
             lambda: run_trials(below_floor_plan()),
             lambda: sweep_mse_vs_snr(below_floor_plan(), [10.0], [0.5]),
+            lambda: sweep_blocklength(below_floor_plan(), [10]),
         ],
-        ids=["run-trials", "mse-vs-snr"],
+        ids=["run-trials", "mse-vs-snr", "blocklength"],
     )
     def test_floor_raises_before_any_round(self, monkeypatch, run):
         rounds = []
@@ -477,9 +475,8 @@ class TestTrialRange:
         samples, _ = experiments._run_range(
             enc, plan.config, fixed, 2**48 - 1, 2**48
         )
-        p = max_power_scaling(fixed.min_gain, plan.config)
         rng = Rng(plan.config.master_seed, stream_id(Purpose.TRIAL, 2**48 - 1))
-        assert samples[0] == run_round(enc, plan.config, fixed, p, rng)
+        assert samples[0] == run_round(enc, plan.config, fixed, rng)
 
     @pytest.mark.parametrize("mode", list(ChannelMode))
     def test_any_split_and_any_replay_give_the_same_trials(self, mode):
@@ -505,9 +502,8 @@ class TestTrialRange:
             if ch is None:
                 ch_rng = Rng(19, stream_id(Purpose.CHANNEL, i))
                 ch = channel.sample_rician(cfg, ch_rng)
-            p = max_power_scaling(ch.min_gain, cfg)
             rng = Rng(19, stream_id(Purpose.TRIAL, i))
-            assert whole[0][i] == run_round(enc, cfg, ch, p, rng)
+            assert whole[0][i] == run_round(enc, cfg, ch, rng)
             assert whole[1][i] == ch.min_gain
 
 
@@ -819,29 +815,27 @@ class TestOracleEquivalence:
     def test_orthonormal_pipeline_matches_spectrum_law(self):
         cfg = SystemConfig(master_seed=26)
         enc = construct_random_orthonormal(10, 5, Rng(26, 3))
-        stat = oracle_equivalence_test(
-            enc, cfg, all_ones_channel(cfg.k_users), range(2000)
-        )
+        stat = oracle_equivalence_test(enc, cfg, range(2000))
         assert stat < 1.63 * math.sqrt(2.0 / 2000)
 
     def test_skewed_spectrum_matches_too(self):
         cfg = SystemConfig(k_users=3, l=2, l_tilde=2, p_x=10.0, master_seed=27)
         enc = coding.EncodingMatrix(np.diag([math.sqrt(0.5), math.sqrt(1.5)]))
-        stat = oracle_equivalence_test(enc, cfg, all_ones_channel(3), range(2000))
+        stat = oracle_equivalence_test(enc, cfg, range(2000))
         assert stat < 1.63 * math.sqrt(2.0 / 2000)
 
     def test_minimum_sample_size(self):
         cfg = SystemConfig(master_seed=28)
         enc = construct_random_orthonormal(10, 5, Rng(28))
         with pytest.raises(ValueError):
-            oracle_equivalence_test(enc, cfg, all_ones_channel(10), range(10))
+            oracle_equivalence_test(enc, cfg, range(10))
 
     @pytest.mark.parametrize("trials", [2000, range(0, 4000, 2)])
     def test_trials_must_be_consecutive_indices(self, trials):
         cfg = SystemConfig(master_seed=28)
         enc = construct_random_orthonormal(10, 5, Rng(28))
         with pytest.raises(ValueError, match="range of consecutive indices"):
-            oracle_equivalence_test(enc, cfg, all_ones_channel(10), trials)
+            oracle_equivalence_test(enc, cfg, trials)
 
 
 class TestCsvOutput:
