@@ -11,6 +11,7 @@ seeds reproduce identical bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -54,6 +55,17 @@ def _finite_float(text: str) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _require_writable(path: str) -> None:
+    """Raise OSError unless ``path`` can be written; leave no new file behind."""
+    try:
+        open(path, "x", encoding="utf-8").close()
+    except FileExistsError:
+        # append mode checks writability without emptying an earlier result
+        open(path, "a", encoding="utf-8").close()
+    else:
+        os.remove(path)
+
+
 def _validate(enc: coding.EncodingMatrix, args) -> coding.ValidationReport:
     """Row-subset check under --seed, --max-exhaustive and --samples."""
     if args.samples < 1:
@@ -93,6 +105,7 @@ def cmd_construct(args) -> int:
     # the matrix simulate --seed S builds, by the same recipe
     config = SystemConfig(l=args.l, l_tilde=args.l_tilde, master_seed=args.seed)
     enc = ExperimentPlan(config).enc
+    _require_writable(args.out)  # before validating, which can take seconds
     report = _validate(enc, args)
     gram = enc.phi.conj().T @ enc.phi
     gram_error = float(np.max(np.abs(gram - np.eye(enc.l))))
@@ -325,7 +338,16 @@ def cmd_figures(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on first use.
+
+    A build takes 1-2 ms (argparse sets up a help formatter for each
+    option it adds), and ``parse_args`` never changes the parser, so every
+    call returns the same one. Its defaults are read from
+    module constants at the first call: a test that patches one must call
+    ``build_parser.cache_clear()``.
+    """
     parser = argparse.ArgumentParser(
         prog="aircomp",
         description=(

@@ -30,7 +30,7 @@ from .numerics import (
     RANK_TOLERANCE,
     Rng,
     exact_int,
-    finite_float,
+    finite_floats,
     lexicographic_subsets,
     qr_orthonormal,
     require_code_shape,
@@ -44,20 +44,23 @@ POWER_TOLERANCE = 1e-8
 DEFAULT_MAX_EXHAUSTIVE_SUBSETS = 100_000
 DEFAULT_SAMPLE_COUNT = 1_000
 
-# Bytes of one ``validate`` batch: the stacked l x l row-subset matrices,
-# their conjugates, Gram matrices and singular values (the Cholesky clear's
-# factors come on top, and it shifts the Grams in place). Where the Grams
-# come from the table of row outer products, the stacked subsets and
-# conjugates give way to an n x l_tilde float64 row indicator: at most
-# 64 l bytes per subset under l_tilde <= 8 l, within their 32 l^2 from
-# l = 2 on (at l = 1 the rule admits at most 8 subsets, one batch that
-# forms no Gram), plus the table, under 2^14 complex entries (256 KiB),
-# once per call. Small enough that memory stays bounded whatever the
-# subset count, but not always large enough for BLAS and LAPACK alone to
-# set the pace: at 64x32 a batch holds 5 subsets, so numpy's fixed cost
-# per call counts. The subsets are therefore drawn by the piece
-# (``_piece``), a whole number of batches whose row indices take about an
-# eighth of this.
+# Bytes that size ``validate``'s stacked LAPACK calls. An SVD batch holds
+# this much of stacked l x l row-subset matrices, their conjugates, Gram
+# matrices and singular values. A certificate stack holds this much of
+# l x l complex Gram matrices, and at least one batch. Its arrays are
+# allocated once per call and reused stack after stack (``_Workspace``):
+# the Grams, their Cholesky factors, and either the gathered subsets and
+# their conjugates or, where the Grams come from the table of row outer
+# products, an n x l_tilde float64 row indicator (at most 64 l bytes per
+# subset under l_tilde <= 8 l) plus the table, under 2^14 complex entries
+# (256 KiB). A stack's uncleared subsets go to one SVD call, so when
+# nothing clears that call holds the SVD working set of a whole stack,
+# under 3.5 times this. Small enough that memory stays bounded whatever
+# the subset count, but not always large enough for BLAS and LAPACK alone
+# to set the pace: at 64x32 a batch holds 5 subsets and a stack 16, so
+# numpy's fixed cost per call counts. The subsets are therefore drawn by
+# the piece (``_piece``), a whole number of batches whose row indices take
+# about an eighth of this.
 SVD_BATCH_BYTES = 256 * 1024
 
 # Factor by which the screen in ``validate`` widens its worst-case rounding
@@ -221,40 +224,44 @@ def validate(
     Gram spectrum, which fully determines the distortion law downstream and
     whose sum is the power constraint's trace.
 
-    Subsets are checked in batches of about ``SVD_BATCH_BYTES`` of working
-    set, so memory stays bounded, and drawn in pieces of whole batches
-    (``_piece``), one unranking or ``sample_subsets`` call per piece (a
-    tall phi splits its sampled piece further). Both draws give the same
-    subsets whatever the piece and batch sizes, and the pieces leave batch
-    boundaries where they would be with one draw per batch. The worst
-    ratio is the least of the SVD ratios, and a computed SVD ratio lies
-    within m = SCREEN_SAFETY (2l + 5) u of the true one, u being the unit
-    roundoff: LAPACK Users' Guide §4.9 bounds each singular value's error
-    by l u sigma_max. With ``worst`` the least computed ratio so far, some
-    true ratio is at most h = worst + m, and a subset whose true ratio
-    exceeds h + 2m has a computed ratio above ``worst`` and can be left
-    out. The first batch goes straight to the SVD; each later one goes
-    through two stages:
+    Subsets are drawn in pieces of whole SVD batches (``_piece``), one
+    unranking or ``sample_subsets`` call per piece (a tall phi splits its
+    sampled piece further), and both draws give the same subsets whatever
+    the piece size. The worst ratio is the least of the SVD ratios, and a
+    computed SVD ratio lies within m = SCREEN_SAFETY (2l + 5) u of the true
+    one, u being the unit roundoff: LAPACK Users' Guide §4.9 bounds each
+    singular value's error by l u sigma_max. With ``worst`` the least
+    computed ratio so far, some true ratio is at most h = worst + m, and a
+    subset whose true ratio exceeds h + 2m has a computed ratio above
+    ``worst`` and can be left out. The first SVD batch, about
+    ``SVD_BATCH_BYTES`` of SVD working set, goes straight to the SVD, since
+    there is no worst ratio yet. Every later subset is certified in a stack
+    of as many subsets as fill ``SVD_BATCH_BYTES`` with their l x l complex
+    Grams, at least one batch, within one piece, in arrays reused from one
+    stack to the next (``_Workspace``), in two stages:
 
-    1. Cholesky clear: the batch forms its Gram matrices G = B^H B
+    1. Cholesky clear: the stack forms its Gram matrices G = B^H B
        (``_grams``), and a Cholesky factorization of G - tau I that
        completes proves the subset's true ratio above r = worst + 3m
        (``_cleared``, which budgets tau; Higham, Accuracy and Stability of
        Numerical Algorithms, 2002, Thm 10.3). One stacked call gives each
        subset its own verdict. Where ``_by_table(l_tilde, l)`` holds, the
-       Grams come from one real GEMM per batch: the batch's 0/1 row
+       Grams come from one real GEMM per stack: the stack's 0/1 row
        indicator (n x l_tilde) times a table, built once per call, of the
        rows' outer products conj(s_i)^T s_i (l_tilde x l^2 complex, viewed
        as float64); otherwise from one small complex product per subset.
        Either way the Gram lies within the rounding term that ``_cleared``
        budgets for it.
-    2. SVD: every subset not cleared goes through ``np.linalg.svd``.
+    2. SVD: the stack's uncleared subsets go through one ``np.linalg.svd``
+       call (``_least_ratio``).
 
-    The report is therefore bit-identical to an SVD of every subset, one
-    at a time. When every subset is singular, nothing can be cleared, and
-    each batch after the first pays one failed Cholesky call on top of its
-    SVDs: a 12x6 matrix with a zero column takes about 1.2 times as long
-    as with SVDs alone.
+    A cleared subset's computed ratio lies above the worst ratio at its
+    stack, so the report is bit-identical to an SVD of every subset, one
+    at a time, however the subsets are stacked. At 16x8 a batch holds 83
+    subsets and a stack 256, at 64x32 5 and 16. When every subset is
+    singular, nothing can be cleared, and each stack pays one failed
+    Cholesky call on top of its SVDs: a 12x6 matrix with a zero column
+    takes 1.0-1.2 times as long as with SVDs alone.
     """
     if max_exhaustive_subsets < 0:
         raise ValueError("max_exhaustive_subsets must be non-negative")
@@ -290,21 +297,23 @@ def validate(
     table = _outer_products(screened) if _by_table(l_tilde, l) else None
     batch = max(1, SVD_BATCH_BYTES // (3 * enc.phi.itemsize * l * l + 8 * l))
     piece = _piece(batch, l)
+    grams_fit = SVD_BATCH_BYTES // (enc.phi.itemsize * l * l)
+    stack = min(max(batch, grams_fit), piece, count)
+    work = _Workspace(stack, l_tilde, l, table is not None)
     worst = math.inf
     for start in range(0, count, piece):
         drawn = draw(start, min(piece, count - start))
-        for at in range(0, len(drawn), batch):
-            rows = drawn[at : at + batch]
-            if worst < math.inf:
-                gram = _grams(screened, table, rows)
-                rows = rows[~_cleared(gram, worst + 3 * margin, cap)]
-                if not rows.size:
-                    continue
-            sv = np.linalg.svd(enc.phi[rows], compute_uv=False)
-            top = sv[:, 0]
-            # a zero matrix has no largest singular value to divide by: ratio 0
-            ratios = np.divide(sv[:, -1], top, out=np.zeros_like(top), where=top > 0)
-            worst = min(worst, float(ratios.min()))
+        # the first batch has no worst ratio to clear against
+        first = batch if worst == math.inf else 0
+        if first:
+            worst = _least_ratio(enc.phi, drawn[:first])
+        for at in range(first, len(drawn), stack):
+            rows = drawn[at : at + stack]
+            n = len(rows)
+            gram = _grams(screened, table, rows, work)
+            rows = rows[~_cleared(gram, worst + 3 * margin, cap, work.factors[:n])]
+            if rows.size:
+                worst = min(worst, _least_ratio(enc.phi, rows))
 
     return ValidationReport(
         rank_mode=mode,
@@ -314,14 +323,27 @@ def validate(
     )
 
 
+def _least_ratio(phi: np.ndarray, rows: np.ndarray) -> float:
+    """Least computed min/max singular-value ratio over the row subsets ``rows``.
+
+    One stacked ``np.linalg.svd`` call, which factors each subset on its
+    own, so the ratios do not depend on how the subsets are stacked.
+    """
+    sv = np.linalg.svd(phi[rows], compute_uv=False)
+    top = sv[:, 0]
+    # a zero matrix has no largest singular value to divide by: ratio 0
+    ratios = np.divide(sv[:, -1], top, out=np.zeros_like(top), where=top > 0)
+    return float(ratios.min())
+
+
 def _piece(batch: int, l: int) -> int:
     """Subsets ``validate`` draws at a time: whole batches of ``batch``.
 
     As many as keep the piece's row indices (8 l bytes per subset) within
     SVD_BATCH_BYTES / 8, and at least one batch. A piece spreads the
     draw's fixed cost over more subsets than a batch holds, while the
-    batch, which sets every stacked LAPACK call and the peak memory, stays
-    as it is.
+    batch and the certificate stacks, which set every stacked LAPACK call
+    and the peak memory, keep their sizes (a stack never spans two pieces).
     """
     return batch * max(1, SVD_BATCH_BYTES // (64 * l * batch))
 
@@ -367,25 +389,63 @@ def _outer_products(screened: np.ndarray) -> np.ndarray:
     return outer.reshape(l_tilde, l * l).view(np.float64)
 
 
+class _Workspace:
+    """Arrays that ``validate`` reuses from one certificate stack to the next.
+
+    Each holds up to ``n`` subsets: their Grams and Cholesky factors, and
+    either their row indicators (the table route) or the gathered subsets
+    and their conjugates (stacked products). An array of a whole stack can
+    take SVD_BATCH_BYTES, past glibc's default 128 KiB mmap and trim
+    thresholds, so once freed it goes back to the system, and a fresh one
+    per stack would fault its pages in again. At 16x8 the Gram and
+    Cholesky steps of one ``validate`` took 26.5 ms with fresh arrays per
+    stack, 9.7 ms with these, and 12.5 ms in stacks of one batch (83
+    subsets, under the thresholds), on one core of a 2-vCPU Intel Xeon
+    host.
+    """
+
+    def __init__(self, n: int, l_tilde: int, l: int, by_table: bool):
+        self.grams = np.empty((n, l, l), dtype=np.complex128)
+        self.factors = np.empty_like(self.grams)
+        if by_table:
+            self.picks = np.zeros((n, l_tilde))
+        else:
+            self.subsets = np.empty_like(self.grams)
+            self.conjugates = np.empty_like(self.grams)
+
+
 def _grams(
-    screened: np.ndarray, table: np.ndarray | None, rows: np.ndarray
+    screened: np.ndarray,
+    table: np.ndarray | None,
+    rows: np.ndarray,
+    work: _Workspace | None = None,
 ) -> np.ndarray:
     """The Gram matrices B^H B of the row subsets ``rows`` of ``screened``, stacked.
 
-    With a ``table`` (``_outer_products``), one real GEMM of the batch's
+    With a ``table`` (``_outer_products``), one real GEMM of the stack's
     n x l_tilde row indicator by the table; without, one small complex
-    product per subset.
+    product per subset. Formed in ``work``, a fresh one when none is given.
     """
     n, l = rows.shape
+    if work is None:
+        work = _Workspace(n, len(screened), l, table is not None)
+    gram = work.grams[:n]
     if table is None:
-        stack = screened[rows]
-        return np.matmul(stack.conj().transpose(0, 2, 1), stack)
-    pick = np.zeros((n, len(screened)))
+        # mode="clip" gathers straight into ``out`` (the default buffers
+        # it); every index is in range
+        sub = np.take(screened, rows, axis=0, out=work.subsets[:n], mode="clip")
+        conj = np.conjugate(sub, out=work.conjugates[:n])
+        return np.matmul(conj.transpose(0, 2, 1), sub, out=gram)
+    pick = work.picks[:n]
+    pick.fill(0)
     pick[np.arange(n)[:, None], rows] = 1
-    return np.matmul(pick, table).view(np.complex128).reshape(n, l, l)
+    np.matmul(pick, table, out=gram.reshape(n, l * l).view(np.float64))
+    return gram
 
 
-def _cleared(gram: np.ndarray, r: float, cap: float) -> np.ndarray:
+def _cleared(
+    gram: np.ndarray, r: float, cap: float, factors: np.ndarray | None = None
+) -> np.ndarray:
     """Per stacked Gram, whether its true ratio is certified to exceed r.
 
     ``gram`` holds the computed Gram matrices of row subsets of phi / s,
@@ -394,7 +454,8 @@ def _cleared(gram: np.ndarray, r: float, cap: float) -> np.ndarray:
     from its diagonal, the shift is
     tau = r^2 cap + SCREEN_SAFETY (3l + 9) u F + l^2 tiny, subtracted from
     that diagonal in place: ``gram`` is the caller's fresh stack, and it
-    holds the shifted matrices afterwards. When the
+    holds the shifted matrices afterwards. The Cholesky factors go to
+    ``factors`` when it is given, a stack of gram's shape. When the
     Cholesky factorization of a computed Gram minus tau I completes with a
     finite factor, the true Gram has lambda_min above tau less four errors,
     each a multiple of u F, 3 + 2 (l + 2) + (l + 1) + 1 = 3l + 9 in all:
@@ -435,7 +496,7 @@ def _cleared(gram: np.ndarray, r: float, cap: float) -> np.ndarray:
     tau = r * r * cap + SCREEN_SAFETY * (3 * l + 9) * _U * f + l * l * _TINY
     diag -= tau[:, None]
     with np.errstate(all="ignore"):
-        return ~np.isnan(_cholesky(gram)[:, 0, 0])
+        return ~np.isnan(_cholesky(gram, out=factors)[:, 0, 0])
 
 
 def gram_spectrum(enc: EncodingMatrix) -> np.ndarray:
@@ -496,10 +557,7 @@ def load_matrix(path, shape: tuple[int, int] | None = None) -> EncodingMatrix:
         cols = exact_int(blob["cols"], "cols")
         if rows < 1 or cols < 1:
             raise ValueError(f"rows and cols must be positive, got {rows} and {cols}")
-        re, im = (
-            np.array([finite_float(v, part) for v in blob[part]])
-            for part in ("re", "im")
-        )
+        re, im = (finite_floats(blob[part], part) for part in ("re", "im"))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed matrix file {path}: {exc}") from exc
     if shape is not None and (rows, cols) != tuple(shape):

@@ -348,3 +348,18 @@ def finite_float(value, name: str) -> float:
     ):
         raise ValueError(f"{name} must be a finite number, got {value!r}")
     return float(value)
+
+
+def finite_floats(values, name: str) -> np.ndarray:
+    """``values`` as a float64 array, each entry by the ``finite_float`` rule.
+
+    A list of Python floats, which is what JSON gives for a float array,
+    becomes one array checked by one ``np.isfinite``; anything else, and
+    a list with a non-finite entry, goes entry by entry, so the error names
+    the first bad entry.
+    """
+    if type(values) is list and set(map(type, values)) <= {float}:
+        array = np.array(values, dtype=np.float64)
+        if np.isfinite(array).all():
+            return array
+    return np.array([finite_float(v, name) for v in values])

@@ -33,8 +33,10 @@ from aircomp.errors import (
 from aircomp.experiments import (
     ChannelMode,
     ExperimentPlan,
+    Purpose,
     fixed_channel_for,
     run_trials,
+    stream_id,
     summarize,
 )
 from aircomp.numerics import Rng, sample_complex_gaussian
@@ -796,12 +798,14 @@ class TestMutationTable:
     Its law is built from the unpatched channel, before any patch, and its
     false-alarm rate is at most FALSE_ALARM = 1e-6.
 
-    Four bugs also break a deterministic check elsewhere. The phase
-    relation (TestMetamorphicRelations) catches conjugate-precode and
+    Every bug also breaks a deterministic check. The phase relation
+    (TestMetamorphicRelations) catches conjugate-precode and
     h-for-inverse-h; the SNR relation catches root-p-for-p, which moves a
     distortion by up to 5.33 relative at its seed; the per-user cap
-    (TestPerUserCap) catches largest-gain-power at the first trial.
-    noise-at-2-n0 has no deterministic check, only the mean gate.
+    (TestPerUserCap) catches largest-gain-power at the first trial; and
+    the replay below, which recomputes each trial stage by stage at the
+    configured n0, catches noise-at-2-n0 at the first trial, where every
+    distortion moves by a factor of 2 up to rounding.
     """
 
     SEED = 4
@@ -828,6 +832,37 @@ class TestMutationTable:
         samples = run_trials(plan).samples
         holds = chain_identity_holds(enc, *map(np.array, rounds.values()))
         return holds, lo <= samples.mean() / law.mean <= hi
+
+    def replay_matches(self, monkeypatch, bug=None, trials=5):
+        """Per trial, whether run_trials' sample is the correct chain's, bit for bit.
+
+        Each trial is replayed by staged_round on its own stream, at the
+        configured n0 and the unpatched max_power_scaling.
+        """
+        plan = ExperimentPlan(
+            config=SystemConfig(master_seed=self.SEED),
+            trials=trials,
+            channel_mode=ChannelMode.FIXED_FROM_SEED,
+        )
+        cfg, enc, fixed = plan.config, plan.enc, plan.fixed
+        p = max_power_scaling(fixed.min_gain, cfg)
+        if bug is not None:
+            name, mutate = CHAIN_BUGS[bug]
+            monkeypatch.setattr(channel, name, mutate(getattr(channel, name), fixed))
+        samples = run_trials(plan).samples
+        replayed = []
+        for i in range(trials):
+            rng = Rng(cfg.master_seed, stream_id(Purpose.TRIAL, i))
+            sources, _, estimate = staged_round(enc, cfg, fixed, p, rng)
+            error = estimate - sources.sum(axis=0)
+            replayed.append(float((np.abs(error) ** 2).sum() / cfg.l))
+        return bits(samples) == bits(np.array(replayed))
+
+    def test_correct_chain_matches_its_replay(self, monkeypatch):
+        assert self.replay_matches(monkeypatch).all()
+
+    def test_noise_bug_fails_replay_at_first_trial(self, monkeypatch):
+        assert not self.replay_matches(monkeypatch, "noise-at-2-n0", trials=1)[0]
 
     def test_seed_gains_are_distinct(self):
         # the largest-gain bug moves the mean by the max/min gain ratio

@@ -96,13 +96,27 @@ class TestConstruct:
         assert capsys.readouterr().err.startswith("error: --samples")
         assert not (tmp_path / "x.json").exists()
 
-    def test_unwritable_out_is_usage_error(self, tmp_path, capsys):
+    def test_unwritable_out_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        # found before validating, which can take seconds
+        validates = count_calls(monkeypatch, coding, "validate")
         code = run_cli(
             "construct", "--l", "2", "--l-tilde", "4",
             "--out", str(tmp_path / "missing" / "x.json"),
         )
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
+        assert validates == []
+
+    def test_usage_error_keeps_an_existing_out_file(self, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        out.write_text("earlier result\n")
+        code = run_cli(
+            "construct", "--l", "2", "--l-tilde", "4", "--samples", "0",
+            "--out", str(out),
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: --samples")
+        assert out.read_text() == "earlier result\n"
 
     def test_strict_passes_for_random_construction(self, tmp_path):
         code = run_cli(
@@ -323,6 +337,11 @@ class TestTheory:
             '{"rows": 1, "cols": 1, "re": ["1"], "im": [0]}',
             '{"rows": 1, "cols": 1, "re": [1], "im": [true]}',
             '{"rows": 1, "cols": 1, "re": [1], "im": [null]}',
+            '{"rows": 1, "cols": 1, "re": [NaN], "im": [0]}',
+            '{"rows": 1, "cols": 1, "re": [1.0], "im": [Infinity]}',
+            '{"rows": 1, "cols": 1, "re": [-Infinity], "im": [0.0]}',
+            '{"rows": 1, "cols": 1, "re": [1e400], "im": [0.0]}',
+            '{"rows": 1, "cols": 1, "re": [1' + '0' * 400 + '], "im": [0]}',
             # rows * cols matches the entry count, or negates it
             '{"rows": -2, "cols": -3, "re": [1,1,1,1,1,1], "im": [0,0,0,0,0,0]}',
             '{"rows": -3, "cols": -1, "re": [1, 1, 1], "im": [0, 0, 0]}',
@@ -570,6 +589,42 @@ class TestParser:
             assert found == expected, name
             func = "cmd_" + name.replace("-", "_")
             assert subparser.get_default("func") is getattr(cli, func)
+
+    def test_one_parser_per_process(self):
+        parser = cli.build_parser()
+        assert cli.build_parser() is parser
+        built = parser.parse_args(
+            ["construct", "--l", "2", "--l-tilde", "4", "--out", "x.json"]
+        )
+        checked = parser.parse_args(["check", "--matrix", "x.json"])
+        assert built.l == 2 and built.out == "x.json"
+        assert checked.command == "check" and checked.matrix == "x.json"
+        assert not hasattr(checked, "l") and not hasattr(checked, "out")
+
+    def test_one_process_prints_what_fresh_processes_print(self, tmp_path, capsys):
+        # construct then check through main in this process, against one
+        # fresh interpreter per call: the reused parser changes no byte
+        path = str(tmp_path / "phi.json")
+        calls = [
+            ["construct", "--l", "4", "--l-tilde", "8", "--seed", "3",
+             "--out", path, "--strict"],
+            ["check", "--matrix", path, "--seed", "3", "--max-exhaustive", "10",
+             "--samples", "40", "--strict"],
+        ]
+        in_process = []
+        for argv in calls:
+            assert main(argv) == 0
+            in_process.append(capsys.readouterr().out)
+        src = os.path.dirname(os.path.dirname(aircomp.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        fresh = [
+            subprocess.run(
+                [sys.executable, "-m", "aircomp.cli", *argv],
+                env=env, capture_output=True, text=True, timeout=60, check=True,
+            ).stdout
+            for argv in calls
+        ]
+        assert in_process == fresh
 
 
 class TestImports:

@@ -422,6 +422,29 @@ class TestValidateBatches:
         assert report.subsets_checked == 12870 and report.rank_ok
         assert 0 < len(stacks) < 16
 
+    @pytest.mark.parametrize(
+        "l_tilde, l, batch, stack, stacks",
+        # C(16, 8) = 12870 subsets in 26 pieces of 498, C(64, 32) sampled
+        # 1000 in 8 pieces of 125: stacks end where pieces do
+        [(16, 8, 83, 256, 52), (64, 32, 5, 16, 64)],
+    )
+    def test_cholesky_stacks_fill_svd_batch_bytes(
+        self, monkeypatch, l_tilde, l, batch, stack, stacks
+    ):
+        # after the first batch, which goes straight to the SVD, every
+        # subset is certified once, in stacks of as many l x l complex Grams
+        # as fill SVD_BATCH_BYTES, or the per-call cost has silently come back
+        assert coding.SVD_BATCH_BYTES // (16 * l * l) == stack
+        choleskys = record_choleskys(monkeypatch)
+        report = validate(
+            construct_random_orthonormal(l_tilde, l, Rng(23)), rng=Rng(4, 99)
+        )
+        sizes = [len(c) for c in choleskys]
+        assert report.rank_ok
+        assert sizes[0] == stack and max(sizes) <= stack
+        assert sum(sizes) == report.subsets_checked - batch
+        assert len(sizes) == stacks
+
     def test_singular_batches_cost_one_cholesky_call(self, monkeypatch):
         # every subset of a matrix with a zero column is singular, so no
         # subset clears, and each batch after the first (which has no worst
@@ -728,6 +751,43 @@ class TestMatrixFile:
         assert load_matrix(path, (6, 3)).phi.shape == (6, 3)
         assert load_matrix(path).phi.shape == (6, 3)
         assert len(built) == 2
+
+    @pytest.mark.parametrize(
+        "re, error",
+        [
+            ("[1.5, NaN]", "re must be a finite number, got nan"),
+            ("[Infinity, 1.5]", "re must be a finite number, got inf"),
+            ("[1.5, -Infinity]", "re must be a finite number, got -inf"),
+            ("[1.5, 1e400]", "re must be a finite number, got inf"),
+            ("[1.5, true]", "re must be a finite number, got True"),
+            ('[1.5, "1"]', "re must be a finite number, got '1'"),
+            ("[1, 1" + "0" * 400 + "]", "re must be a finite number, got 1000"),
+            # the first bad entry is named, whatever follows it
+            ("[NaN, true]", "re must be a finite number, got nan"),
+            ("[false, NaN]", "re must be a finite number, got False"),
+        ],
+    )
+    def test_bad_entry_is_named(self, tmp_path, re, error):
+        path = tmp_path / "bad.json"
+        path.write_text(f'{{"rows": 2, "cols": 1, "re": {re}, "im": [0.0, 0.0]}}')
+        with pytest.raises(ValueError) as caught:
+            load_matrix(path)
+        assert str(caught.value).startswith(f"malformed matrix file {path}: {error}")
+
+    @pytest.mark.parametrize(
+        "re, expected",
+        [
+            ("[1, -2]", [1.0, -2.0]),
+            ("[1, 2.5]", [1.0, 2.5]),
+            ("[1e-320, 1.7976931348623157e308]", [1e-320, 1.7976931348623157e308]),
+            ("[1" + "0" * 300 + ", 0]", [1e300, 0.0]),
+        ],
+    )
+    def test_entries_keep_their_values(self, tmp_path, re, expected):
+        path = tmp_path / "phi.json"
+        path.write_text(f'{{"rows": 2, "cols": 1, "re": {re}, "im": [0, 0.5]}}')
+        phi = load_matrix(path).phi
+        assert np.array_equal(phi, np.array(expected)[:, None] + [[0j], [0.5j]])
 
     def test_wide_matrix_rejected(self, tmp_path):
         path = tmp_path / "wide.json"

@@ -14,6 +14,8 @@ from aircomp import analysis, channel, coding
 from aircomp.errors import EmptySample, InvalidShape, RankDeficient
 from aircomp.numerics import (
     Rng,
+    finite_float,
+    finite_floats,
     ks_distance,
     ks_two_sample,
     lexicographic_subsets,
@@ -301,6 +303,48 @@ class TestLexicographicSubsets:
         lexicographic_subsets(66, 33)
         with pytest.raises(ValueError, match="too many to rank"):
             lexicographic_subsets(67, 33)
+
+
+class TestFiniteFloats:
+    """finite_floats is finite_float applied to every entry, value for value
+    and error for error, whichever path it takes."""
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [],
+            [1.5, -0.0, 5e-324, -1.7976931348623157e308],
+            [1, -2],
+            [1.5, 2],
+            [10**300, 0.0],
+            (0.5, 1.5),
+        ],
+    )
+    def test_values_match_the_per_entry_rule(self, values):
+        expected = np.array([finite_float(v, "re") for v in values])
+        got = finite_floats(values, "re")
+        assert got.dtype == expected.dtype == np.float64
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "values, bad",
+        [
+            ([1.5, math.nan], math.nan),
+            ([math.inf, 1.5], math.inf),
+            ([1.5, -math.inf, math.nan], -math.inf),
+            ([1.5, True], True),
+            ([False, math.nan], False),
+            ([1.5, "1"], "1"),
+            ([10**400], 10**400),
+            ([1.5, None], None),
+        ],
+    )
+    def test_errors_name_the_first_bad_entry(self, values, bad):
+        with pytest.raises(ValueError) as expected:
+            finite_float(bad, "re")
+        with pytest.raises(ValueError) as got:
+            finite_floats(values, "re")
+        assert str(got.value) == str(expected.value)
 
 
 class TestRegularizedLowerGamma:
