@@ -3,9 +3,10 @@
 Subcommands: construct, check, theory, regions, simulate, dist-test,
 figures. Exit codes: 0 success, 1 validation/assertion failure, 2 usage
 error, which for every subcommand also covers input files that cannot be
-read or parsed and outputs that cannot be written. All numeric output is
-locale-independent with 12 significant digits, and identical flags plus
-seeds reproduce identical bytes.
+read or parsed and outputs that cannot be written. Every output is
+checked (``_require_writable``) before any work, so a failed run creates
+no file. All numeric output is locale-independent with 12 significant
+digits, and identical flags plus seeds reproduce identical bytes.
 """
 
 from __future__ import annotations
@@ -39,6 +40,17 @@ def _fail(message: str) -> int:
     return 2
 
 
+def _require_writable(path: str) -> None:
+    """Raise OSError unless ``path`` can be written; leave no new file behind."""
+    try:
+        open(path, "x", encoding="utf-8").close()
+    except FileExistsError:
+        # append mode checks writability without emptying an earlier result
+        open(path, "a", encoding="utf-8").close()
+    else:
+        os.remove(path)
+
+
 def _finite_float(text: str) -> float:
     """argparse type for float flags: NaN and infinities slip past range checks."""
     try:
@@ -53,17 +65,6 @@ def _finite_float(text: str) -> float:
 # ---------------------------------------------------------------------------
 # construct / check
 # ---------------------------------------------------------------------------
-
-
-def _require_writable(path: str) -> None:
-    """Raise OSError unless ``path`` can be written; leave no new file behind."""
-    try:
-        open(path, "x", encoding="utf-8").close()
-    except FileExistsError:
-        # append mode checks writability without emptying an earlier result
-        open(path, "a", encoding="utf-8").close()
-    else:
-        os.remove(path)
 
 
 def _validate(enc: coding.EncodingMatrix, args) -> coding.ValidationReport:
@@ -192,10 +193,8 @@ def cmd_simulate(args) -> int:
     )
     plan.law  # a plan without a law fails before any output exists
     if args.out:
-        # Fail before the run, not after it, when an output cannot be written.
-        # Append mode checks writability without emptying an earlier result.
         for suffix in (".trials.csv", ".report.json"):
-            open(args.out + suffix, "a", encoding="utf-8").close()
+            _require_writable(args.out + suffix)
     ts = experiments.run_trials(plan, workers=args.threads)
     report = experiments.summarize(ts, eta=args.eta)
     ratio = report.mean / report.theory_mean
@@ -297,7 +296,10 @@ def cmd_dist_test(args) -> int:
 def cmd_figures(args) -> int:
     if args.trials is not None and args.trials < 1:
         return _fail("--trials must be at least 1")
+    stem = {2: "fig2_mse_vs_snr", 3: "fig3_rate_regions", 4: "fig4_blocklength"}
+    path = os.path.join(args.out_dir, stem[args.which] + ".csv")
     os.makedirs(args.out_dir, exist_ok=True)
+    _require_writable(path)  # before the sweep, which can take minutes
     config = SystemConfig(master_seed=args.seed)
 
     if args.which == 2:
@@ -310,12 +312,10 @@ def cmd_figures(args) -> int:
         rows = experiments.sweep_mse_vs_snr(
             base, [0, 5, 10, 15, 20], [0.25, 0.5], workers=args.threads
         )
-        path = os.path.join(args.out_dir, "fig2_mse_vs_snr.csv")
     elif args.which == 3:
         rows = experiments.sweep_rate_regions(
             0.02, 0.2, 1.0, [0, 5, 10, 15, 20, 25, 30]
         )
-        path = os.path.join(args.out_dir, "fig3_rate_regions.csv")
     else:
         trials = 500 if args.trials is None else args.trials
         base = ExperimentPlan(
@@ -326,7 +326,6 @@ def cmd_figures(args) -> int:
         rows = experiments.sweep_blocklength(
             base, [10, 20, 40, 80], workers=args.threads
         )
-        path = os.path.join(args.out_dir, "fig4_blocklength.csv")
 
     experiments.write_csv(rows, path)
     print(f"wrote {path}")

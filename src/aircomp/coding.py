@@ -418,17 +418,15 @@ def _grams(
     screened: np.ndarray,
     table: np.ndarray | None,
     rows: np.ndarray,
-    work: _Workspace | None = None,
+    work: _Workspace,
 ) -> np.ndarray:
     """The Gram matrices B^H B of the row subsets ``rows`` of ``screened``, stacked.
 
     With a ``table`` (``_outer_products``), one real GEMM of the stack's
     n x l_tilde row indicator by the table; without, one small complex
-    product per subset. Formed in ``work``, a fresh one when none is given.
+    product per subset. Formed in ``work``.
     """
     n, l = rows.shape
-    if work is None:
-        work = _Workspace(n, len(screened), l, table is not None)
     gram = work.grams[:n]
     if table is None:
         # mode="clip" gathers straight into ``out`` (the default buffers

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from aircomp import analysis, coding
+from aircomp import coding
 from aircomp.analysis import DistortionLaw, chernoff_tail, min_source_length
 from aircomp.channel import SystemConfig, all_ones_channel, run_round
 from aircomp.coding import (

@@ -39,7 +39,7 @@ from aircomp.experiments import (
     stream_id,
     summarize,
 )
-from aircomp.numerics import Rng, sample_complex_gaussian
+from aircomp.numerics import Rng, qr_orthonormal, sample_complex_gaussian
 
 NEGLIGIBLE_NOISE = 1e-300
 
@@ -905,8 +905,22 @@ class TestMetamorphicRelations:
     back out, so every distortion is unchanged. Both hold bit for bit in
     every channel mode. Turning each fixed channel coefficient by its own
     phase leaves every distortion unchanged up to rounding, since the
-    precode inverts each h_k. No relation needs the law or the noise, and
-    none can fail by chance.
+    precode inverts each h_k, and so does handing the fixed coefficients to
+    the users in another order. Rotating the code, phi -> phi V with V
+    unitary, leaves every distortion unchanged up to rounding in every
+    mode: the decoded error (phi V)^+ n = V^H phi^+ n has the norm of
+    phi^+ n. In fixed-unit mode rician_kappa_db is never read, so changing
+    it leaves every distortion bit for bit. No relation needs the law or
+    the noise, and none can fail by chance.
+
+    Which chain bug (CHAIN_BUGS) breaks which relation:
+
+    - SNR: root-p-for-p;
+    - phase and permutation: conjugate-precode and h-for-inverse-h;
+    - rotation: conjugate-precode, h-for-inverse-h and root-p-for-p, whose
+      signal error no longer cancels and so adds to a rotated noise term;
+    - kappa: a fixed-unit run whose channel read kappa, as the
+      fixed-from-seed channel does.
     """
 
     SEED = 5
@@ -972,35 +986,86 @@ class TestMetamorphicRelations:
         # the mutation moves distortions by 0.7 to 5.3 relative at this seed
         assert moved.max() > 0.1
 
-    def phase_moves(self, monkeypatch, bug=None):
-        """Each fixed-from-seed distortion's relative move when every
-        coefficient h_k turns to h_k e^{i theta_k}, under chain bug ``bug``."""
+    def moves(self, monkeypatch, change, mode=ChannelMode.FIXED_FROM_SEED, bug=None):
+        """Each distortion's relative move when ``change(enc, fixed)`` gives
+        the code and fixed channel to run instead, under chain bug ``bug``."""
         plan = ExperimentPlan(
-            config=SystemConfig(master_seed=self.SEED),
-            channel_mode=ChannelMode.FIXED_FROM_SEED,
+            config=SystemConfig(master_seed=self.SEED), channel_mode=mode
         )
         fixed = plan.fixed
         if bug is not None:
             name, mutate = CHAIN_BUGS[bug]
             monkeypatch.setattr(channel, name, mutate(getattr(channel, name), fixed))
-        theta = np.random.default_rng(self.SEED).uniform(0, 2 * np.pi, fixed.k_users)
-        turned = ChannelRealization(fixed.coefficients * np.exp(1j * theta))
         base, moved = (
-            experiments._run_range(plan.enc, plan.config, ch, 0, self.TRIALS)[0]
-            for ch in (fixed, turned)
+            experiments._run_range(enc, plan.config, ch, 0, self.TRIALS)[0]
+            for enc, ch in ((plan.enc, fixed), change(plan.enc, fixed))
         )
         return np.abs(moved / base - 1)
+
+    def turn(self, enc, fixed):
+        """Every coefficient h_k turned to h_k e^{i theta_k}."""
+        theta = np.random.default_rng(self.SEED).uniform(0, 2 * np.pi, fixed.k_users)
+        return enc, ChannelRealization(fixed.coefficients * np.exp(1j * theta))
+
+    def rotate(self, enc, fixed):
+        """phi -> phi V for a unitary V."""
+        draws = sample_complex_gaussian(Rng(self.SEED), enc.l * enc.l, 1.0)
+        v = qr_orthonormal(draws.reshape(enc.l, enc.l))
+        return EncodingMatrix(enc.phi @ v), fixed
+
+    def permute(self, enc, fixed):
+        """The coefficients handed to the users in another order."""
+        order = np.random.default_rng(self.SEED).permutation(fixed.k_users)
+        return enc, ChannelRealization(fixed.coefficients[order])
 
     def test_phases_leave_every_distortion(self, monkeypatch):
         # only rounding moves (3.2e-15 at most at this seed); the turn can
         # also move min_gain, and with it p, by an ulp
-        assert self.phase_moves(monkeypatch).max() <= 1e-12
+        assert self.moves(monkeypatch, self.turn).max() <= 1e-12
 
     @pytest.mark.parametrize("bug", ["conjugate-precode", "h-for-inverse-h"])
     def test_fade_bugs_break_the_phase_relation(self, monkeypatch, bug):
         # every trial moves: by 1.8e-3 to 25.5 (conjugate-precode) and
         # 7.6e-3 to 13.7 (h-for-inverse-h) relative at this seed
-        assert self.phase_moves(monkeypatch, bug).min() > 1e-3
+        assert self.moves(monkeypatch, self.turn, bug=bug).min() > 1e-3
+
+    @pytest.mark.parametrize("mode", list(ChannelMode))
+    def test_rotating_the_code_leaves_every_distortion(self, monkeypatch, mode):
+        # only rounding moves: at most 4.3e-14 (fixed-unit), 1.7e-14
+        # (rician-per-trial) and 9.8e-15 (fixed-from-seed) at this seed
+        assert self.moves(monkeypatch, self.rotate, mode).max() <= 1e-12
+
+    @pytest.mark.parametrize(
+        "bug", ["conjugate-precode", "h-for-inverse-h", "root-p-for-p"]
+    )
+    def test_chain_bugs_break_the_rotation_relation(self, monkeypatch, bug):
+        # the largest move is 1.19 (conjugate-precode), 0.53
+        # (h-for-inverse-h) and 1.91 (root-p-for-p) relative at this seed
+        assert self.moves(monkeypatch, self.rotate, bug=bug).max() > 0.1
+
+    def test_permuting_the_channel_leaves_every_distortion(self, monkeypatch):
+        # only the order of the superposition's sum moves: at most 2.6e-15
+        assert self.moves(monkeypatch, self.permute).max() <= 1e-12
+
+    @pytest.mark.parametrize("bug", ["conjugate-precode", "h-for-inverse-h"])
+    def test_fade_bugs_break_the_permutation_relation(self, monkeypatch, bug):
+        # the largest move is 7.98 (conjugate-precode) and 6.50
+        # (h-for-inverse-h) relative at this seed
+        assert self.moves(monkeypatch, self.permute, bug=bug).max() > 0.1
+
+    def kappa_pair(self, mode):
+        """The samples at rician_kappa_db 5 and at -20."""
+        config = SystemConfig(master_seed=self.SEED)
+        return [
+            run_trials(ExperimentPlan(c, trials=self.TRIALS, channel_mode=mode)).samples
+            for c in (config, replace(config, rician_kappa_db=-20.0))
+        ]
+
+    def test_kappa_leaves_every_fixed_unit_distortion(self):
+        assert np.array_equal(*self.kappa_pair(ChannelMode.FIXED_UNIT_MIN_GAIN))
+
+    def test_a_channel_that_reads_kappa_breaks_the_kappa_relation(self):
+        assert not np.array_equal(*self.kappa_pair(ChannelMode.FIXED_FROM_SEED))
 
 
 def transmit_powers(monkeypatch, plan):

@@ -627,27 +627,34 @@ class TestParser:
         assert in_process == fresh
 
 
+def unused_imports(directory):
+    """Per module of ``directory``, the names it imports but never reads.
+
+    __init__ imports only to re-export, so it is left out.
+    """
+    unused = {}
+    for path in sorted(directory.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(a.asname or a.name.split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update(a.asname or a.name for a in node.names)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        if imported - used:
+            unused[path.name] = sorted(imported - used)
+    return unused
+
+
 class TestImports:
     def test_no_unused_imports_in_src(self):
-        # every name a module imports is read somewhere in it; __init__
-        # imports only to re-export, so it is left out
-        unused = {}
-        for path in sorted(pathlib.Path(aircomp.__file__).parent.glob("*.py")):
-            if path.name == "__init__.py":
-                continue
-            tree = ast.parse(path.read_text(encoding="utf-8"))
-            imported = set()
-            for node in ast.walk(tree):
-                if isinstance(node, ast.Import):
-                    imported.update(
-                        a.asname or a.name.split(".")[0] for a in node.names
-                    )
-                elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-                    imported.update(a.asname or a.name for a in node.names)
-            used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-            if imported - used:
-                unused[path.name] = sorted(imported - used)
-        assert unused == {}
+        assert unused_imports(pathlib.Path(aircomp.__file__).parent) == {}
+
+    def test_no_unused_imports_in_tests(self):
+        assert unused_imports(pathlib.Path(__file__).parent) == {}
 
     def test_cli_import_skips_pool_and_numpy_random(self):
         # A fresh interpreter: this test process has already loaded them.
@@ -1074,30 +1081,6 @@ class TestSimulate:
             assert not os.path.exists(prefix + suffix)
         assert runs == []
 
-    def test_failure_during_trials_leaves_empty_outputs(self, tmp_path, capsys):
-        # A floor no Rician draw clears passes the law check and the output
-        # check, then fails in the first trial's channel draw.
-        cfg_path = tmp_path / "config.json"
-        cfg_path.write_text(json.dumps({
-            "k_users": 10, "l": 5, "l_tilde": 10, "p_w": 1.0, "n0": 1.0,
-            "snr_db": 10.0, "rician_kappa_db": 5.0, "min_gain_floor": 50,
-            "master_seed": 0,
-        }))
-        prefix = tmp_path / "run"
-        code = run_cli(
-            "simulate", "--config", str(cfg_path), "--mode", "rician-per-trial",
-            "--trials", "20", "--out", str(prefix),
-        )
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.err == (
-            "error: 10 coefficient(s) violated the gain floor 50.0 for 1000 "
-            "consecutive draws\n"
-        )
-        assert captured.out == ""
-        for suffix in (".trials.csv", ".report.json"):
-            assert (tmp_path / f"run{suffix}").read_bytes() == b""
-
     def test_fixed_from_seed_draws_its_channel_once(self, capsys, monkeypatch):
         draws = count_calls(monkeypatch, channel, "sample_rician")
         code = run_cli("simulate", "--mode", "fixed-from-seed", "--trials", "20")
@@ -1367,3 +1350,102 @@ class TestFigures:
         assert (dirs[0] / "fig2_mse_vs_snr.csv").read_bytes() == (
             dirs[1] / "fig2_mse_vs_snr.csv"
         ).read_bytes()
+
+
+def files_under(root):
+    """Every file below ``root`` with its bytes; directories are left out."""
+    return {path: path.read_bytes() for path in root.rglob("*") if path.is_file()}
+
+
+def unreachable_floor(tmp_path, monkeypatch):
+    """A floor that no Rician draw clears: the first trial's draw fails."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({
+        "k_users": 10, "l": 5, "l_tilde": 10, "p_w": 1.0, "n0": 1.0,
+        "snr_db": 10.0, "rician_kappa_db": 5.0, "min_gain_floor": 50,
+        "master_seed": 0,
+    }))
+    return ["--config", str(path), "--mode", "rician-per-trial"]
+
+
+def stopped_sweep(tmp_path, monkeypatch):
+    def stop(*args, **kwargs):
+        raise ValueError("sweep stopped")
+
+    monkeypatch.setattr(experiments, "run_trials", stop)
+    return []
+
+
+# Each command that writes files: its flags up to the output location, the
+# suffixes that location takes in the files it writes, what makes it fail
+# after its output check (flags to add, after any patch), and that error.
+WRITERS = [
+    pytest.param(
+        ["construct", "--l", "2", "--l-tilde", "4", "--out"], [""],
+        lambda tmp_path, monkeypatch: ["--samples", "0"],
+        "error: --samples must be at least 1\n",
+        id="construct",
+    ),
+    pytest.param(
+        ["simulate", "--trials", "20", "--out"], [".trials.csv", ".report.json"],
+        unreachable_floor,
+        "error: 10 coefficient(s) violated the gain floor 50.0 for 1000 "
+        "consecutive draws\n",
+        id="simulate",
+    ),
+    pytest.param(
+        ["figures", "--which", "2", "--trials", "300", "--out-dir"],
+        ["/fig2_mse_vs_snr.csv"],
+        stopped_sweep,
+        "error: sweep stopped\n",
+        id="figures",
+    ),
+]
+
+
+@pytest.mark.parametrize("flags, suffixes, fail_after_check, error", WRITERS)
+class TestOutputRule:
+    """Every command checks each output before any work, and a command that
+    fails creates no file and leaves an earlier result as it was."""
+
+    @pytest.mark.parametrize("blocked", ["missing-directory", "directory"])
+    def test_unwritable_output_fails_before_any_work(
+        self, tmp_path, capsys, monkeypatch, flags, suffixes, fail_after_check,
+        error, blocked,
+    ):
+        if blocked == "missing-directory":
+            # a directory that is missing and cannot be made: a file has
+            # its name, so figures' makedirs fails too
+            (tmp_path / "taken").write_text("")
+            base = str(tmp_path / "taken" / "run")
+        else:
+            # the last output names a directory; any output checked before
+            # it must leave no file
+            base = str(tmp_path / "run")
+            os.makedirs(base + suffixes[-1])
+        before = files_under(tmp_path)
+        runs = count_calls(monkeypatch, experiments, "run_trials")
+        validates = count_calls(monkeypatch, coding, "validate")
+        code = run_cli(*flags, base)
+        assert_usage_error_before_output(capsys, code)
+        assert runs == validates == []
+        assert files_under(tmp_path) == before
+
+    @pytest.mark.parametrize("earlier", [False, True])
+    def test_failure_after_the_check_leaves_the_files_as_they_were(
+        self, tmp_path, capsys, monkeypatch, flags, suffixes, fail_after_check,
+        error, earlier,
+    ):
+        base = str(tmp_path / "run")
+        if earlier:
+            os.makedirs(os.path.dirname(base + suffixes[-1]), exist_ok=True)
+            for suffix in suffixes:
+                pathlib.Path(base + suffix).write_text(f"earlier {suffix}\n")
+        extra = fail_after_check(tmp_path, monkeypatch)
+        before = files_under(tmp_path)
+        code = run_cli(*flags, base, *extra)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == error
+        assert captured.out == ""
+        assert files_under(tmp_path) == before

@@ -552,8 +552,9 @@ class TestCholeskyClear:
         enc = EncodingMatrix(scale * np.vstack([subset, rest]))
         screened, cap = coding._unit_scaled(enc)
         table = coding._outer_products(screened)
+        work = coding._Workspace(1, len(screened), l, True)
         assert_cleared_only_below(
-            lambda: coding._grams(screened, table, np.arange(l)[None]), rho, cap
+            lambda: coding._grams(screened, table, np.arange(l)[None], work), rho, cap
         )
 
     def test_verdicts_match_numpy_cholesky_one_matrix_at_a_time(self, monkeypatch):

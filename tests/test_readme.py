@@ -14,3 +14,11 @@ def test_readme_has_python_examples():
 def test_python_examples_run():
     for block in PYTHON_BLOCKS:
         exec(compile(block, str(README), "exec"), {})
+
+
+def test_layout_names_every_module():
+    layout = README.read_text().split("\n## Layout\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"^  (\w+\.py) ", layout, re.M))
+    package = README.parent / "src" / "aircomp"
+    modules = {path.name for path in package.glob("*.py")} - {"__init__.py"}
+    assert modules - named == set()
