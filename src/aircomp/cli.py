@@ -2,16 +2,19 @@
 
 Subcommands: construct, check, theory, regions, simulate, dist-test,
 figures. Exit codes: 0 success, 1 validation/assertion failure, 2 usage
-error, which for every subcommand also covers input files that cannot be
-read or parsed and outputs that cannot be written. Every output is
-checked (``_require_writable``) before any work, so a failed run creates
-no file. All numeric output is locale-independent with 12 significant
-digits, and identical flags plus seeds reproduce identical bytes.
+error: every failure, including an input file that cannot be read or
+parsed and an output that cannot be written, raises a ValueError or an
+OSError, and ``main`` alone reports it as one ``error:`` line. Every
+output is checked (``_require_writable``) before any work, so a failed
+run creates no file. All numeric output is locale-independent with 12
+significant digits, and identical flags plus seeds reproduce identical
+bytes.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -24,7 +27,6 @@ import numpy as np
 from . import analysis, coding, experiments
 from .channel import SystemConfig, db_to_linear
 from .coding import Construction
-from .errors import AirCompError
 from .experiments import ChannelMode, ExperimentPlan, Purpose, format_field, stream_id
 from .numerics import Rng, ks_distance
 
@@ -33,11 +35,6 @@ ORTHONORMAL_TOLERANCE = 1e-10
 # most q = 1 - beta^(1/n) of all row subsets have a ratio below the least of
 # n uniform samples (Wilks, Ann. Math. Statist. 12, 1941).
 WILKS_BETA = 0.05
-
-
-def _fail(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return 2
 
 
 def _require_writable(path: str) -> None:
@@ -178,9 +175,9 @@ def cmd_regions(args) -> int:
 
 def cmd_simulate(args) -> int:
     if args.eta is not None and args.eta <= 0:
-        return _fail("--eta must be positive")
+        raise ValueError("--eta must be positive")
     if args.assert_tolerance is not None and args.assert_tolerance < 0:
-        return _fail("--assert-tolerance must be non-negative")
+        raise ValueError("--assert-tolerance must be non-negative")
     config = SystemConfig.from_json(args.config) if args.config else SystemConfig()
     if args.seed is not None:
         config = replace(config, master_seed=args.seed)
@@ -243,7 +240,7 @@ def cmd_dist_test(args) -> int:
     binomial standard errors of the observed frequency.
     """
     if min(args.ks_trials, args.chernoff_trials, args.oracle_n) < 1000:
-        return _fail("all sample sizes must be at least 1000")
+        raise ValueError("all sample sizes must be at least 1000")
 
     # One run draws every trial under --seed, each index once: the KS row
     # reads trials [0, ks), the Chernoff rows [ks, ks + chernoff), and the
@@ -293,15 +290,9 @@ def cmd_dist_test(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_figures(args) -> int:
-    if args.trials is not None and args.trials < 1:
-        return _fail("--trials must be at least 1")
-    stem = {2: "fig2_mse_vs_snr", 3: "fig3_rate_regions", 4: "fig4_blocklength"}
-    path = os.path.join(args.out_dir, stem[args.which] + ".csv")
-    os.makedirs(args.out_dir, exist_ok=True)
-    _require_writable(path)  # before the sweep, which can take minutes
+def _figure_rows(args) -> list[dict]:
+    """The rows of figure --which under --seed, --trials and --threads."""
     config = SystemConfig(master_seed=args.seed)
-
     if args.which == 2:
         trials = 2000 if args.trials is None else args.trials
         base = ExperimentPlan(
@@ -309,25 +300,44 @@ def cmd_figures(args) -> int:
             trials=trials,
             channel_mode=ChannelMode.RICIAN_PER_TRIAL,
         )
-        rows = experiments.sweep_mse_vs_snr(
+        return experiments.sweep_mse_vs_snr(
             base, [0, 5, 10, 15, 20], [0.25, 0.5], workers=args.threads
         )
-    elif args.which == 3:
-        rows = experiments.sweep_rate_regions(
+    if args.which == 3:
+        return experiments.sweep_rate_regions(
             0.02, 0.2, 1.0, [0, 5, 10, 15, 20, 25, 30]
         )
-    else:
-        trials = 500 if args.trials is None else args.trials
-        base = ExperimentPlan(
-            config=config.at_snr_db(15.0),
-            trials=trials,
-            channel_mode=ChannelMode.FIXED_FROM_SEED,
-        )
-        rows = experiments.sweep_blocklength(
-            base, [10, 20, 40, 80], workers=args.threads
-        )
+    trials = 500 if args.trials is None else args.trials
+    base = ExperimentPlan(
+        config=config.at_snr_db(15.0),
+        trials=trials,
+        channel_mode=ChannelMode.FIXED_FROM_SEED,
+    )
+    return experiments.sweep_blocklength(
+        base, [10, 20, 40, 80], workers=args.threads
+    )
 
-    experiments.write_csv(rows, path)
+
+def cmd_figures(args) -> int:
+    if args.trials is not None and args.trials < 1:
+        raise ValueError("--trials must be at least 1")
+    stem = {2: "fig2_mse_vs_snr", 3: "fig3_rate_regions", 4: "fig4_blocklength"}
+    path = os.path.join(args.out_dir, stem[args.which] + ".csv")
+    made = []  # the directories this run makes, innermost first
+    head = os.path.abspath(args.out_dir)
+    while not os.path.lexists(head):
+        made.append(head)
+        head = os.path.dirname(head)
+    os.makedirs(args.out_dir, exist_ok=True)
+    try:
+        _require_writable(path)  # before the sweep, which can take minutes
+        experiments.write_csv(_figure_rows(args), path)
+    except BaseException:
+        # a failed run removes what it made and nothing that was there before
+        for directory in made:
+            with contextlib.suppress(OSError):
+                os.rmdir(directory)
+        raise
     print(f"wrote {path}")
     return 0
 
@@ -431,14 +441,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand; the one place that turns errors into exit 2."""
+    """Run one subcommand; the one place that turns a failure into exit 2."""
     args = build_parser().parse_args(argv)
-    if getattr(args, "threads", 1) < 1:
-        return _fail("--threads must be at least 1")
     try:
+        if getattr(args, "threads", 1) < 1:
+            raise ValueError("--threads must be at least 1")
         return args.func(args)
-    except (OSError, ValueError, MemoryError, AirCompError) as exc:
-        return _fail(str(exc))
+    except (OSError, ValueError, MemoryError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -442,7 +442,7 @@ def _grams(
 
 
 def _cleared(
-    gram: np.ndarray, r: float, cap: float, factors: np.ndarray | None = None
+    gram: np.ndarray, r: float, cap: float, factors: np.ndarray
 ) -> np.ndarray:
     """Per stacked Gram, whether its true ratio is certified to exceed r.
 
@@ -453,7 +453,7 @@ def _cleared(
     tau = r^2 cap + SCREEN_SAFETY (3l + 9) u F + l^2 tiny, subtracted from
     that diagonal in place: ``gram`` is the caller's fresh stack, and it
     holds the shifted matrices afterwards. The Cholesky factors go to
-    ``factors`` when it is given, a stack of gram's shape. When the
+    ``factors``, a stack of gram's shape. When the
     Cholesky factorization of a computed Gram minus tau I completes with a
     finite factor, the true Gram has lambda_min above tau less four errors,
     each a multiple of u F, 3 + 2 (l + 2) + (l + 1) + 1 = 3l + 9 in all:

@@ -1,7 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Each is a ValueError, so every failure of a command raises a ValueError or
+an OSError, and ``cli.main`` reports it.
+"""
 
 
-class AirCompError(Exception):
+class AirCompError(ValueError):
     """Base class for all package-specific errors."""
 
 
@@ -13,12 +17,8 @@ class EmptySample(AirCompError):
     """A statistic was requested on an empty sample set."""
 
 
-class InvalidShape(AirCompError, ValueError):
-    """Code dimensions violate a shape rule, such as l_tilde >= l >= 1.
-
-    Also a ValueError, like the other range errors of the constructors that
-    raise it (``SystemConfig``, ``DistortionLaw.optimal``).
-    """
+class InvalidShape(AirCompError):
+    """Code dimensions violate a shape rule, such as l_tilde >= l >= 1."""
 
 
 class ZeroChannel(AirCompError):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import aircomp
-from aircomp import channel, cli, coding, experiments, numerics
+from aircomp import channel, cli, coding, errors, experiments, numerics
 from aircomp.cli import main
 from aircomp.numerics import Rng
 
@@ -627,16 +627,25 @@ class TestParser:
         assert in_process == fresh
 
 
-def unused_imports(directory):
-    """Per module of ``directory``, the names it imports but never reads.
+SRC = pathlib.Path(aircomp.__file__).parent
+
+
+def parsed_modules(directory):
+    """Each module of ``directory`` by file name, with its syntax tree.
 
     __init__ imports only to re-export, so it is left out.
     """
+    return {
+        path.name: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(directory.glob("*.py"))
+        if path.name != "__init__.py"
+    }
+
+
+def unused_imports(directory):
+    """Per module of ``directory``, the names it imports but never reads."""
     unused = {}
-    for path in sorted(directory.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
-        tree = ast.parse(path.read_text(encoding="utf-8"))
+    for name, tree in parsed_modules(directory).items():
         imported = set()
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
@@ -645,13 +654,13 @@ def unused_imports(directory):
                 imported.update(a.asname or a.name for a in node.names)
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         if imported - used:
-            unused[path.name] = sorted(imported - used)
+            unused[name] = sorted(imported - used)
     return unused
 
 
 class TestImports:
     def test_no_unused_imports_in_src(self):
-        assert unused_imports(pathlib.Path(aircomp.__file__).parent) == {}
+        assert unused_imports(SRC) == {}
 
     def test_no_unused_imports_in_tests(self):
         assert unused_imports(pathlib.Path(__file__).parent) == {}
@@ -706,6 +715,98 @@ print(json.dumps({"codes": codes, "loaded": loaded}))
         )
         result = json.loads(done.stdout)
         assert result == {"codes": [0] * 10, "loaded": []}
+
+
+def reports_a_failure(node):
+    """Whether ``node`` is a ``return 2`` or a string holding ``error: ``."""
+    if isinstance(node, ast.Return):
+        node = node.value
+        return isinstance(node, ast.Constant) and node.value == 2
+    return (
+        isinstance(node, ast.Constant) and isinstance(node.value, str)
+        and "error: " in node.value
+    )
+
+
+class TestOneFailurePath:
+    """A command fails by raising a ValueError or an OSError, and ``main``
+    alone turns that into one ``error:`` line and exit code 2."""
+
+    def test_only_main_reports_a_failure(self):
+        tree = parsed_modules(SRC)["cli.py"]
+        reporters = {
+            func.name
+            for func in tree.body
+            if isinstance(func, ast.FunctionDef)
+            and any(map(reports_a_failure, ast.walk(func)))
+        }
+        assert reporters == {"main"}
+
+    def test_every_package_error_is_a_value_error(self):
+        classes = [
+            value for value in vars(errors).values()
+            if isinstance(value, type) and value.__module__ == errors.__name__
+        ]
+        assert len(classes) == 8
+        assert all(issubclass(cls, ValueError) for cls in classes)
+
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (["simulate", "--trials", "3", "--eta", "0"], "--eta must be positive"),
+            (
+                ["simulate", "--trials", "3", "--assert-tolerance", "-1"],
+                "--assert-tolerance must be non-negative",
+            ),
+            (
+                ["dist-test", "--ks-trials", "999"],
+                "all sample sizes must be at least 1000",
+            ),
+            (
+                ["figures", "--which", "4", "--trials", "0", "--out-dir", "fig"],
+                "--trials must be at least 1",
+            ),
+            (
+                ["figures", "--which", "3", "--threads", "0", "--out-dir", "fig"],
+                "--threads must be at least 1",
+            ),
+            (
+                ["simulate", "--trials", "3", "--threads", "0"],
+                "--threads must be at least 1",
+            ),
+            (
+                ["construct", "--l", "2", "--l-tilde", "4", "--out", "phi.json",
+                 "--samples", "0"],
+                "--samples must be at least 1",
+            ),
+            (
+                ["check", "--matrix", "missing.json"],
+                "[Errno 2] No such file or directory: 'missing.json'",
+            ),
+            (
+                ["construct", "--l", "5", "--l-tilde", "4", "--out", "phi.json"],
+                "need l_tilde >= l >= 1, got (4, 5)",
+            ),
+            (["simulate", "--trials", "0"], "need at least one trial"),
+            (
+                ["theory", "--min-gain", "1e-320"],
+                "law overflows: mean inf, variance inf",
+            ),
+            (
+                ["regions", "--epsilon", "1e-300", "--snr-db", "-3000"],
+                "the rate bound for epsilon=1e-300, rho_x=1e-300, min_gain=1.0, "
+                "p_w=1.0 underflows the float range",
+            ),
+        ],
+    )
+    def test_failure_is_one_error_line(
+        self, tmp_path, capsys, monkeypatch, argv, error
+    ):
+        monkeypatch.chdir(tmp_path)
+        code = run_cli(*argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (2, "", f"error: {error}\n")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestBadFloatFlags:
@@ -1352,9 +1453,12 @@ class TestFigures:
         ).read_bytes()
 
 
-def files_under(root):
-    """Every file below ``root`` with its bytes; directories are left out."""
-    return {path: path.read_bytes() for path in root.rglob("*") if path.is_file()}
+def paths_under(root):
+    """Every path below ``root``: a file with its bytes, a directory with None."""
+    return {
+        path: path.read_bytes() if path.is_file() else None
+        for path in root.rglob("*")
+    }
 
 
 def unreachable_floor(tmp_path, monkeypatch):
@@ -1376,76 +1480,86 @@ def stopped_sweep(tmp_path, monkeypatch):
     return []
 
 
-# Each command that writes files: its flags up to the output location, the
-# suffixes that location takes in the files it writes, what makes it fail
-# after its output check (flags to add, after any patch), and that error.
+# Each command that writes files: its flags up to the output location, that
+# location below the test's directory, the suffixes it takes in the files
+# the command writes, what makes it fail after its output check (flags to
+# add, after any patch), and that error.
 WRITERS = [
     pytest.param(
-        ["construct", "--l", "2", "--l-tilde", "4", "--out"], [""],
+        ["construct", "--l", "2", "--l-tilde", "4", "--out"], "run", [""],
         lambda tmp_path, monkeypatch: ["--samples", "0"],
         "error: --samples must be at least 1\n",
         id="construct",
     ),
     pytest.param(
-        ["simulate", "--trials", "20", "--out"], [".trials.csv", ".report.json"],
+        ["simulate", "--trials", "20", "--out"], "run",
+        [".trials.csv", ".report.json"],
         unreachable_floor,
         "error: 10 coefficient(s) violated the gain floor 50.0 for 1000 "
         "consecutive draws\n",
         id="simulate",
     ),
     pytest.param(
-        ["figures", "--which", "2", "--trials", "300", "--out-dir"],
+        ["figures", "--which", "2", "--trials", "300", "--out-dir"], "run",
         ["/fig2_mse_vs_snr.csv"],
         stopped_sweep,
         "error: sweep stopped\n",
         id="figures",
     ),
+    pytest.param(
+        ["figures", "--which", "2", "--trials", "300", "--out-dir"], "run/deeper",
+        ["/fig2_mse_vs_snr.csv"],
+        stopped_sweep,
+        "error: sweep stopped\n",
+        id="figures-nested",
+    ),
 ]
 
 
-@pytest.mark.parametrize("flags, suffixes, fail_after_check, error", WRITERS)
+@pytest.mark.parametrize("flags, location, suffixes, fail_after_check, error", WRITERS)
 class TestOutputRule:
     """Every command checks each output before any work, and a command that
-    fails creates no file and leaves an earlier result as it was."""
+    fails creates no file or directory and leaves an earlier result as it
+    was."""
 
     @pytest.mark.parametrize("blocked", ["missing-directory", "directory"])
     def test_unwritable_output_fails_before_any_work(
-        self, tmp_path, capsys, monkeypatch, flags, suffixes, fail_after_check,
-        error, blocked,
+        self, tmp_path, capsys, monkeypatch, flags, location, suffixes,
+        fail_after_check, error, blocked,
     ):
         if blocked == "missing-directory":
             # a directory that is missing and cannot be made: a file has
             # its name, so figures' makedirs fails too
             (tmp_path / "taken").write_text("")
-            base = str(tmp_path / "taken" / "run")
+            base = str(tmp_path / "taken" / location)
         else:
             # the last output names a directory; any output checked before
             # it must leave no file
-            base = str(tmp_path / "run")
+            base = str(tmp_path / location)
             os.makedirs(base + suffixes[-1])
-        before = files_under(tmp_path)
+        before = paths_under(tmp_path)
         runs = count_calls(monkeypatch, experiments, "run_trials")
         validates = count_calls(monkeypatch, coding, "validate")
         code = run_cli(*flags, base)
         assert_usage_error_before_output(capsys, code)
         assert runs == validates == []
-        assert files_under(tmp_path) == before
+        assert paths_under(tmp_path) == before
 
     @pytest.mark.parametrize("earlier", [False, True])
     def test_failure_after_the_check_leaves_the_files_as_they_were(
-        self, tmp_path, capsys, monkeypatch, flags, suffixes, fail_after_check,
-        error, earlier,
+        self, tmp_path, capsys, monkeypatch, flags, location, suffixes,
+        fail_after_check, error, earlier,
     ):
-        base = str(tmp_path / "run")
+        base = str(tmp_path / location)
         if earlier:
             os.makedirs(os.path.dirname(base + suffixes[-1]), exist_ok=True)
             for suffix in suffixes:
                 pathlib.Path(base + suffix).write_text(f"earlier {suffix}\n")
         extra = fail_after_check(tmp_path, monkeypatch)
-        before = files_under(tmp_path)
+        before = paths_under(tmp_path)
         code = run_cli(*flags, base, *extra)
         captured = capsys.readouterr()
         assert code == 2
         assert captured.err == error
         assert captured.out == ""
-        assert files_under(tmp_path) == before
+        assert paths_under(tmp_path) == before

@@ -528,9 +528,11 @@ def assert_cleared_only_below(gram, rho, cap):
     ``gram()`` gives a fresh stack per call: ``_cleared`` shifts its stack
     in place.
     """
-    assert not coding._cleared(gram(), rho * (1 + 1e-6), cap)
+    stack = gram()
+    assert not coding._cleared(stack, rho * (1 + 1e-6), cap, np.empty_like(stack))
     if rho >= 1e-6:
-        assert coding._cleared(gram(), rho / 2, cap)
+        stack = gram()
+        assert coding._cleared(stack, rho / 2, cap, np.empty_like(stack))
 
 
 class TestCholeskyClear:
@@ -573,7 +575,7 @@ class TestCholeskyClear:
         choleskys = record_choleskys(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            mask = coding._cleared(gram, 1e-4, 1.0)
+            mask = coding._cleared(gram, 1e-4, 1.0, np.empty_like(gram))
             (shifted,) = choleskys
             expected = []
             for m in shifted:

@@ -184,6 +184,27 @@ class TestSampleComplexGaussian:
         assert got.dtype == np.complex128 and got.shape == (n,)
         assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
+    @pytest.mark.parametrize("variance", [0.3, 7.5])
+    def test_matches_its_exact_law(self, variance):
+        """n = 100 000 draws of CN(0, v) against the law itself.
+
+        |z|^2 / v is Exp(1) and arg z uniform on (-pi, pi], each gated by
+        its KS distance at the 1% point 1.63 / sqrt(n) = 0.00515, and the
+        real and imaginary parts are uncorrelated, gated at the 1% point
+        2.576 / sqrt(n) = 0.0081 of the sample correlation's normal limit.
+        Each gate has a 1% false-alarm rate per seed, and the seed is fixed,
+        so a run either always passes or always fails (measured 0.0022,
+        0.0020 and -0.0010).
+        """
+        n = 100_000
+        z = sample_complex_gaussian(Rng(20, 1), n, variance)
+        critical = 1.63 / math.sqrt(n)
+        power = np.abs(z) ** 2 / variance
+        assert scipy.stats.kstest(power, "expon").statistic < critical
+        phase = scipy.stats.uniform(-np.pi, 2 * np.pi)
+        assert scipy.stats.kstest(np.angle(z), phase.cdf).statistic < critical
+        assert abs(np.corrcoef(z.real, z.imag)[0, 1]) < 2.576 / math.sqrt(n)
+
     def test_determinism(self):
         a = sample_complex_gaussian(Rng(14), 64, 0.5)
         b = sample_complex_gaussian(Rng(14), 64, 0.5)
