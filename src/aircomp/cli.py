@@ -16,9 +16,11 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import itertools
 import json
 import math
 import os
+import pathlib
 import sys
 from dataclasses import asdict, replace
 
@@ -323,18 +325,20 @@ def cmd_figures(args) -> int:
         raise ValueError("--trials must be at least 1")
     stem = {2: "fig2_mse_vs_snr", 3: "fig3_rate_regions", 4: "fig4_blocklength"}
     path = os.path.join(args.out_dir, stem[args.which] + ".csv")
-    made = []  # the directories this run makes, innermost first
-    head = os.path.abspath(args.out_dir)
-    while not os.path.lexists(head):
-        made.append(head)
-        head = os.path.dirname(head)
-    os.makedirs(args.out_dir, exist_ok=True)
+    made = []  # the directories this run makes, outermost first
     try:
+        # one component at a time, as written, so that ``..`` is followed
+        # as the output path will follow it
+        parts = pathlib.PurePath(args.out_dir).parts
+        for directory in itertools.accumulate(parts, os.path.join):
+            if not os.path.isdir(directory):
+                os.mkdir(directory)
+                made.append(directory)
         _require_writable(path)  # before the sweep, which can take minutes
         experiments.write_csv(_figure_rows(args), path)
     except BaseException:
         # a failed run removes what it made and nothing that was there before
-        for directory in made:
+        for directory in reversed(made):
             with contextlib.suppress(OSError):
                 os.rmdir(directory)
         raise

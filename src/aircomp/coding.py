@@ -44,23 +44,23 @@ POWER_TOLERANCE = 1e-8
 DEFAULT_MAX_EXHAUSTIVE_SUBSETS = 100_000
 DEFAULT_SAMPLE_COUNT = 1_000
 
-# Bytes that size ``validate``'s stacked LAPACK calls. An SVD batch holds
-# this much of stacked l x l row-subset matrices, their conjugates, Gram
-# matrices and singular values. A certificate stack holds this much of
-# l x l complex Gram matrices, and at least one batch. Its arrays are
-# allocated once per call and reused stack after stack (``_Workspace``):
-# the Grams, their Cholesky factors, and either the gathered subsets and
-# their conjugates or, where the Grams come from the table of row outer
-# products, an n x l_tilde float64 row indicator (at most 64 l bytes per
-# subset under l_tilde <= 8 l) plus the table, under 2^14 complex entries
-# (256 KiB). A stack's uncleared subsets go to one SVD call, so when
-# nothing clears that call holds the SVD working set of a whole stack,
-# under 3.5 times this. Small enough that memory stays bounded whatever
-# the subset count, but not always large enough for BLAS and LAPACK alone
-# to set the pace: at 64x32 a batch holds 5 subsets and a stack 16, so
-# numpy's fixed cost per call counts. The subsets are therefore drawn by
-# the piece (``_piece``), a whole number of batches whose row indices take
-# about an eighth of this.
+# Bytes that size ``validate``'s draws and stacked LAPACK calls, each by one
+# rule. A piece, the subsets drawn in one call, holds an eighth of this in
+# row indices (8 l bytes per subset). An SVD batch holds this much of
+# stacked l x l row-subset matrices, their conjugates, Gram matrices and
+# singular values. A certificate stack holds this much of l x l complex
+# Gram matrices, and never more than a piece. Its arrays are allocated once
+# per call and reused stack after stack (``_Workspace``): the Grams, their
+# Cholesky factors, and either the gathered subsets and their conjugates
+# or, where the Grams come from the table of row outer products, an
+# n x l_tilde float64 row indicator (at most 64 l bytes per subset under
+# l_tilde <= 8 l) plus the table, under 2^14 complex entries (256 KiB). A
+# stack's uncleared subsets go to one SVD call, so when nothing clears
+# that call holds the SVD working set of a whole stack, under 3.5 times
+# this. Small enough that memory stays bounded whatever the subset count,
+# but not always large enough for BLAS and LAPACK alone to set the pace:
+# at 64x32 a piece holds 128 subsets, a batch 5 and a stack 16, so numpy's
+# fixed cost per call counts.
 SVD_BATCH_BYTES = 256 * 1024
 
 # Factor by which the screen in ``validate`` widens its worst-case rounding
@@ -224,21 +224,21 @@ def validate(
     Gram spectrum, which fully determines the distortion law downstream and
     whose sum is the power constraint's trace.
 
-    Subsets are drawn in pieces of whole SVD batches (``_piece``), one
-    unranking or ``sample_subsets`` call per piece (a tall phi splits its
-    sampled piece further), and both draws give the same subsets whatever
-    the piece size. The worst ratio is the least of the SVD ratios, and a
-    computed SVD ratio lies within m = SCREEN_SAFETY (2l + 5) u of the true
-    one, u being the unit roundoff: LAPACK Users' Guide §4.9 bounds each
-    singular value's error by l u sigma_max. With ``worst`` the least
-    computed ratio so far, some true ratio is at most h = worst + m, and a
-    subset whose true ratio exceeds h + 2m has a computed ratio above
+    Subsets are drawn in pieces whose row indices take SVD_BATCH_BYTES / 8,
+    one unranking or ``sample_subsets`` call per piece (a tall phi splits
+    its sampled piece further), and both draws give the same subsets
+    whatever the piece size. The worst ratio is the least of the SVD
+    ratios, and a computed SVD ratio lies within m = SCREEN_SAFETY (2l + 5)
+    u of the true one, u being the unit roundoff: LAPACK Users' Guide §4.9
+    bounds each singular value's error by l u sigma_max. With ``worst`` the
+    least computed ratio so far, some true ratio is at most h = worst + m,
+    and a subset whose true ratio exceeds h + 2m has a computed ratio above
     ``worst`` and can be left out. The first SVD batch, about
     ``SVD_BATCH_BYTES`` of SVD working set, goes straight to the SVD, since
     there is no worst ratio yet. Every later subset is certified in a stack
     of as many subsets as fill ``SVD_BATCH_BYTES`` with their l x l complex
-    Grams, at least one batch, within one piece, in arrays reused from one
-    stack to the next (``_Workspace``), in two stages:
+    Grams, within one piece, in arrays reused from one stack to the next
+    (``_Workspace``), in two stages:
 
     1. Cholesky clear: the stack forms its Gram matrices G = B^H B
        (``_grams``), and a Cholesky factorization of G - tau I that
@@ -257,11 +257,11 @@ def validate(
 
     A cleared subset's computed ratio lies above the worst ratio at its
     stack, so the report is bit-identical to an SVD of every subset, one
-    at a time, however the subsets are stacked. At 16x8 a batch holds 83
-    subsets and a stack 256, at 64x32 5 and 16. When every subset is
-    singular, nothing can be cleared, and each stack pays one failed
-    Cholesky call on top of its SVDs: a 12x6 matrix with a zero column
-    takes 1.0-1.2 times as long as with SVDs alone.
+    at a time, however the subsets are drawn and stacked. At 16x8 a piece
+    holds 512 subsets, a batch 83 and a stack 256; at 64x32 128, 5 and 16.
+    When every subset is singular, nothing can be cleared, and each stack
+    pays one failed Cholesky call on top of its SVDs: a 12x6 matrix with a
+    zero column takes 1.0-1.2 times as long as with SVDs alone.
     """
     if max_exhaustive_subsets < 0:
         raise ValueError("max_exhaustive_subsets must be non-negative")
@@ -296,9 +296,8 @@ def validate(
     screened, cap = _unit_scaled(enc)
     table = _outer_products(screened) if _by_table(l_tilde, l) else None
     batch = max(1, SVD_BATCH_BYTES // (3 * enc.phi.itemsize * l * l + 8 * l))
-    piece = _piece(batch, l)
-    grams_fit = SVD_BATCH_BYTES // (enc.phi.itemsize * l * l)
-    stack = min(max(batch, grams_fit), piece, count)
+    piece = max(1, SVD_BATCH_BYTES // (64 * l))
+    stack = min(max(1, SVD_BATCH_BYTES // (enc.phi.itemsize * l * l)), piece, count)
     work = _Workspace(stack, l_tilde, l, table is not None)
     worst = math.inf
     for start in range(0, count, piece):
@@ -334,18 +333,6 @@ def _least_ratio(phi: np.ndarray, rows: np.ndarray) -> float:
     # a zero matrix has no largest singular value to divide by: ratio 0
     ratios = np.divide(sv[:, -1], top, out=np.zeros_like(top), where=top > 0)
     return float(ratios.min())
-
-
-def _piece(batch: int, l: int) -> int:
-    """Subsets ``validate`` draws at a time: whole batches of ``batch``.
-
-    As many as keep the piece's row indices (8 l bytes per subset) within
-    SVD_BATCH_BYTES / 8, and at least one batch. A piece spreads the
-    draw's fixed cost over more subsets than a batch holds, while the
-    batch and the certificate stacks, which set every stacked LAPACK call
-    and the peak memory, keep their sizes (a stack never spans two pieces).
-    """
-    return batch * max(1, SVD_BATCH_BYTES // (64 * l * batch))
 
 
 def _unit_scaled(enc: EncodingMatrix) -> tuple[np.ndarray, float]:

@@ -316,10 +316,6 @@ def summarize(ts: TrialSet, eta: float | None = None) -> MseReport:
     )
 
 
-def _blank_row() -> dict:
-    return {key: None for key in CSV_HEADER}
-
-
 def _sweep_row(plan: ExperimentPlan, workers: int, **fields) -> dict:
     """Run ``plan`` and fill one sweep row with its moments and theory.
 
@@ -328,8 +324,7 @@ def _sweep_row(plan: ExperimentPlan, workers: int, **fields) -> dict:
     only when there are at least two trials.
     """
     ts = run_trials(plan, workers=workers)
-    row = _blank_row()
-    row.update(
+    row = dict(
         fields,
         l=plan.config.l,
         l_tilde=plan.config.l_tilde,
@@ -418,15 +413,13 @@ def sweep_rate_regions(
             (Criterion.EPSILON_ASYMPTOTIC, r_eps, None),
             (Criterion.EPSILON_DELTA, r_delta, l_min),
         ):
-            row = _blank_row()
-            row.update(
-                experiment="rate_regions",
-                snr_db=float(snr_db),
-                rate=rate,
-                scheme=criterion.value,
-                l=l,
-            )
-            rows.append(row)
+            rows.append({
+                "experiment": "rate_regions",
+                "snr_db": float(snr_db),
+                "rate": rate,
+                "scheme": criterion.value,
+                "l": l,
+            })
     return rows
 
 

@@ -1,5 +1,6 @@
 import argparse
 import ast
+import collections
 import csv
 import json
 import os
@@ -658,9 +659,59 @@ def unused_imports(directory):
     return unused
 
 
+def private_definitions(statement):
+    """The private names a module-level statement defines: a function,
+    class or constant with one leading underscore."""
+    if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        names = [statement.name]
+    elif isinstance(statement, ast.Assign):
+        names = [t.id for t in statement.targets if isinstance(t, ast.Name)]
+    elif isinstance(statement, ast.AnnAssign) and isinstance(statement.target, ast.Name):
+        names = [statement.target.id]
+    else:
+        names = []
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def names_read(node):
+    """Every name ``node`` reads, imports, or takes as an attribute."""
+    read = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
+            read.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            read.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            read.update(a.name for a in sub.names)
+    return read
+
+
+def orphaned_private_definitions(directory):
+    """Per module of ``directory``, the private definitions that no other
+    module-level statement of ``directory`` reads."""
+    statements = [
+        (module, statement, names_read(statement))
+        for module, tree in parsed_modules(directory).items()
+        for statement in tree.body
+    ]
+    readers = collections.Counter(n for _, _, read in statements for n in read)
+    orphans = {}
+    for module, statement, read in statements:
+        for name in sorted(private_definitions(statement)):
+            # read only by its own definition, or not at all
+            if readers[name] == (name in read):
+                orphans.setdefault(module, []).append(name)
+    return orphans
+
+
 class TestImports:
     def test_no_unused_imports_in_src(self):
         assert unused_imports(SRC) == {}
+
+    def test_no_orphaned_private_definitions_in_src(self):
+        # what the package itself no longer reads goes, even when a test
+        # still reaches for it
+        assert orphaned_private_definitions(SRC) == {}
 
     def test_no_unused_imports_in_tests(self):
         assert unused_imports(pathlib.Path(__file__).parent) == {}
@@ -1421,6 +1472,14 @@ class TestFigures:
             rows = list(csv.DictReader(fh))
         assert rows and all(row["var_mse"] == "" for row in rows)
 
+    def test_empty_out_dir_is_the_working_directory(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("figures", "--which", "3", "--out-dir", "") == 0
+        assert capsys.readouterr().out == "wrote fig3_rate_regions.csv\n"
+        assert sorted(os.listdir(tmp_path)) == ["fig3_rate_regions.csv"]
+
     def test_out_dir_that_is_a_file_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "taken"
         path.write_text("")
@@ -1512,6 +1571,14 @@ WRITERS = [
         stopped_sweep,
         "error: sweep stopped\n",
         id="figures-nested",
+    ),
+    # ``..`` taken as written: a missing ``a`` is made, then left again
+    pytest.param(
+        ["figures", "--which", "2", "--trials", "300", "--out-dir"], "a/../b",
+        ["/fig2_mse_vs_snr.csv"],
+        stopped_sweep,
+        "error: sweep stopped\n",
+        id="figures-dotdot",
     ),
 ]
 

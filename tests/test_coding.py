@@ -187,18 +187,16 @@ def reference_rank_check(enc, max_exhaustive_subsets, sample_count, rng):
 
 
 def set_svd_batch(monkeypatch, enc, batch):
-    """Make validate take ``batch`` subsets per batch (None: the default)."""
+    """Make validate take ``batch`` subsets per SVD batch (None: the default).
+
+    SVD_BATCH_BYTES sizes the pieces and stacks too, so this moves the
+    piece boundaries, where each draw starts, and the stack boundaries.
+    """
     if batch is not None:
         # validate's working set per subset: the subset, its conjugate and
         # its Gram matrix, plus the singular values
         size = batch * (3 * enc.phi.itemsize * enc.l * enc.l + 8 * enc.l)
         monkeypatch.setattr(coding, "SVD_BATCH_BYTES", size)
-
-
-def set_piece(monkeypatch, batches):
-    """Make validate draw ``batches`` whole batches per piece (None: the default)."""
-    if batches is not None:
-        monkeypatch.setattr(coding, "_piece", lambda batch, l: batches * batch)
 
 
 def count_stacks(monkeypatch, name):
@@ -317,15 +315,10 @@ class TestValidateBatches:
         mode, count, worst = reference_rank_check(
             enc, max_exhaustive, samples, Rng(4, 99)
         )
-        # 1 and 7 batches per piece and the default put the piece
-        # boundaries, where each draw starts, at different ranks
-        for pieces in (1, 7, None):
-            with monkeypatch.context() as patch:
-                set_piece(patch, pieces)
-                report = validate(enc, max_exhaustive, samples, rng=Rng(4, 99))
-            assert report.rank_mode is mode
-            assert report.subsets_checked == count
-            assert report.worst_min_singular_ratio == worst
+        report = validate(enc, max_exhaustive, samples, rng=Rng(4, 99))
+        assert report.rank_mode is mode
+        assert report.subsets_checked == count
+        assert report.worst_min_singular_ratio == worst
 
     @pytest.mark.parametrize("batch", [1, None])
     def test_zero_subset_has_ratio_zero_without_warning(self, monkeypatch, batch):
@@ -374,9 +367,9 @@ class TestValidateBatches:
         assert calls and set(calls) == {operands}
 
     def test_sampled_draw_takes_one_call_per_piece(self, monkeypatch):
-        # 1000 subsets of 64x32 go in 200 batches of 5; they must be drawn
-        # in 8 pieces of 25 batches, one sample_subsets call each, or the
-        # per-call cost of drawing has silently come back
+        # 1000 subsets of 64x32 must be drawn in pieces of 128, whose row
+        # indices take an eighth of SVD_BATCH_BYTES, one sample_subsets
+        # call each, or the per-call cost of drawing has silently come back
         sample = coding.sample_subsets
         calls = []
 
@@ -387,11 +380,11 @@ class TestValidateBatches:
         monkeypatch.setattr(coding, "sample_subsets", recorded)
         report = validate(construct_random_orthonormal(64, 32, Rng(23)), rng=Rng(4, 99))
         assert report.rank_mode is RankMode.SAMPLED and report.subsets_checked == 1000
-        assert calls == [125] * 8
+        assert calls == [128] * 7 + [104]
 
     def test_exhaustive_draw_unranks_one_piece_at_a_time(self, monkeypatch):
-        # C(16, 8) = 12870 subsets in 156 batches of 83: 26 pieces of 6
-        # batches, each one unranking call, and no itertools enumeration
+        # C(16, 8) = 12870 subsets in 26 pieces of 512, the last of 70,
+        # each one unranking call, and no itertools enumeration
         def forbidden(*args):
             raise AssertionError("itertools.combinations called")
 
@@ -411,11 +404,11 @@ class TestValidateBatches:
         monkeypatch.setattr(coding, "lexicographic_subsets", recorded)
         report = validate(construct_random_orthonormal(16, 8, Rng(23)))
         assert report.subsets_checked == 12870 and report.rank_ok
-        assert draws == [(a, min(498, 12870 - a)) for a in range(0, 12870, 498)]
+        assert draws == [(a, min(512, 12870 - a)) for a in range(0, 12870, 512)]
 
     def test_cholesky_clears_most_batches(self, monkeypatch):
         # after the first batch sets a worst ratio, the Cholesky certificate
-        # must keep almost all of the 156 batches of C(16, 8) subsets away
+        # must keep almost all of the 51 stacks of C(16, 8) subsets away
         # from the SVD
         stacks = count_stacks(monkeypatch, "svd")
         report = validate(construct_random_orthonormal(16, 8, Rng(23)))
@@ -423,27 +416,38 @@ class TestValidateBatches:
         assert 0 < len(stacks) < 16
 
     @pytest.mark.parametrize(
-        "l_tilde, l, batch, stack, stacks",
-        # C(16, 8) = 12870 subsets in 26 pieces of 498, C(64, 32) sampled
-        # 1000 in 8 pieces of 125: stacks end where pieces do
-        [(16, 8, 83, 256, 52), (64, 32, 5, 16, 64)],
+        "l_tilde, l, batch, stack, stacks, svds, worst",
+        [
+            # C(16, 8) = 12870 subsets in 26 pieces of 512, the last of 70:
+            # the first piece's 83 + 256 + 173, then two stacks per piece
+            (16, 8, 83, 256, [256, 173] + [256] * 48 + [70], (84, 2),
+             0.0016438448456619528),
+            # C(64, 32) sampled 1000 in 7 pieces of 128 and one of 104:
+            # the first piece's 5 + 7 * 16 + 11, eight stacks per full
+            # piece, then 6 * 16 + 8
+            (64, 32, 5, 16, [16] * 7 + [11] + [16] * 54 + [8], (21, 8),
+             0.0006294976603869757),
+        ],
+        ids=["16x8", "64x32"],
     )
     def test_cholesky_stacks_fill_svd_batch_bytes(
-        self, monkeypatch, l_tilde, l, batch, stack, stacks
+        self, monkeypatch, l_tilde, l, batch, stack, stacks, svds, worst
     ):
         # after the first batch, which goes straight to the SVD, every
         # subset is certified once, in stacks of as many l x l complex Grams
-        # as fill SVD_BATCH_BYTES, or the per-call cost has silently come back
+        # as fill SVD_BATCH_BYTES and a piece holds, or the per-call cost
+        # has silently come back; only the uncleared subsets reach the SVD
         assert coding.SVD_BATCH_BYTES // (16 * l * l) == stack
         choleskys = record_choleskys(monkeypatch)
+        svd_calls = count_stacks(monkeypatch, "svd")
         report = validate(
             construct_random_orthonormal(l_tilde, l, Rng(23)), rng=Rng(4, 99)
         )
-        sizes = [len(c) for c in choleskys]
-        assert report.rank_ok
-        assert sizes[0] == stack and max(sizes) <= stack
-        assert sum(sizes) == report.subsets_checked - batch
-        assert len(sizes) == stacks
+        assert report.rank_ok and report.worst_min_singular_ratio == worst
+        assert [len(c) for c in choleskys] == stacks
+        assert sum(stacks) == report.subsets_checked - batch
+        assert svd_calls[0] == batch
+        assert (sum(svd_calls), len(svd_calls)) == svds
 
     def test_singular_batches_cost_one_cholesky_call(self, monkeypatch):
         # every subset of a matrix with a zero column is singular, so no

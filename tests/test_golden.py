@@ -38,6 +38,11 @@ CALLS = [
     ("construct-16x8", ["construct", "--l", "8", "--l-tilde", "16", "--seed", "3",
                         "--out", "p16.json"], ["p16.json"]),
     ("check-16x8", ["check", "--matrix", "p16.json", "--seed", "1"], []),
+    # C(64, 32) subsets is far past the exhaustive cap: 1000 are sampled,
+    # drawn and certified in several pieces and stacks
+    ("construct-64x32", ["construct", "--l", "32", "--l-tilde", "64", "--seed", "3",
+                         "--out", "p64.json"], ["p64.json"]),
+    ("check-64x32", ["check", "--matrix", "p64.json", "--seed", "1"], []),
     # 200 < C(10, 5) = 252 subsets, so this check samples
     ("check-sampled", ["check", "--matrix", "phi.json", "--seed", "1",
                        "--max-exhaustive", "10", "--samples", "200"], []),
@@ -75,6 +80,8 @@ CALLS = [
 GOLDEN = {
     'check-16x8:exit': '0',
     'check-16x8:stdout': '8a5ea7db253df4539f401e05e32fa8a2ce75ce78efc69c7b5a2236371723319b',
+    'check-64x32:exit': '0',
+    'check-64x32:stdout': '305bb7bdd6a0f934c3029a0dad18c67f53e48e32a5a2ab33565036eba4a26bd5',
     'check-sampled:exit': '0',
     'check-sampled:stdout': '2d220047cd1f3c363344696f45cbd8234ae26bcef0253cd665e5147079fe1eea',
     'check:exit': '0',
@@ -82,6 +89,9 @@ GOLDEN = {
     'construct-16x8:exit': '0',
     'construct-16x8:p16.json': '1a6d5e625789be01f885840029e5202d4511b0e81ce703f74298b09a4932b79a',
     'construct-16x8:stdout': '970e7cae86c3bdb5a8de78c7d2d59f99d66153665103813fb6072e7e36e3b5d0',
+    'construct-64x32:exit': '0',
+    'construct-64x32:p64.json': '49bd00efc15dc2eaa562529717cb855ab12618941d09d7957040e3e03053af6b',
+    'construct-64x32:stdout': 'f15b6b71d2011b0eeef2602b447303acff8986b4b56d8b339c992913321bde89',
     'construct:exit': '0',
     'construct:phi.json': '0a5206afae54bbfe382a7962c45d1f5022448948f9c999a6309e0afdf9dc3e85',
     'construct:stdout': '71f0e2161457d4e0c436682d02125020ec84cb8cdeba12542417fe0b46562c1d',
